@@ -13,21 +13,23 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .digits import EXCLUDE_SHORT, POLICIES, DatasetColumn, digit_frequencies, joint_frequencies
 from .inference import HypothesisPrior, screen
-from .laws import DigitDistribution, RestrictionSpec, nbl_first, nbl_joint, nbl_second, restricted_law
+from .laws import DigitDistribution, law_from_name
 from .report import FORMATS, ReportDocument, ReportError, ReportRow, render
 from . import simulate as sim
 
 OUTPUT_DIR_ENV = "DIGITSCREEN_OUT"
 
-TEST_NAMES = ("nb1", "nb2", "joint2", "rnb1", "rnb2")
 DEFAULT_THRESHOLD = 0.5
 
 _DELIMITERS = (",", ";", "\t")
+
+# the benchmark's traced replay patches this name, so it stays a module attribute
+law_for_test = law_from_name
 
 
 @dataclass(frozen=True)
@@ -44,17 +46,19 @@ class ScreenConfig:
     output_format: str = "text"
     threshold: float = DEFAULT_THRESHOLD
     delimiter: str | None = None
+    laws: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.columns:
             raise ValueError("select at least one column")
         if not self.tests:
             raise ValueError("select at least one test")
-        for t in self.tests:
-            if t not in TEST_NAMES:
-                raise ValueError(f"unknown test {t!r}; expected one of {TEST_NAMES}")
-            if t in ("rnb1", "rnb2") and self.upper_bound is None:
-                raise ValueError(f"test {t!r} needs --bound K")
+        laws = tuple(law_for_test(t, self.upper_bound, self.lower_bound) for t in self.tests)
+        if (self.upper_bound, self.lower_bound) != (None, None) and all(law.restriction is None for law in laws):
+            raise ValueError("--bound and --lower apply only to the restricted tests rnb1 and rnb2")
+        object.__setattr__(self, "laws", laws)
+        if not 0.0 <= self.threshold <= 1.0:
+            raise ValueError(f"threshold must lie in [0, 1], got {self.threshold!r}")
         if self.policy not in POLICIES:
             raise ValueError(f"unknown policy {self.policy!r}")
         if self.output_format not in FORMATS:
@@ -126,22 +130,12 @@ def ingest(path, selectors, delimiter: str | None = None) -> list[DatasetColumn]
     return columns
 
 
-def law_for_test(test: str, upper: int | None, lower: int | None = None) -> DigitDistribution:
-    if test == "nb1":
-        return nbl_first()
-    if test == "nb2":
-        return nbl_second()
-    if test == "joint2":
-        return nbl_joint(2)
-    spec = RestrictionSpec(lower=lower, upper=upper)
-    return restricted_law(nbl_first() if test == "rnb1" else nbl_second(), spec)
-
-
-def test_label(test: str, upper: int | None, lower: int | None = None) -> str:
-    if test in ("rnb1", "rnb2"):
-        bound = f"{lower}:{upper}" if lower is not None else str(upper)
-        return f"{test.upper()}({bound})"
-    return test.upper()
+def test_label(test: str, law: DigitDistribution, upper: int | None, lower: int | None = None) -> str:
+    """Report label: the test name, plus the --bound/--lower bounds of a restricted law."""
+    if law.restriction is None or upper is None:
+        return test.upper()
+    bound = f"{lower}:{upper}" if lower is not None else str(upper)
+    return f"{test.upper()}({bound})"
 
 
 def run_screening(config: ScreenConfig, columns: list[DatasetColumn] | None = None) -> ReportDocument:
@@ -155,13 +149,8 @@ def run_screening(config: ScreenConfig, columns: list[DatasetColumn] | None = No
     if columns is None:
         columns = ingest(config.input_path, config.columns, config.delimiter)
     prior = HypothesisPrior(config.prior_h0)
-    for test in config.tests:
-        label = test_label(test, config.upper_bound, config.lower_bound)
-        try:
-            law = law_for_test(test, config.upper_bound, config.lower_bound)
-        except ValueError as exc:
-            errors.extend(ReportError(col.name, label, str(exc)) for col in columns)
-            continue
+    for test, law in zip(config.tests, config.laws):
+        label = test_label(test, law, config.upper_bound, config.lower_bound)
         for col in columns:
             try:
                 rows.append(ReportRow(col.name, label, screen(col, law, prior, config.policy)))
@@ -176,12 +165,15 @@ def proportions_table(column: DatasetColumn, test: str, upper: int | None = None
     law = law_for_test(test, upper, lower)
     if law.joint_k is not None:
         cv = joint_frequencies(column, law.joint_k, policy)
-        labels = {d: "".join(str(x) for x in d) for d in law.domain}
     else:
         cv = digit_frequencies(column, law.digit_index, policy)
-        labels = {d: str(d) for d in law.domain}
     f = cv.proportions()
-    return [(labels[d], f[d], law.probs[d]) for d in law.domain]
+    return [(digit_label(d), f[d], law.probs[d]) for d in law.domain]
+
+
+def digit_label(d) -> str:
+    """A digit, or a joint digit prefix written as one number ((1, 0) -> "10")."""
+    return "".join(map(str, d)) if isinstance(d, tuple) else str(d)
 
 
 def write_proportions(table, out_path: Path, fmt: str) -> None:
@@ -199,23 +191,14 @@ def write_proportions(table, out_path: Path, fmt: str) -> None:
 # ---------------------------------------------------------------------------
 # laws subcommand
 
-def _law_table_rows(spec: str):
-    name = spec.strip().lower()
-    base, _, bound = name.partition(":")
-    if base in ("nb1", "nb2") and not bound:
-        law = nbl_first() if base == "nb1" else nbl_second()
-        title = base.upper()
-    elif base in ("cnb1", "cnb2") and bound:
-        law = restricted_law(nbl_first() if base == "cnb1" else nbl_second(), RestrictionSpec(upper=int(bound)))
-        title = f"{base.upper()}_{bound}"
-    else:
-        raise ValueError(f"unknown law table {spec!r}; expected nb1, nb2, cnb1:K or cnb2:K")
-    return title, law
-
-
-def render_law_table(spec: str) -> str:
-    title, law = _law_table_rows(spec)
-    digits = "  ".join(f"{d:>5}" for d in law.domain)
+def render_law_table(name: str) -> str:
+    """The law's digits and probabilities, titled by its name (cnb2:800 -> CNB2_800)."""
+    try:
+        law = law_for_test(name)
+    except ValueError as exc:
+        raise ValueError(f"unknown law table {name!r}: {exc}") from None
+    title = name.strip().upper().replace(":", "_")
+    digits = "  ".join(f"{digit_label(d):>5}" for d in law.domain)
     probs = "  ".join(f"{law.probs[d]:.3f}" for d in law.domain)
     pad = max(len(title), len("digit"))
     return f"{'digit'.ljust(pad)}  {digits}\n{title.ljust(pad)}  {probs}\n"
@@ -266,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_screen = sub.add_parser("screen", help="screen count columns against digit laws")
     p_screen.add_argument("input", help="delimited text file with a header row")
     p_screen.add_argument("--columns", required=True, help="comma-separated column names or 0-based indices")
-    p_screen.add_argument("--tests", default=None, help=f"comma-separated subset of {','.join(TEST_NAMES)} "
+    p_screen.add_argument("--tests", default=None, help="comma-separated law names: nb1,nb2,joint2,rnb1,rnb2 "
                                                         "(default: nb2, plus rnb2 when --bound is given)")
     p_screen.add_argument("--bound", type=int, default=None, help="upper bound K for restricted laws")
     p_screen.add_argument("--lower", type=int, default=None, help="optional lower bound for restricted laws")
@@ -286,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--format", choices=FORMATS, default="text")
 
     p_laws = sub.add_parser("laws", help="print a reference law table")
-    p_laws.add_argument("--table", required=True, help="nb1 | nb2 | cnb1:K | cnb2:K")
+    p_laws.add_argument("--table", required=True, help="a law name: nb1 | nb2 | joint2 | rnb1:K | rnb2:K (cnb = rnb)")
     return parser
 
 
@@ -321,17 +304,13 @@ def _cmd_screen(args) -> int:
     if args.proportions:
         outdir = resolve_out(args.proportions)
         fmt = "json" if config.output_format == "json" else "csv"
-        colmap = {c.name: c for c in columns}
         for test in config.tests:
-            for name in config.columns:
-                col = colmap.get(name)
-                if col is None:
-                    continue
+            for col in columns:
                 try:
                     table = proportions_table(col, test, config.upper_bound, config.lower_bound, config.policy)
                 except ValueError:
                     continue
-                write_proportions(table, outdir / f"{name}_{test}.{fmt}", fmt)
+                write_proportions(table, outdir / f"{col.name}_{test}.{fmt}", fmt)
     return doc.exit_code(config.threshold)
 
 

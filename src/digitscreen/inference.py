@@ -21,7 +21,7 @@ from .digits import (
     joint_frequencies,
 )
 from .laws import DigitDistribution
-from .special import log_gamma, regularized_gamma_q
+from .special import regularized_gamma_q
 
 # Sellke-Bayarri-Berger calibration is valid for p below 1/e
 _ULB_P_MAX = 1.0 / math.e
@@ -55,7 +55,6 @@ class TestReport:
 
     law: str
     m: int
-    n: int
     median_count: float
     chi2: float
     df: int
@@ -125,10 +124,10 @@ def log_bayes_factor_uniform(obs: CountVector, ref: DigitDistribution) -> float:
             return -math.inf
         loglik += c * math.log(p)
     # zero-count cells contribute ln Gamma(1) = 0 and are skipped
-    log_marginal = -log_gamma(float(k)) - math.fsum(
-        log_gamma(c + 1.0) for c in obs.counts.values() if c > 0
+    log_marginal = -math.lgamma(float(k)) - math.fsum(
+        math.lgamma(c + 1.0) for c in obs.counts.values() if c > 0
     )
-    return loglik + log_marginal + log_gamma(float(n + k))
+    return loglik + log_marginal + math.lgamma(float(n + k))
 
 
 def posterior_h0(log_b01: float, prior: HypothesisPrior = HypothesisPrior()) -> float:
@@ -161,7 +160,6 @@ def report_from_counts(
     return TestReport(
         law=law.kind,
         m=cv.n,
-        n=cv.n,
         median_count=_lower_median(analyzed),
         chi2=chi2,
         df=df,

@@ -196,22 +196,30 @@ def restricted_law(base: DigitDistribution, spec: RestrictionSpec) -> DigitDistr
     return DigitDistribution(kind, base.domain, probs, digit_index=base.digit_index, restriction=spec)
 
 
-_LAW_NAME_RE = re.compile(r"^(nb1|nb2|joint2|rnb1|rnb2)(?::(\d+))?$")
+_LAW_NAME_RE = re.compile(r"(?:([rc]?)nb([12])|joint2)(?::([0-9]+))?")
 
 
-def law_from_name(name: str) -> DigitDistribution:
-    """Build a law from a short test name: nb1, nb2, joint2, rnb1:K, rnb2:K."""
-    m = _LAW_NAME_RE.match(name.strip().lower())
+def law_from_name(name: str, upper: int | None = None, lower: int | None = None) -> DigitDistribution:
+    """Build a law from its name: nb1, nb2, joint2, rnb1, rnb2 (cnb1, cnb2 are aliases).
+
+    A restricted law takes its upper bound either in the name (rnb2:K) or
+    from `upper`, and an optional lower bound from `lower`. The unrestricted
+    laws ignore `upper` and `lower`, so one pair of bounds can serve a list of
+    names, but a bound written into their name is an error.
+    """
+    m = _LAW_NAME_RE.fullmatch(name.strip().lower())
     if not m:
         raise ValueError(f"unknown law name {name!r}; expected nb1, nb2, joint2, rnb1:K or rnb2:K")
-    base, bound = m.group(1), m.group(2)
-    if base == "nb1":
-        return nbl_first()
-    if base == "nb2":
-        return nbl_second()
-    if base == "joint2":
-        return nbl_joint(2)
-    if bound is None:
-        raise ValueError(f"restricted law {base!r} needs an upper bound, e.g. {base}:800")
-    spec = RestrictionSpec(upper=int(bound))
-    return restricted_law(nbl_first() if base == "rnb1" else nbl_second(), spec)
+    restricted, digit, bound = m.groups()
+    base = nbl_joint(2) if digit is None else nbl_first() if digit == "1" else nbl_second()
+    if not restricted:
+        if bound is not None:
+            raise ValueError(f"law {name!r} is unrestricted and takes no bound; use rnb1:K or rnb2:K")
+        return base
+    if bound is not None:
+        if upper is not None or lower is not None:
+            raise ValueError(f"law {name!r} already carries its bound; give no separate bounds")
+        upper = int(bound)
+    if upper is None:
+        raise ValueError(f"restricted law {name!r} needs an upper bound: {name.strip()}:K, or --bound K in screen")
+    return restricted_law(base, RestrictionSpec(lower=lower, upper=upper))

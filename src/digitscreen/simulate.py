@@ -4,9 +4,12 @@ bounded voting model, with fully reproducible streams.
 Reproducibility contract: every draw is derived from the raw PCG64 uniform
 stream through sampling algorithms owned by this module (inverse transforms,
 Box-Muller, Marsaglia-Tsang, Bernoulli counting), so identical configs give
-bit-identical output across platforms and releases. Unit j of a voting run
-uses the stream PCG64(SeedSequence(seed, spawn_key=(j,))), which makes
-per-unit generation order-independent and safe to parallelize.
+bit-identical output on the same numpy build and CPU dispatch. Nothing more
+is promised: numpy's SIMD log, exp and tan can differ in the last bit between
+dispatch targets, and the shipped lognormal mixture writes different values
+under AVX512 than under SSE4.2. Unit j of a voting run uses the stream
+PCG64(SeedSequence(seed, spawn_key=(j,))), which makes per-unit generation
+order-independent and safe to parallelize.
 """
 
 from __future__ import annotations
@@ -352,6 +355,9 @@ def default_voting_config(seed: int | None = None) -> VotingModelConfig:
 class ExperimentSpec:
     law_names: tuple
     replicates: int = 1
+
+    def __post_init__(self):
+        self.laws()  # a bad law name fails when the config loads, before any data is written
 
     def laws(self) -> list[DigitDistribution]:
         return [law_from_name(name) for name in self.law_names]

@@ -1,48 +1,16 @@
-"""Log-gamma and regularized incomplete gamma, in double precision.
+"""Upper regularized incomplete gamma, in double precision.
 
-Everything downstream (chi-squared tails, Bayes factors at n ~ 20000) runs
-through these two functions, so they are kept simple, log-space, and
-accurate to near machine precision rather than delegated.
+Chi-squared tails run through `regularized_gamma_q`, which the stdlib lacks;
+it is kept simple, log-space, and accurate to near machine precision. Log-gamma
+itself is `math.lgamma`.
 """
 
 from __future__ import annotations
 
 import math
 
-# Lanczos approximation, g = 7, 9 terms. Relative error of the reconstructed
-# gamma is below 1e-14 for all positive arguments.
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
 _MAX_ITER = 20_000
 _EPS = 1e-16
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
-    if not (x > 0.0) or not math.isfinite(x):
-        raise ValueError(f"log_gamma requires finite x > 0, got {x!r}")
-    if x < 0.5:
-        # reflection keeps the Lanczos series in its accurate range
-        return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
-    z = x - 1.0
-    series = _LANCZOS_COEFFS[0]
-    for i in range(1, len(_LANCZOS_COEFFS)):
-        series += _LANCZOS_COEFFS[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _HALF_LOG_TWO_PI + (z + 0.5) * math.log(t) - t + math.log(series)
 
 
 def _gamma_p_series(a: float, x: float) -> float:
@@ -55,7 +23,7 @@ def _gamma_p_series(a: float, x: float) -> float:
         term *= x / denom
         total += term
         if abs(term) < abs(total) * _EPS:
-            return total * math.exp(-x + a * math.log(x) - log_gamma(a))
+            return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
     raise RuntimeError(f"incomplete gamma series failed to converge for a={a}, x={x}")
 
 
@@ -79,21 +47,8 @@ def _gamma_q_contfrac(a: float, x: float) -> float:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _EPS:
-            return h * math.exp(-x + a * math.log(x) - log_gamma(a))
+            return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
     raise RuntimeError(f"incomplete gamma continued fraction failed to converge for a={a}, x={x}")
-
-
-def regularized_gamma_p(a: float, x: float) -> float:
-    """Lower regularized incomplete gamma P(a, x) = gamma(a, x) / Gamma(a)."""
-    if a <= 0.0 or not math.isfinite(a):
-        raise ValueError(f"shape parameter must be positive and finite, got {a!r}")
-    if x < 0.0 or not math.isfinite(x):
-        raise ValueError(f"x must be finite and nonnegative, got {x!r}")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return _gamma_p_series(a, x)
-    return 1.0 - _gamma_q_contfrac(a, x)
 
 
 def regularized_gamma_q(a: float, x: float) -> float:

@@ -14,8 +14,9 @@ from digitscreen.cli import (
     render_law_table,
     run_screening,
 )
-from digitscreen.laws import nbl_second
+from digitscreen.laws import RestrictionSpec, nbl_first, nbl_joint, nbl_second, restricted_law
 from digitscreen.report import COLUMNS, render
+from digitscreen.simulate import load_simulation_config
 
 TABLE1 = {1: 0.301, 2: 0.176, 3: 0.125, 4: 0.097, 5: 0.079, 6: 0.067, 7: 0.058, 8: 0.051, 9: 0.046}
 
@@ -122,6 +123,19 @@ class TestRunScreening:
     def test_restricted_test_needs_bound(self, small_csv):
         with pytest.raises(ValueError, match="bound"):
             ScreenConfig(str(small_csv), ("north",), ("rnb2",))
+
+    def test_lower_without_restricted_test(self, small_csv):
+        with pytest.raises(ValueError, match="restricted"):
+            ScreenConfig(str(small_csv), ("north",), ("nb1",), lower_bound=10)
+
+    def test_bound_without_restricted_test(self, small_csv):
+        with pytest.raises(ValueError, match="restricted"):
+            ScreenConfig(str(small_csv), ("north",), ("nb1", "joint2"), upper_bound=800)
+
+    @pytest.mark.parametrize("threshold", [float("nan"), -0.1, 1.5])
+    def test_threshold_outside_unit_interval(self, small_csv, threshold):
+        with pytest.raises(ValueError, match="threshold"):
+            ScreenConfig(str(small_csv), ("north",), ("nb1",), threshold=threshold)
 
     def test_render_deterministic(self, small_csv):
         config = ScreenConfig(str(small_csv), ("north", "south"), ("nb1", "nb2"))
@@ -301,6 +315,12 @@ class TestMainEntry:
         values = [float(r["value"]) for r in rows]
         assert len(values) == 200 and all(v > 0 for v in values)
 
+    def test_proportions_with_index_selector(self, small_csv, tmp_path, capsys):
+        propdir = tmp_path / "props"
+        assert main(["screen", str(small_csv), "--columns", "1", "--tests", "nb1",
+                     "--proportions", str(propdir)]) in (0, 2)
+        assert sorted(p.name for p in propdir.iterdir()) == ["north_nb1.csv"]
+
     def test_json_proportions(self, small_csv, tmp_path, capsys):
         propdir = tmp_path / "props"
         main(["screen", str(small_csv), "--columns", "north", "--tests", "nb2",
@@ -308,3 +328,46 @@ class TestMainEntry:
         payload = json.loads((propdir / "north_nb2.json").read_text())
         assert len(payload) == 10
         assert set(payload[0]) == {"digit", "observed", "law"}
+
+
+# Each spelling, through each entry point, names the same law with the same label.
+GRAMMAR = [
+    ("screen", "nb1", None, None, nbl_first, None, "NB1"),
+    ("screen", "joint2", None, None, lambda: nbl_joint(2), None, "JOINT2"),
+    ("screen", "rnb2", 800, None, nbl_second, RestrictionSpec(upper=800), "RNB2(800)"),
+    ("screen", "cnb2", 800, None, nbl_second, RestrictionSpec(upper=800), "CNB2(800)"),
+    ("screen", "rnb1", 8000, 100, nbl_first, RestrictionSpec(lower=100, upper=8000), "RNB1(100:8000)"),
+    ("laws", "nb1", None, None, nbl_first, None, "NB1"),
+    ("laws", "cnb2:800", None, None, nbl_second, RestrictionSpec(upper=800), "CNB2_800"),
+    ("laws", "rnb2:800", None, None, nbl_second, RestrictionSpec(upper=800), "RNB2_800"),
+    ("laws", "cnb1:800", None, None, nbl_first, RestrictionSpec(upper=800), "CNB1_800"),
+    ("laws", "joint2", None, None, lambda: nbl_joint(2), None, "JOINT2"),
+    ("simulate", "nb2", None, None, nbl_second, None, "benford-second"),
+    ("simulate", "rnb2:800", None, None, nbl_second, RestrictionSpec(upper=800),
+     "restricted(benford-second, N<=800)"),
+    ("simulate", "cnb2:800", None, None, nbl_second, RestrictionSpec(upper=800),
+     "restricted(benford-second, N<=800)"),
+]
+
+
+@pytest.mark.parametrize("entry,name,upper,lower,base,spec,label", GRAMMAR,
+                         ids=[f"{entry}-{name}" for entry, name, *_ in GRAMMAR])
+def test_law_name_grammar(tmp_path, entry, name, upper, lower, base, spec, label):
+    expected = base() if spec is None else restricted_law(base(), spec)
+    if entry == "screen":
+        path = tmp_path / "v.csv"
+        path.write_text("unit,v\n" + "".join(f"u{n},{n}\n" for n in range(100, 800, 7)))
+        config = ScreenConfig(str(path), ("v",), (name,), upper_bound=upper, lower_bound=lower)
+        (row,) = run_screening(config).rows
+        assert config.laws == (expected,) and config.laws[0].restriction == spec
+        assert row.test == label and row.report.law == expected.kind
+    elif entry == "laws":
+        title, *probs = render_law_table(name).splitlines()[1].split()
+        assert title == label
+        assert probs == [f"{expected.probs[d]:.3f}" for d in expected.domain]
+    else:
+        cfg = tmp_path / "model.ini"
+        cfg.write_text("[mixture]\nn_samples = 10\nseed = 1\ncomponent.1 = lognormal weight=1 mu=0 sigma=1\n"
+                       f"\n[experiment]\nlaws = {name}\n")
+        (law,) = load_simulation_config(cfg).experiment.laws()
+        assert law == expected and law.restriction == spec and law.kind == label

@@ -240,6 +240,17 @@ class TestLawFromName:
             law_from_name("nb7")
 
 
+class TestLawNameBounds:
+    @pytest.mark.parametrize("name", ["nb1:800", "nb2:500", "joint2:800"])
+    def test_unrestricted_name_rejects_bound(self, name):
+        with pytest.raises(ValueError, match="takes no bound"):
+            law_from_name(name)
+
+    def test_bound_in_name_and_argument_conflict(self):
+        with pytest.raises(ValueError, match="already carries"):
+            law_from_name("rnb2:800", upper=900)
+
+
 def test_distribution_validation():
     with pytest.raises(ValueError, match="sum"):
         DigitDistribution("broken", (1, 2), {1: 0.6, 2: 0.6})

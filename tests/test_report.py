@@ -17,7 +17,7 @@ from digitscreen.report import (
 
 def make_report(posterior=0.9, p_value=0.4, ulb=None, log_b01=2.0, median=150):
     return TestReport(
-        law="benford-second", m=100, n=100, median_count=median, chi2=8.0, df=9,
+        law="benford-second", m=100, median_count=median, chi2=8.0, df=9,
         p_value=p_value, ulb=ulb, log_b01=log_b01, posterior_h0=posterior,
     )
 
@@ -34,7 +34,7 @@ def test_format_ulb():
 
 def test_text_renders_flag_and_footnotes():
     rep = TestReport(
-        law="benford-second", m=60, n=60, median_count=42, chi2=3.0, df=9,
+        law="benford-second", m=60, median_count=42, chi2=3.0, df=9,
         p_value=0.96, ulb=None, log_b01=5.0, posterior_h0=0.993,
         small_expected=(8, 9),
     )

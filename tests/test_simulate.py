@@ -225,6 +225,13 @@ class TestConfigFiles:
         with pytest.raises(ValueError, match="exactly one"):
             load_simulation_config(path)
 
+    def test_bound_on_unrestricted_law_fails_at_load(self, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_text("[mixture]\nn_samples = 5\nseed = 1\ncomponent.1 = lognormal weight=1 mu=0 sigma=1\n"
+                        "\n[experiment]\nlaws = nb2:500\n")
+        with pytest.raises(ValueError, match="takes no bound"):
+            load_simulation_config(path)
+
     def test_missing_file(self):
         with pytest.raises(ValueError, match="cannot read"):
             load_simulation_config("/nonexistent/config.ini")
