@@ -16,6 +16,8 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .digits import EXCLUDE_SHORT, POLICIES, DatasetColumn, digit_frequencies, joint_frequencies
 from .inference import HypothesisPrior, screen
 from .laws import DigitDistribution, law_from_name
@@ -27,6 +29,8 @@ OUTPUT_DIR_ENV = "DIGITSCREEN_OUT"
 DEFAULT_THRESHOLD = 0.5
 
 _DELIMITERS = (",", ";", "\t")
+
+_INT64_MAX = 2**63 - 1
 
 # the benchmark's traced replay patches this name, so it stays a module attribute
 law_for_test = law_from_name
@@ -83,11 +87,14 @@ def _detect_delimiter(header_line: str) -> str:
 def ingest(path, selectors, delimiter: str | None = None) -> list[DatasetColumn]:
     """Read delimited text with a header row into one column per selector.
 
-    Selectors are header names or 0-based indices. Cells that are not
-    positive integers are excluded with a per-row diagnostic; vote tallies
+    Selectors are header names or 0-based indices, each naming a different
+    column. The file is UTF-8, with or without a byte-order mark. A cell is a
+    count only when it is ASCII decimal digits, at least 1 and below 2^63 (the
+    int64 range of a column); every other cell, including ``1_000``, ``+45``
+    and non-ASCII digits, is excluded with a per-row diagnostic. Vote tallies
     are integers, so nothing is silently coerced.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError(f"empty input file: {path}")
@@ -101,33 +108,54 @@ def ingest(path, selectors, delimiter: str | None = None) -> list[DatasetColumn]
     indices = []
     for sel in selectors:
         if sel in colmap:
-            indices.append((sel, colmap[sel]))
+            idx = colmap[sel]
         elif sel.isdigit() and int(sel) < len(header):
-            indices.append((header[int(sel)], int(sel)))
+            idx = int(sel)
         else:
             raise ValueError(f"column {sel!r} not found; available headers: {', '.join(header)}")
+        if idx in indices:
+            raise ValueError(f"column {sel!r} selects column {idx} ({header[idx]!r}) a second time")
+        indices.append(idx)
 
     columns = []
-    for name, idx in indices:
+    for idx in indices:
+        name = header[idx]
         values = []
         excluded = 0
         diagnostics = []
         for rownum, row in enumerate(data_rows, start=2):
             cell = row[idx].strip() if idx < len(row) else ""
+            if cell.isdigit() and cell.isascii() and cell[0] != "0" and len(cell) < 19:
+                values.append(int(cell))  # 1 .. 10^18 - 1, the common case
+                continue
             try:
-                value = int(cell)
-            except ValueError:
+                values.append(_parse_count(cell))
+            except ValueError as exc:
                 excluded += 1
-                diagnostics.append(f"{name}: row {rownum}: not an integer: {cell!r}")
-                continue
-            if value < 1:
-                excluded += 1
-                reason = "zero count" if value == 0 else f"negative count {value}"
-                diagnostics.append(f"{name}: row {rownum}: {reason} excluded")
-                continue
-            values.append(value)
-        columns.append(DatasetColumn(name, tuple(values), excluded_count=excluded, diagnostics=tuple(diagnostics)))
+                diagnostics.append(f"{name}: row {rownum}: {exc}")
+        columns.append(DatasetColumn(name, np.array(values, dtype=np.int64), excluded_count=excluded,
+                                     diagnostics=tuple(diagnostics)))
     return columns
+
+
+def _parse_count(cell: str) -> int:
+    """The count a stripped cell holds; ValueError says why it holds none.
+
+    A leading "-" is read only to name a negative count as such.
+    """
+    negative = cell.startswith("-")
+    digits = cell[1:] if negative else cell
+    if not (digits.isdigit() and digits.isascii()):
+        raise ValueError(f"not an integer: {cell!r}")
+    digits = digits.lstrip("0")
+    if not digits:
+        raise ValueError("zero count excluded")
+    if negative:
+        raise ValueError(f"negative count -{digits} excluded")
+    # 2^63 - 1 has 19 digits; the length test also keeps int() off huge strings
+    if len(digits) > 19 or int(digits) > _INT64_MAX:
+        raise ValueError(f"count {digits} exceeds the int64 maximum {_INT64_MAX}; excluded")
+    return int(digits)
 
 
 def test_label(test: str, law: DigitDistribution, upper: int | None, lower: int | None = None) -> str:
@@ -159,10 +187,9 @@ def run_screening(config: ScreenConfig, columns: list[DatasetColumn] | None = No
     return ReportDocument(rows=tuple(rows), errors=tuple(errors))
 
 
-def proportions_table(column: DatasetColumn, test: str, upper: int | None = None,
-                      lower: int | None = None, policy: str = EXCLUDE_SHORT) -> list[tuple[str, float, float]]:
+def proportions_table(column: DatasetColumn, law: DigitDistribution,
+                      policy: str = EXCLUDE_SHORT) -> list[tuple[str, float, float]]:
     """Rows (digit, observed proportion, law probability) for external plotting."""
-    law = law_for_test(test, upper, lower)
     if law.joint_k is not None:
         cv = joint_frequencies(column, law.joint_k, policy)
     else:
@@ -304,13 +331,13 @@ def _cmd_screen(args) -> int:
     if args.proportions:
         outdir = resolve_out(args.proportions)
         fmt = "json" if config.output_format == "json" else "csv"
-        for test in config.tests:
+        screened = {(row.test, row.column) for row in doc.rows}
+        for test, law in zip(config.tests, config.laws):
+            label = test_label(test, law, config.upper_bound, config.lower_bound)
             for col in columns:
-                try:
-                    table = proportions_table(col, test, config.upper_bound, config.lower_bound, config.policy)
-                except ValueError:
-                    continue
-                write_proportions(table, outdir / f"{col.name}_{test}.{fmt}", fmt)
+                if (label, col.name) in screened:
+                    table = proportions_table(col, law, config.policy)
+                    write_proportions(table, outdir / f"{col.name}_{test}.{fmt}", fmt)
     return doc.exit_code(config.threshold)
 
 

@@ -1,8 +1,18 @@
 """Significant-digit extraction and digit-frequency tabulation.
 
-Counts are analyzed through their decimal digit strings, never through
+Counts are analyzed through exact integer arithmetic, never through
 floating-point logarithms, so values at decade boundaries (10, 100, ...)
-can never be misclassified.
+can never be misclassified. A column's counts are held as one read-only
+int64 array, so they lie in [1, 2^63 - 1]. Their decimal digit counts ``nd``
+come from a binary search against the powers 10^0..10^18, once per column;
+the k-digit prefix of a value with at least k digits is ``v // 10^(nd - k)``
+and its k-th significant digit is ``prefix % 10``. Frequencies are
+``np.bincount`` tallies of those digits or prefixes, and every step is exact
+int64 arithmetic: quotients never exceed the value, and a short value padded
+with trailing zeros stays below 10^k.
+
+Floats (simulated samples) go through their shortest round-trip decimal
+representation instead, one value at a time.
 """
 
 from __future__ import annotations
@@ -10,7 +20,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
+
+import numpy as np
 
 EXCLUDE_SHORT = "exclude-short"
 TRAILING_ZERO = "trailing-zero"
@@ -79,32 +92,71 @@ def significant_digit(x, i: int) -> int:
     return int(digits[i - 1]) if i <= len(digits) else 0
 
 
-@dataclass(frozen=True)
+# 10^0 .. 10^18: every power of ten that fits in int64
+_POWERS_OF_TEN = 10 ** np.arange(19, dtype=np.int64)
+
+
+def _count_array(name: str, values) -> np.ndarray:
+    """``values`` as a fresh read-only 1-D int64 array of counts >= 1.
+
+    A sequence must hold Python ints (bools and floats are rejected one by
+    one); an array must have an integer dtype that converts to int64 exactly.
+    """
+    if isinstance(values, np.ndarray):
+        if values.ndim != 1 or values.dtype.kind not in "iu" or not np.can_cast(values.dtype, np.int64):
+            raise ValueError(f"column {name!r}: values must be a 1-D integer array, got {values.dtype} "
+                             f"with shape {values.shape}")
+        arr = values.astype(np.int64)
+    else:
+        values = list(values)
+        for v in values:
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ValueError(f"column {name!r}: retained values must be integers >= 1, got {v!r}")
+        try:
+            arr = np.array(values, dtype=np.int64)
+        except OverflowError:
+            raise ValueError(f"column {name!r}: values must lie below 2^63") from None
+    if arr.size and arr.min() < 1:
+        raise ValueError(f"column {name!r}: retained values must be integers >= 1, got {arr.min().item()!r}")
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
 class DatasetColumn:
     """A named column of positive integer counts, one per reporting unit.
 
-    ``excluded_count`` tallies units dropped on the way in (zeros, negatives,
-    unparseable cells), so m + excluded_count equals the original row count.
+    ``values`` is a read-only int64 array. ``excluded_count`` tallies units
+    dropped on the way in (zeros, negatives, unparseable cells), so
+    m + excluded_count equals the original row count.
     """
 
     name: str
-    values: tuple[int, ...]
+    values: np.ndarray
     excluded_count: int = 0
     diagnostics: tuple[str, ...] = field(default=(), repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
+        object.__setattr__(self, "values", _count_array(self.name, self.values))
         object.__setattr__(self, "diagnostics", tuple(self.diagnostics))
-        for v in self.values:
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                raise ValueError(f"column {self.name!r}: retained values must be integers >= 1, got {v!r}")
         if self.excluded_count < 0:
             raise ValueError("excluded_count must be nonnegative")
 
     @property
     def m(self) -> int:
         """Number of retained units."""
-        return len(self.values)
+        return self.values.size
+
+    @cached_property
+    def digit_counts(self) -> np.ndarray:
+        """Number of decimal digits of each value (1 for 1..9, at most 19)."""
+        return np.searchsorted(_POWERS_OF_TEN, self.values, side="right")
+
+    def prefixes(self, k: int) -> np.ndarray:
+        """The k-digit prefix of every value with at least k digits, in column order."""
+        nd = self.digit_counts
+        long_enough = nd >= k
+        return self.values[long_enough] // _POWERS_OF_TEN[nd[long_enough] - k]
 
 
 @dataclass(frozen=True)
@@ -145,12 +197,12 @@ class CountVector:
         return {d: c / n for d, c in self.counts.items()}
 
 
-def analyzable_values(column: DatasetColumn, width: int, policy: str = EXCLUDE_SHORT) -> list[int]:
+def analyzable_values(column: DatasetColumn, width: int, policy: str = EXCLUDE_SHORT) -> np.ndarray:
     """Retained values that contribute a digit at position/prefix width ``width``."""
     _check_policy(policy)
     if policy == TRAILING_ZERO:
-        return list(column.values)
-    return [v for v in column.values if len(str(v)) >= width]
+        return column.values
+    return column.values[column.digit_counts >= width]
 
 
 def digit_frequencies(column: DatasetColumn, i: int, policy: str = EXCLUDE_SHORT) -> CountVector:
@@ -163,22 +215,14 @@ def digit_frequencies(column: DatasetColumn, i: int, policy: str = EXCLUDE_SHORT
     """
     _check_digit_index(i)
     _check_policy(policy)
-    counter: Counter = Counter()
-    excluded = 0
-    for v in column.values:
-        s = str(v)
-        if len(s) < i:
-            if policy == EXCLUDE_SHORT:
-                excluded += 1
-                continue
-            d = 0
-        else:
-            d = int(s[i - 1])
-        counter[d] += 1
-    if not counter:
-        raise ValueError("no analyzable values")
+    prefixes = column.prefixes(i)
+    counts = np.bincount(prefixes % 10, minlength=10)
+    short = column.m - prefixes.size
+    if policy == TRAILING_ZERO:
+        counts[0] += short
+        short = 0
     domain = digit_domain(i)
-    return CountVector(digit_index=i, domain=domain, counts=dict(counter), excluded=excluded)
+    return _count_vector(domain, counts[list(domain)], short, digit_index=i)
 
 
 def real_digit_frequencies(values, i: int) -> CountVector:
@@ -202,17 +246,25 @@ def joint_frequencies(column: DatasetColumn, k: int = 2, policy: str = EXCLUDE_S
     if k < 2:
         raise ValueError("joint tabulation needs k >= 2; use digit_frequencies for a single digit")
     _check_policy(policy)
-    counter: Counter = Counter()
-    excluded = 0
-    for v in column.values:
-        s = str(v)
-        if len(s) < k:
-            if policy == EXCLUDE_SHORT:
-                excluded += 1
-                continue
-            s = s.ljust(k, "0")
-        counter[tuple(int(c) for c in s[:k])] += 1
-    if not counter:
+    prefixes = column.prefixes(k)
+    short = column.m - prefixes.size
+    if policy == TRAILING_ZERO and short:
+        # a short value reads as its digits followed by zeros: 7 -> (7, 0)
+        nd = column.digit_counts
+        is_short = nd < k
+        padded = column.values[is_short] * _POWERS_OF_TEN[k - nd[is_short]]
+        prefixes = np.concatenate((prefixes, padded))
+        short = 0
+    # joint_domain(k) lists the prefixes 10^(k-1) .. 10^k - 1 in increasing order
+    first = 10 ** (k - 1)
+    counts = np.bincount(prefixes - first, minlength=9 * first)
+    return _count_vector(joint_domain(k), counts, short, joint_k=k)
+
+
+def _count_vector(domain: tuple, counts: np.ndarray, excluded: int, digit_index: int | None = None,
+                  joint_k: int | None = None) -> CountVector:
+    """A CountVector from tallies aligned with ``domain``."""
+    if not counts.any():
         raise ValueError("no analyzable values")
-    domain = joint_domain(k)
-    return CountVector(digit_index=None, domain=domain, counts=dict(counter), excluded=excluded, joint_k=k)
+    return CountVector(digit_index=digit_index, domain=domain, counts=dict(zip(domain, counts.tolist())),
+                       excluded=excluded, joint_k=joint_k)

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .digits import (
     EXCLUDE_SHORT,
     CountVector,
@@ -140,15 +142,17 @@ def posterior_h0(log_b01: float, prior: HypothesisPrior = HypothesisPrior()) -> 
 
 
 def _lower_median(values) -> float:
-    ordered = sorted(values)
-    if not ordered:
+    """The lower of the two middle values (the middle one for odd sizes), as a Python scalar."""
+    values = np.asarray(values)
+    if values.size == 0:
         raise ValueError("no analyzable values")
-    return ordered[(len(ordered) - 1) // 2]
+    mid = (values.size - 1) // 2
+    return np.partition(values, mid)[mid].item()
 
 
 def report_from_counts(
     cv: CountVector,
-    analyzed: list,
+    analyzed: np.ndarray,
     law: DigitDistribution,
     prior: HypothesisPrior = HypothesisPrior(),
 ) -> TestReport:
@@ -171,13 +175,28 @@ def report_from_counts(
     )
 
 
+def _check_restriction(column: DatasetColumn, law: DigitDistribution) -> None:
+    spec = law.restriction
+    if spec is None:
+        return
+    v = column.values
+    outside = np.count_nonzero((v < (spec.lower or 1)) | (v > (spec.upper or np.iinfo(np.int64).max)))
+    if outside:
+        raise ValueError(f"{outside} of {column.m} units lie outside the restriction {spec}")
+
+
 def screen(
     column: DatasetColumn,
     law: DigitDistribution,
     prior: HypothesisPrior = HypothesisPrior(),
     policy: str = EXCLUDE_SHORT,
 ) -> TestReport:
-    """Screen one column against one law: tabulate, test, calibrate, report."""
+    """Screen one column against one law: tabulate, test, calibrate, report.
+
+    A restricted law holds only for counts inside its bounds, so a column
+    with any value outside them is an error, not a report.
+    """
+    _check_restriction(column, law)
     if law.joint_k is not None:
         cv = joint_frequencies(column, law.joint_k, policy)
         width = law.joint_k

@@ -299,7 +299,7 @@ def conformance_experiment(
         rep_columns.append(replace(col_a, name=f"pooled[{r}]"))
     pooled = DatasetColumn(
         "pooled",
-        tuple(v for col in rep_columns for v in col.values),
+        np.concatenate([col.values for col in rep_columns]),
         excluded_count=sum(col.excluded_count for col in rep_columns),
     )
     results = []
@@ -325,7 +325,7 @@ def screen_mixture(
     if law.digit_index is None:
         raise ValueError("mixture screening needs a marginal digit law")
     cv = real_digit_frequencies(samples, law.digit_index)
-    return report_from_counts(cv, list(samples), law, prior)
+    return report_from_counts(cv, samples, law, prior)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Independent oracles shared by the test modules.
 
 These deliberately avoid the code paths they check: the incomplete gamma
-oracle integrates the density numerically at high precision, and the Bayes
-factor oracle works in exact rational arithmetic.
+oracle integrates the density numerically at high precision, the Bayes
+factor oracle works in exact rational arithmetic, and the digit tallies read
+each value's decimal string instead of dividing by powers of ten.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -44,3 +46,50 @@ def exact_log_b01(counts, probs) -> float:
     for c in counts:
         b01 /= math.factorial(c)
     return math.log(b01.numerator) - math.log(b01.denominator)
+
+
+# Digit tabulation read from decimal strings, one value at a time: the
+# reference for the int64 kernel in digitscreen.digits. Under "exclude-short"
+# a value with fewer than i (or k) digits is excluded; under "trailing-zero"
+# it is read as if padded with zeros.
+
+
+def str_digit_tally(values, i: int, policy: str) -> tuple[dict, int]:
+    """(count of each i-th significant digit, number of excluded values)."""
+    counter = Counter()
+    excluded = 0
+    for v in values:
+        s = str(v)
+        if len(s) < i:
+            if policy == "exclude-short":
+                excluded += 1
+                continue
+            s = s.ljust(i, "0")
+        counter[int(s[i - 1])] += 1
+    return dict(counter), excluded
+
+
+def str_joint_tally(values, k: int, policy: str) -> tuple[dict, int]:
+    """(count of each k-digit prefix tuple, number of excluded values)."""
+    counter = Counter()
+    excluded = 0
+    for v in values:
+        s = str(v)
+        if len(s) < k:
+            if policy == "exclude-short":
+                excluded += 1
+                continue
+            s = s.ljust(k, "0")
+        counter[tuple(int(c) for c in s[:k])] += 1
+    return dict(counter), excluded
+
+
+def str_analyzable(values, width: int, policy: str) -> list:
+    """The values that carry a digit at position ``width`` under ``policy``."""
+    return [v for v in values if policy == "trailing-zero" or len(str(v)) >= width]
+
+
+def sorted_lower_median(values):
+    """The lower middle element of the sorted values."""
+    ordered = sorted(values)
+    return ordered[(len(ordered) - 1) // 2]

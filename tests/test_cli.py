@@ -1,11 +1,14 @@
 """CLI surface: ingestion, screening reports, exit codes, file outputs."""
 
 import csv
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from digitscreen import cli
 from digitscreen.cli import (
     ScreenConfig,
     ingest,
@@ -14,9 +17,12 @@ from digitscreen.cli import (
     render_law_table,
     run_screening,
 )
-from digitscreen.laws import RestrictionSpec, nbl_first, nbl_joint, nbl_second, restricted_law
+from digitscreen.laws import RestrictionSpec, law_from_name, nbl_first, nbl_joint, nbl_second, restricted_law
 from digitscreen.report import COLUMNS, render
 from digitscreen.simulate import load_simulation_config
+from golden import SCREEN_ARGS, SCREEN_DIGESTS
+
+DATA = Path(__file__).parent / "data"
 
 TABLE1 = {1: 0.301, 2: 0.176, 3: 0.125, 4: 0.097, 5: 0.079, 6: 0.067, 7: 0.058, 8: 0.051, 9: 0.046}
 
@@ -55,19 +61,19 @@ def uniform_csv(tmp_path):
 class TestIngest:
     def test_basic_parse(self, small_csv):
         (col,) = ingest(small_csv, ["north"])
-        assert col.values == (2, 1472, 6033)
+        assert col.values.tolist() == [2, 1472, 6033]
         assert col.m == 3 and col.excluded_count == 0
 
     def test_index_selector(self, small_csv):
         (col,) = ingest(small_csv, ["2"])
         assert col.name == "south"
-        assert col.values == (9, 358, 2741)
+        assert col.values.tolist() == [9, 358, 2741]
 
     def test_bad_cell_excluded_with_diagnostic(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("unit,v\nA,10\nB,N/A\nC,-4\nD,0\nE,2.5\n")
         (col,) = ingest(path, ["v"])
-        assert col.values == (10,)
+        assert col.values.tolist() == [10]
         assert col.excluded_count == 4
         assert col.m + col.excluded_count == 5
         joined = " ".join(col.diagnostics)
@@ -89,13 +95,52 @@ class TestIngest:
         path = tmp_path / "d.txt"
         path.write_text(f"unit{delim}v\nA{delim}12\nB{delim}34\n")
         (col,) = ingest(path, ["v"])
-        assert col.values == (12, 34)
+        assert col.values.tolist() == [12, 34]
 
     def test_delimiter_override(self, tmp_path):
         path = tmp_path / "d.txt"
         path.write_text("unit|v\nA|12\n")
         (col,) = ingest(path, ["v"], delimiter="|")
-        assert col.values == (12,)
+        assert col.values.tolist() == [12]
+
+    @pytest.mark.parametrize("cell", ["1_000", "+45", "\u0661\u0662\u0663", "\uff11\uff12", "12.0", "1e3",
+                                      "0x1F", "1 000", "--5"])
+    def test_only_ascii_digits_are_counts(self, tmp_path, cell):
+        path = tmp_path / "d.csv"
+        path.write_text(f"unit,v\nA,12\nB,{cell}\n", encoding="utf-8")
+        (col,) = ingest(path, ["v"])
+        assert col.values.tolist() == [12]
+        assert col.excluded_count == 1
+        assert col.diagnostics == (f"v: row 3: not an integer: {cell!r}",)
+
+    def test_leading_zeros_and_signed_zero(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("unit,v\nA,0012\nB,-0\nC,-007\nD,000\n")
+        (col,) = ingest(path, ["v"])
+        assert col.values.tolist() == [12]
+        assert col.diagnostics == ("v: row 3: zero count excluded", "v: row 4: negative count -7 excluded",
+                                   "v: row 5: zero count excluded")
+
+    def test_counts_beyond_int64_excluded(self, tmp_path):
+        path = tmp_path / "d.csv"
+        cells = ["9223372036854775807", "9223372036854775808", "99999999999999999999999", "9" * 5000]
+        path.write_text("unit,v\n" + "".join(f"u{i},{c}\n" for i, c in enumerate(cells)))
+        (col,) = ingest(path, ["v"])
+        assert col.values.tolist() == [2**63 - 1]
+        assert col.excluded_count == 3
+        assert all("exceeds the int64 maximum 9223372036854775807" in d for d in col.diagnostics)
+        assert col.diagnostics[0].startswith("v: row 3: count 9223372036854775808 ")
+
+    def test_byte_order_mark(self, tmp_path):
+        path = tmp_path / "excel.csv"
+        path.write_bytes("\ufeffvotes,other\n12,3\n45,6\n".encode("utf-8"))
+        (col,) = ingest(path, ["votes"])
+        assert col.name == "votes" and col.values.tolist() == [12, 45]
+
+    @pytest.mark.parametrize("selectors", [["north", "north"], ["north", "1"], ["1", "1"], ["south", "north", "2"]])
+    def test_column_selected_twice(self, small_csv, selectors):
+        with pytest.raises(ValueError, match="a second time"):
+            ingest(small_csv, selectors)
 
 
 class TestRunScreening:
@@ -192,7 +237,7 @@ class TestReportRendering:
 class TestProportions:
     def test_nb1_rows_match_reference_table(self, small_csv):
         (col,) = ingest(small_csv, ["north"])
-        table = proportions_table(col, "nb1")
+        table = proportions_table(col, law_from_name("nb1"))
         assert len(table) == 9
         for (digit, observed, law), d in zip(table, range(1, 10)):
             assert digit == str(d)
@@ -200,14 +245,14 @@ class TestProportions:
 
     def test_nb2_rows_normalized(self, conforming_csv):
         (col,) = ingest(conforming_csv, ["votes"])
-        table = proportions_table(col, "nb2")
+        table = proportions_table(col, law_from_name("nb2"))
         assert len(table) == 10
         assert sum(obs for _, obs, _ in table) == pytest.approx(1.0, abs=1e-9)
         assert sum(law for _, _, law in table) == pytest.approx(1.0, abs=1e-9)
 
     def test_joint_rows_keyed_by_digit_pair(self, small_csv):
         (col,) = ingest(small_csv, ["south"])
-        table = proportions_table(col, "joint2")
+        table = proportions_table(col, law_from_name("joint2"))
         assert len(table) == 90
         assert table[0][0] == "10" and table[-1][0] == "99"
 
@@ -288,11 +333,12 @@ class TestMainEntry:
         assert (tmp_path / "outputs" / "report.txt").exists()
 
     def test_two_sided_restriction(self, small_csv, capsys):
+        # north holds 2, 1472 and 6033, all inside [2, 8000]
         code = main(["screen", str(small_csv), "--columns", "north", "--tests", "rnb1",
-                     "--bound", "8000", "--lower", "100"])
+                     "--bound", "8000", "--lower", "2"])
         out = capsys.readouterr().out
         assert code in (0, 2)
-        assert "RNB1(100:8000) north" in out
+        assert "RNB1(2:8000) north" in out
 
     def test_simulate_shipped_config(self, capsys):
         import importlib.resources
@@ -320,6 +366,38 @@ class TestMainEntry:
         assert main(["screen", str(small_csv), "--columns", "1", "--tests", "nb1",
                      "--proportions", str(propdir)]) in (0, 2)
         assert sorted(p.name for p in propdir.iterdir()) == ["north_nb1.csv"]
+
+    def test_duplicate_columns_are_an_error(self, small_csv, capsys):
+        assert main(["screen", str(small_csv), "--columns", "north,north,1", "--tests", "nb1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: column 'north' selects column 1 ('north') a second time" in captured.err
+
+    def test_restricted_law_outside_its_bound(self, tmp_path, capsys):
+        path = tmp_path / "v.csv"
+        path.write_text("unit,v\n" + "".join(f"u{n},{n}\n" for n in range(10, 3001, 7)))
+        propdir = tmp_path / "props"
+        code = main(["screen", str(path), "--columns", "v", "--tests", "nb2,rnb2", "--bound", "100",
+                     "--proportions", str(propdir)])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert [line.split()[0] for line in out.splitlines()[2:] if not line.startswith("error")] == ["NB2"]
+        assert "error: RNB2(100) v: 415 of 428 units lie outside the restriction N<=100\n" in out
+        assert sorted(p.name for p in propdir.iterdir()) == ["v_nb2.csv"]
+
+    def test_proportions_builds_each_law_once(self, small_csv, tmp_path, monkeypatch, capsys):
+        built = []
+
+        def counting(*args):
+            built.append(args[0])
+            return law_from_name(*args)
+
+        monkeypatch.setattr(cli, "law_for_test", counting)
+        main(["screen", str(small_csv), "--columns", "north,south", "--tests", "nb1,rnb2", "--bound", "8000",
+              "--proportions", str(tmp_path / "props")])
+        assert built == ["nb1", "rnb2"]
+        assert sorted(p.name for p in (tmp_path / "props").iterdir()) == [
+            "north_nb1.csv", "north_rnb2.csv", "south_nb1.csv", "south_rnb2.csv"]
 
     def test_json_proportions(self, small_csv, tmp_path, capsys):
         propdir = tmp_path / "props"
@@ -371,3 +449,10 @@ def test_law_name_grammar(tmp_path, entry, name, upper, lower, base, spec, label
                        f"\n[experiment]\nlaws = {name}\n")
         (law,) = load_simulation_config(cfg).experiment.laws()
         assert law == expected and law.restriction == spec and law.kind == label
+
+
+@pytest.mark.parametrize("policy,fmt", sorted(SCREEN_DIGESTS))
+def test_screen_report_digests(policy, fmt, capsys):
+    code = main(["screen", str(DATA / "golden_counts.csv"), *SCREEN_ARGS, "--policy", policy, "--format", fmt])
+    stdout = capsys.readouterr().out
+    assert (code, hashlib.sha256(stdout.encode("utf-8")).hexdigest()) == SCREEN_DIGESTS[(policy, fmt)]

@@ -1,19 +1,25 @@
 """Digit extraction and tabulation."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from digitscreen.digits import (
     EXCLUDE_SHORT,
+    POLICIES,
     TRAILING_ZERO,
     CountVector,
     DatasetColumn,
     analyzable_values,
+    digit_domain,
     digit_frequencies,
+    joint_domain,
     joint_frequencies,
     real_digit_frequencies,
     significant_digit,
 )
+from digitscreen.inference import _lower_median
+from oracles import sorted_lower_median, str_analyzable, str_digit_tally, str_joint_tally
 
 
 class TestSignificantDigit:
@@ -72,10 +78,29 @@ class TestDatasetColumn:
         assert col.m == 2
         assert col.m + col.excluded_count == 5
 
-    @pytest.mark.parametrize("bad", [0, -1, 2.5, "9"])
+    @pytest.mark.parametrize("bad", [0, -1, 2.5, "9", True, np.float64(3.0), 2**63])
     def test_rejects_non_positive_or_non_integer(self, bad):
         with pytest.raises(ValueError):
             DatasetColumn("a", (1, bad))
+
+    @pytest.mark.parametrize("bad", [np.array([1.0, 2.0]), np.array([True]), np.array(["9"]), np.array([3, 0]),
+                                     np.array([[1, 2]]), np.array([2**63], dtype=np.uint64)],
+                             ids=["float", "bool", "str", "zero", "2d", "uint64"])
+    def test_rejects_bad_arrays(self, bad):
+        with pytest.raises(ValueError, match="column 'a'"):
+            DatasetColumn("a", bad)
+
+    @pytest.mark.parametrize("values", [(5, 2**63 - 1), [5, 2**63 - 1], np.array([5, 2**63 - 1])])
+    def test_values_are_a_read_only_int64_copy(self, values):
+        col = DatasetColumn("a", values)
+        assert col.values.dtype == np.int64 and col.values.tolist() == [5, 2**63 - 1]
+        assert not col.values.flags.writeable
+        if isinstance(values, np.ndarray):
+            assert values.flags.writeable and not np.shares_memory(values, col.values)
+
+    def test_smaller_integer_dtypes_widen(self):
+        col = DatasetColumn("a", np.array([7, 300], dtype=np.uint16))
+        assert col.values.dtype == np.int64 and col.values.tolist() == [7, 300]
 
 
 class TestDigitFrequencies:
@@ -177,5 +202,58 @@ def test_real_digit_frequencies():
 
 def test_analyzable_values_matches_policy():
     col = DatasetColumn("x", (154, 23, 9))
-    assert analyzable_values(col, 2, EXCLUDE_SHORT) == [154, 23]
-    assert analyzable_values(col, 2, TRAILING_ZERO) == [154, 23, 9]
+    assert analyzable_values(col, 2, EXCLUDE_SHORT).tolist() == [154, 23]
+    assert analyzable_values(col, 2, TRAILING_ZERO).tolist() == [154, 23, 9]
+
+
+# Draws weighted toward the decade edges 10^e - 1, 10^e and 10^e + 1, where a
+# digit count or a prefix is most easily off by one, across the int64 range.
+DECADE_EDGES = sorted({x for e in range(19) for x in (10**e - 1, 10**e, 10**e + 1) if 1 <= x < 2**63}
+                      | {2**63 - 1})
+COUNTS = st.one_of(st.sampled_from(DECADE_EDGES), st.integers(1, 2**63 - 1), st.integers(1, 10**4))
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+class TestKernelMatchesStringOracle:
+    @given(st.lists(COUNTS, max_size=40))
+    def test_digit_frequencies(self, policy, values):
+        col = DatasetColumn("x", values)
+        for i in (1, 2, 3, 4):
+            counts, excluded = str_digit_tally(values, i, policy)
+            if not counts:
+                with pytest.raises(ValueError, match="no analyzable values"):
+                    digit_frequencies(col, i, policy)
+                continue
+            cv = digit_frequencies(col, i, policy)
+            assert cv.counts == {d: counts.get(d, 0) for d in digit_domain(i)}
+            assert cv.excluded == excluded and cv.digit_index == i
+
+    @given(st.lists(COUNTS, max_size=40))
+    def test_joint_frequencies(self, policy, values):
+        col = DatasetColumn("x", values)
+        for k in (2, 3):
+            counts, excluded = str_joint_tally(values, k, policy)
+            if not counts:
+                with pytest.raises(ValueError, match="no analyzable values"):
+                    joint_frequencies(col, k, policy)
+                continue
+            cv = joint_frequencies(col, k, policy)
+            assert cv.counts == {d: counts.get(d, 0) for d in joint_domain(k)}
+            assert cv.excluded == excluded and cv.joint_k == k
+
+    @given(st.lists(COUNTS, max_size=40))
+    def test_analyzable_values_and_median(self, policy, values):
+        col = DatasetColumn("x", values)
+        for width in (1, 2, 3, 4):
+            expected = str_analyzable(values, width, policy)
+            analyzed = analyzable_values(col, width, policy)
+            assert analyzed.tolist() == expected
+            if expected:
+                median = _lower_median(analyzed)
+                assert type(median) is int and median == sorted_lower_median(expected)
+
+
+@given(st.lists(st.floats(min_value=1e-300, max_value=1e300), min_size=1, max_size=40))
+def test_lower_median_of_floats_matches_sort(values):
+    median = _lower_median(np.array(values))
+    assert type(median) is float and median == sorted_lower_median(values)

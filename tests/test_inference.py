@@ -20,7 +20,15 @@ from digitscreen.inference import (
     screen,
     universal_lower_bound,
 )
-from digitscreen.laws import DigitDistribution, nbl_first, nbl_joint, nbl_second, uniform_law
+from digitscreen.laws import (
+    DigitDistribution,
+    RestrictionSpec,
+    nbl_first,
+    nbl_joint,
+    nbl_second,
+    restricted_law,
+    uniform_law,
+)
 
 ULB_TABLE = [(0.05, 0.29), (0.01, 0.11), (0.001, 0.0184)]
 
@@ -295,3 +303,17 @@ class TestScreen:
         rep = screen(col, nbl_second())
         if rep.p_value > 1 / math.e:
             assert rep.ulb is None
+
+    @pytest.mark.parametrize("spec,outside", [
+        (RestrictionSpec(upper=100), 2),
+        (RestrictionSpec(lower=20, upper=100), 3),
+    ])
+    def test_restricted_law_rejects_values_outside_its_bound(self, spec, outside):
+        col = DatasetColumn("x", (12, 23, 34, 100, 101, 3000))
+        with pytest.raises(ValueError, match=rf"^{outside} of 6 units lie outside the restriction"):
+            screen(col, restricted_law(nbl_second(), spec))
+
+    def test_restricted_law_accepts_values_on_its_bounds(self):
+        col = DatasetColumn("x", (20, 23, 34, 99, 100))
+        rep = screen(col, restricted_law(nbl_second(), RestrictionSpec(lower=20, upper=100)))
+        assert rep.m == 5

@@ -133,7 +133,7 @@ class TestVotingModel:
         assert all(b == 0 for _, b in units)
         col_a, col_b = sample_hmpm(cfg)
         assert col_b.m == 0 and col_b.excluded_count == 50
-        assert tuple(a for a, _ in units if a >= 1) == col_a.values
+        assert [a for a, _ in units if a >= 1] == col_a.values.tolist()
 
     def test_tiny_turnout_gives_no_second_digits(self):
         cfg = VotingModelConfig(
@@ -179,6 +179,11 @@ class TestConformanceExperiment:
     def test_empty_law_list(self):
         with pytest.raises(ValueError, match="empty law list"):
             conformance_experiment(default_voting_config(seed=1), [])
+
+    def test_bound_below_max_voters_is_an_error(self):
+        below = restricted_law(nbl_second(), RestrictionSpec(upper=800))
+        with pytest.raises(ValueError, match="units lie outside the restriction N<=800"):
+            conformance_experiment(default_voting_config(seed=1), [below])
 
     def test_replicates_extend_prefix_stably(self):
         cfg = default_voting_config(seed=3)
