@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .digits import EXCLUDE_SHORT, POLICIES, DatasetColumn, digit_frequencies, joint_frequencies
+from .digits import EXCLUDE_SHORT, POLICIES, CountVector, DatasetColumn
 from .inference import HypothesisPrior, screen
 from .laws import DigitDistribution, law_from_name
 from .report import FORMATS, ReportDocument, ReportError, ReportRow, render
@@ -91,18 +91,17 @@ def ingest(path, selectors, delimiter: str | None = None) -> list[DatasetColumn]
     column. The file is UTF-8, with or without a byte-order mark. A cell is a
     count only when it is ASCII decimal digits, at least 1 and below 2^63 (the
     int64 range of a column); every other cell, including ``1_000``, ``+45``
-    and non-ASCII digits, is excluded with a per-row diagnostic. Vote tallies
-    are integers, so nothing is silently coerced.
+    and non-ASCII digits, is excluded with a diagnostic naming its line in the
+    file. Vote tallies are integers, so nothing is silently coerced.
     """
-    text = Path(path).read_text(encoding="utf-8-sig")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
+    # blank lines are skipped, but a row is numbered by the file line it ends on
+    numbers = [n for n, ln in enumerate(lines, start=1) if ln.strip()]
+    if not numbers:
         raise ValueError(f"empty input file: {path}")
-    delim = delimiter or _detect_delimiter(lines[0])
-    reader = csv.reader(lines, delimiter=delim)
-    rows = list(reader)
-    header = [h.strip() for h in rows[0]]
-    data_rows = rows[1:]
+    delim = delimiter or _detect_delimiter(lines[numbers[0] - 1])
+    reader = csv.reader([lines[n - 1] for n in numbers], delimiter=delim)
+    header = [h.strip() for h in next(reader)]
     colmap = {name: idx for idx, name in enumerate(header)}
 
     indices = []
@@ -117,25 +116,22 @@ def ingest(path, selectors, delimiter: str | None = None) -> list[DatasetColumn]
             raise ValueError(f"column {sel!r} selects column {idx} ({header[idx]!r}) a second time")
         indices.append(idx)
 
-    columns = []
-    for idx in indices:
-        name = header[idx]
-        values = []
-        excluded = 0
-        diagnostics = []
-        for rownum, row in enumerate(data_rows, start=2):
+    # one pass over the rows, which are never all held at once
+    values = [[] for _ in indices]
+    diagnostics = [[] for _ in indices]
+    for row in reader:
+        for idx, col_values, col_diagnostics in zip(indices, values, diagnostics):
             cell = row[idx].strip() if idx < len(row) else ""
             if cell.isdigit() and cell.isascii() and cell[0] != "0" and len(cell) < 19:
-                values.append(int(cell))  # 1 .. 10^18 - 1, the common case
+                col_values.append(int(cell))  # 1 .. 10^18 - 1, the common case
                 continue
             try:
-                values.append(_parse_count(cell))
+                col_values.append(_parse_count(cell))
             except ValueError as exc:
-                excluded += 1
-                diagnostics.append(f"{name}: row {rownum}: {exc}")
-        columns.append(DatasetColumn(name, np.array(values, dtype=np.int64), excluded_count=excluded,
-                                     diagnostics=tuple(diagnostics)))
-    return columns
+                col_diagnostics.append(f"{header[idx]}: row {numbers[reader.line_num - 1]}: {exc}")
+    return [DatasetColumn(header[idx], np.array(col_values, dtype=np.int64), excluded_count=len(col_diagnostics),
+                          diagnostics=tuple(col_diagnostics))
+            for idx, col_values, col_diagnostics in zip(indices, values, diagnostics)]
 
 
 def _parse_count(cell: str) -> int:
@@ -181,20 +177,15 @@ def run_screening(config: ScreenConfig, columns: list[DatasetColumn] | None = No
         label = test_label(test, law, config.upper_bound, config.lower_bound)
         for col in columns:
             try:
-                rows.append(ReportRow(col.name, label, screen(col, law, prior, config.policy)))
+                rows.append(ReportRow(col.name, label, screen(col, law, prior, config.policy), test))
             except (ValueError, RuntimeError) as exc:
                 errors.append(ReportError(col.name, label, str(exc)))
     return ReportDocument(rows=tuple(rows), errors=tuple(errors))
 
 
-def proportions_table(column: DatasetColumn, law: DigitDistribution,
-                      policy: str = EXCLUDE_SHORT) -> list[tuple[str, float, float]]:
+def proportions_table(counts: CountVector, law: DigitDistribution) -> list[tuple[str, float, float]]:
     """Rows (digit, observed proportion, law probability) for external plotting."""
-    if law.joint_k is not None:
-        cv = joint_frequencies(column, law.joint_k, policy)
-    else:
-        cv = digit_frequencies(column, law.digit_index, policy)
-    f = cv.proportions()
+    f = counts.proportions()
     return [(digit_label(d), f[d], law.probs[d]) for d in law.domain]
 
 
@@ -204,15 +195,20 @@ def digit_label(d) -> str:
 
 
 def write_proportions(table, out_path: Path, fmt: str) -> None:
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "json":
+        out_path.parent.mkdir(parents=True, exist_ok=True)
         payload = [{"digit": d, "observed": obs, "law": law} for d, obs, law in table]
         out_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-        return
+    else:
+        _write_csv(out_path, ("digit", "observed_proportion", "law_probability"), table)
+
+
+def _write_csv(out_path: Path, header: tuple, rows) -> None:
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     with out_path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("digit", "observed_proportion", "law_probability"))
-        writer.writerows(table)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -239,31 +235,20 @@ def run_simulation(job: sim.SimulationJob, out_path: Path | None, fmt: str) -> s
     if job.kind == "mixture":
         samples = sim.sample_mixture(job.mixture)
         if out_path is not None:
-            out_path.parent.mkdir(parents=True, exist_ok=True)
-            with out_path.open("w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(("value",))
-                writer.writerows((repr(float(v)),) for v in samples)
+            _write_csv(out_path, ("value",), ((repr(float(v)),) for v in samples))
+        laws = job.experiment.laws() if job.experiment is not None else []
+        rows = tuple(ReportRow("samples", law.kind, sim.screen_mixture(samples, law)) for law in laws)
+    else:
+        experiment = None
         if job.experiment is not None:
-            rows = []
-            for law in job.experiment.laws():
-                rows.append(ReportRow("samples", law.kind, sim.screen_mixture(samples, law)))
-            return render(ReportDocument(rows=tuple(rows)), fmt)
-        return ""
-    if out_path is not None:
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        with out_path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(("unit", "candidate_a", "candidate_b"))
-            for j, (a, b) in enumerate(sim.hmpm_unit_counts(job.voting)):
-                writer.writerow((j, a, b))
-    if job.experiment is not None:
-        experiment = sim.conformance_experiment(
-            job.voting, job.experiment.laws(), replicates=job.experiment.replicates
-        )
-        rows = tuple(ReportRow("pooled", res.law, res.pooled) for res in experiment.results)
-        return render(ReportDocument(rows=rows), fmt)
-    return ""
+            experiment = sim.conformance_experiment(job.voting, job.experiment.laws(),
+                                                    replicates=job.experiment.replicates)
+        if out_path is not None:
+            # the experiment's replicate 0 is this very run of the model
+            units = experiment.units if experiment else sim.hmpm_unit_counts(job.voting)
+            _write_csv(out_path, ("unit", "candidate_a", "candidate_b"), ((j, a, b) for j, (a, b) in enumerate(units)))
+        rows = tuple(ReportRow("pooled", res.law, res.pooled) for res in experiment.results) if experiment else ()
+    return "" if job.experiment is None else render(ReportDocument(rows=rows), fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -331,13 +316,10 @@ def _cmd_screen(args) -> int:
     if args.proportions:
         outdir = resolve_out(args.proportions)
         fmt = "json" if config.output_format == "json" else "csv"
-        screened = {(row.test, row.column) for row in doc.rows}
-        for test, law in zip(config.tests, config.laws):
-            label = test_label(test, law, config.upper_bound, config.lower_bound)
-            for col in columns:
-                if (label, col.name) in screened:
-                    table = proportions_table(col, law, config.policy)
-                    write_proportions(table, outdir / f"{col.name}_{test}.{fmt}", fmt)
+        laws = dict(zip(config.tests, config.laws))
+        for row in doc.rows:
+            table = proportions_table(row.report.counts, laws[row.test_name])
+            write_proportions(table, outdir / f"{row.column}_{row.test_name}.{fmt}", fmt)
     return doc.exit_code(config.threshold)
 
 

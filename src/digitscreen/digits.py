@@ -4,23 +4,24 @@ Counts are analyzed through exact integer arithmetic, never through
 floating-point logarithms, so values at decade boundaries (10, 100, ...)
 can never be misclassified. A column's counts are held as one read-only
 int64 array, so they lie in [1, 2^63 - 1]. Their decimal digit counts ``nd``
-come from a binary search against the powers 10^0..10^18, once per column;
-the k-digit prefix of a value with at least k digits is ``v // 10^(nd - k)``
-and its k-th significant digit is ``prefix % 10``. Frequencies are
-``np.bincount`` tallies of those digits or prefixes, and every step is exact
-int64 arithmetic: quotients never exceed the value, and a short value padded
-with trailing zeros stays below 10^k.
+come from a binary search against the powers 10^0..10^18, once per column.
+``DatasetColumn.prefixes(k, policy)`` is the one place an exclusion policy
+applies: the k-digit prefix of a value with at least k digits is
+``v // 10^(nd - k)``, and a shorter value is dropped (exclude-short) or
+padded with trailing zeros (trailing-zero). The k-th significant digit is
+``prefix % 10``, and frequencies are ``np.bincount`` tallies of those digits
+or prefixes, all in exact int64 arithmetic.
 
-Floats (simulated samples) go through their shortest round-trip decimal
-representation instead, one value at a time.
+Floats (simulated samples) enter the same kernel: each becomes the integer
+significand of its shortest round-trip decimal representation (0.154 -> 154,
+always below 10^17), read under trailing-zero semantics.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
@@ -39,6 +40,7 @@ def digit_domain(i: int) -> tuple[int, ...]:
     return FIRST_DIGIT_DOMAIN if i == 1 else LATER_DIGIT_DOMAIN
 
 
+@lru_cache(maxsize=None)  # one shared domain for every joint CountVector a run keeps
 def joint_domain(k: int) -> tuple[tuple[int, ...], ...]:
     """All 9*10^(k-1) ordered k-digit prefixes, in lexicographic order."""
     if k < 2:
@@ -49,11 +51,6 @@ def joint_domain(k: int) -> tuple[tuple[int, ...], ...]:
 def _check_digit_index(i: int) -> None:
     if not isinstance(i, int) or isinstance(i, bool) or i < 1:
         raise ValueError(f"digit index must be a positive integer, got {i!r}")
-
-
-def _check_policy(policy: str) -> None:
-    if policy not in POLICIES:
-        raise ValueError(f"unknown exclusion policy {policy!r}; expected one of {POLICIES}")
 
 
 def _digit_string(x) -> str:
@@ -152,11 +149,26 @@ class DatasetColumn:
         """Number of decimal digits of each value (1 for 1..9, at most 19)."""
         return np.searchsorted(_POWERS_OF_TEN, self.values, side="right")
 
-    def prefixes(self, k: int) -> np.ndarray:
-        """The k-digit prefix of every value with at least k digits, in column order."""
-        nd = self.digit_counts
-        long_enough = nd >= k
-        return self.values[long_enough] // _POWERS_OF_TEN[nd[long_enough] - k]
+    def _kept(self, k: int, policy: str):
+        """Index of the values that carry a k-th digit: all under trailing-zero, else those with >= k digits."""
+        if policy not in POLICIES:
+            raise ValueError(f"unknown exclusion policy {policy!r}; expected one of {POLICIES}")
+        return slice(None) if policy == TRAILING_ZERO else self.digit_counts >= k
+
+    def prefixes(self, k: int, policy: str = EXCLUDE_SHORT) -> np.ndarray:
+        """The k-digit prefix of each value kept under ``policy``, in column order.
+
+        A value with fewer than k digits is dropped (exclude-short) or padded
+        with zeros (trailing-zero: 7 -> 70 at k = 2); a padded prefix is kept
+        modulo 10^18 so that it stays in int64, which leaves its last digit 0.
+        """
+        kept = self._kept(k, policy)
+        values, nd = self.values[kept], self.digit_counts[kept]
+        prefixes = values // _POWERS_OF_TEN[np.maximum(nd - k, 0)]
+        short = nd < k
+        zeros = np.minimum(k - nd[short], 18)
+        prefixes[short] = values[short] % _POWERS_OF_TEN[18 - zeros] * _POWERS_OF_TEN[zeros]
+        return prefixes
 
 
 @dataclass(frozen=True)
@@ -199,10 +211,7 @@ class CountVector:
 
 def analyzable_values(column: DatasetColumn, width: int, policy: str = EXCLUDE_SHORT) -> np.ndarray:
     """Retained values that contribute a digit at position/prefix width ``width``."""
-    _check_policy(policy)
-    if policy == TRAILING_ZERO:
-        return column.values
-    return column.values[column.digit_counts >= width]
+    return column.values[column._kept(width, policy)]
 
 
 def digit_frequencies(column: DatasetColumn, i: int, policy: str = EXCLUDE_SHORT) -> CountVector:
@@ -213,52 +222,39 @@ def digit_frequencies(column: DatasetColumn, i: int, policy: str = EXCLUDE_SHORT
     counting them as trailing zeros would spuriously inflate digit 0.
     ``trailing-zero`` applies significant_digit literally instead.
     """
-    _check_digit_index(i)
-    _check_policy(policy)
-    prefixes = column.prefixes(i)
-    counts = np.bincount(prefixes % 10, minlength=10)
-    short = column.m - prefixes.size
-    if policy == TRAILING_ZERO:
-        counts[0] += short
-        short = 0
-    domain = digit_domain(i)
-    return _count_vector(domain, counts[list(domain)], short, digit_index=i)
+    return _digit_tally(column, i, policy)
 
 
 def real_digit_frequencies(values, i: int) -> CountVector:
-    """Tabulate the i-th significant digit of positive reals.
+    """Tabulate the i-th significant digit of positive reals (simulated samples).
 
-    Reals always carry an i-th digit (trailing-zero semantics), so there is
-    no exclusion policy here; this backs the screening of simulated samples.
+    Each value enters the kernel as the integer significand of its shortest
+    round-trip decimal (0.154 -> 154, below 10^17 for any float), read under
+    trailing-zero semantics. Python ints are taken exactly: 2^63 or more is a ValueError.
     """
-    _check_digit_index(i)
-    counter: Counter = Counter()
-    for x in values:
-        counter[significant_digit(x, i)] += 1
-    if not counter:
-        raise ValueError("no analyzable values")
+    try:
+        significands = np.fromiter((int(_digit_string(x)) for x in values), dtype=np.int64)
+    except OverflowError:
+        raise ValueError("values must lie below 2^63") from None
+    return _digit_tally(DatasetColumn("values", significands), i, TRAILING_ZERO)
+
+
+def _digit_tally(column: DatasetColumn, i: int, policy: str) -> CountVector:
     domain = digit_domain(i)
-    return CountVector(digit_index=i, domain=domain, counts=dict(counter), excluded=0)
+    prefixes = column.prefixes(i, policy)
+    counts = np.bincount(prefixes % 10, minlength=10)
+    return _count_vector(domain, counts[list(domain)], column.m - prefixes.size, digit_index=i)
 
 
 def joint_frequencies(column: DatasetColumn, k: int = 2, policy: str = EXCLUDE_SHORT) -> CountVector:
     """Tabulate ordered k-digit prefixes (d1, ..., dk) of every retained value."""
     if k < 2:
         raise ValueError("joint tabulation needs k >= 2; use digit_frequencies for a single digit")
-    _check_policy(policy)
-    prefixes = column.prefixes(k)
-    short = column.m - prefixes.size
-    if policy == TRAILING_ZERO and short:
-        # a short value reads as its digits followed by zeros: 7 -> (7, 0)
-        nd = column.digit_counts
-        is_short = nd < k
-        padded = column.values[is_short] * _POWERS_OF_TEN[k - nd[is_short]]
-        prefixes = np.concatenate((prefixes, padded))
-        short = 0
+    prefixes = column.prefixes(k, policy)
     # joint_domain(k) lists the prefixes 10^(k-1) .. 10^k - 1 in increasing order
     first = 10 ** (k - 1)
     counts = np.bincount(prefixes - first, minlength=9 * first)
-    return _count_vector(joint_domain(k), counts, short, joint_k=k)
+    return _count_vector(joint_domain(k), counts, column.m - prefixes.size, joint_k=k)
 
 
 def _count_vector(domain: tuple, counts: np.ndarray, excluded: int, digit_index: int | None = None,

@@ -10,7 +10,7 @@ thousands and the factorials involved overflow doubles long before that.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,7 +50,8 @@ class TestReport:
     ``m`` is the number of units whose digit entered this test (it shrinks as
     the digit position grows under exclude-short), ``ulb`` is the universal
     lower bound on P(H0|data), or None when the p-value exceeds 1/e and the
-    bound is simply reported as "> 0.5".
+    bound is simply reported as "> 0.5". ``counts`` is the tally the report
+    was computed from; it is never rendered.
     """
 
     __test__ = False  # not a pytest class, despite the name
@@ -65,6 +66,7 @@ class TestReport:
     log_b01: float
     posterior_h0: float
     small_expected: tuple = ()
+    counts: CountVector | None = field(default=None, compare=False, repr=False)
 
 
 def chi_squared_stat(obs: CountVector, ref: DigitDistribution) -> tuple[float, int]:
@@ -172,6 +174,7 @@ def report_from_counts(
         log_b01=log_b01,
         posterior_h0=posterior_h0(log_b01, prior),
         small_expected=small,
+        counts=cv,
     )
 
 
@@ -183,6 +186,15 @@ def _check_restriction(column: DatasetColumn, law: DigitDistribution) -> None:
     outside = np.count_nonzero((v < (spec.lower or 1)) | (v > (spec.upper or np.iinfo(np.int64).max)))
     if outside:
         raise ValueError(f"{outside} of {column.m} units lie outside the restriction {spec}")
+
+
+def tabulate(column: DatasetColumn, law: DigitDistribution, policy: str = EXCLUDE_SHORT) -> CountVector:
+    """The column's tally at the law's digit position (nb1, nb2) or prefix width (joint)."""
+    if law.joint_k is not None:
+        return joint_frequencies(column, law.joint_k, policy)
+    if law.digit_index is None:
+        raise ValueError(f"law {law.kind!r} does not define a digit position to tabulate")
+    return digit_frequencies(column, law.digit_index, policy)
 
 
 def screen(
@@ -197,13 +209,6 @@ def screen(
     with any value outside them is an error, not a report.
     """
     _check_restriction(column, law)
-    if law.joint_k is not None:
-        cv = joint_frequencies(column, law.joint_k, policy)
-        width = law.joint_k
-    elif law.digit_index is not None:
-        cv = digit_frequencies(column, law.digit_index, policy)
-        width = law.digit_index
-    else:
-        raise ValueError(f"law {law.kind!r} does not define a digit position to tabulate")
-    analyzed = analyzable_values(column, width, policy)
+    cv = tabulate(column, law, policy)
+    analyzed = analyzable_values(column, cv.joint_k or cv.digit_index, policy)
     return report_from_counts(cv, analyzed, law, prior)

@@ -23,9 +23,12 @@ FORMATS = ("text", "csv", "json")
 
 @dataclass(frozen=True)
 class ReportRow:
+    """One result; ``test`` is its label, ``test_name`` the `screen` test it came from (nb1, rnb2, ...)."""
+
     column: str
     test: str
     report: TestReport
+    test_name: str | None = None
 
     @property
     def label(self) -> str:

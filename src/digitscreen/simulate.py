@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -236,17 +236,17 @@ def hmpm_unit_counts(config: VotingModelConfig) -> list[tuple[int, int]]:
 
 
 def sample_hmpm(config: VotingModelConfig) -> tuple[DatasetColumn, DatasetColumn]:
-    """Generate the two per-unit count columns of the voting model.
+    """Generate the two per-unit count columns of the voting model."""
+    return _count_columns(hmpm_unit_counts(config))
 
-    Zero counts (a unit where a candidate got no votes) have no significant
-    digits; they are excluded from the columns and tallied instead.
-    """
-    units = hmpm_unit_counts(config)
-    a_values = tuple(a for a, _ in units if a >= 1)
-    b_values = tuple(b for _, b in units if b >= 1)
+
+def _count_columns(units: list[tuple[int, int]]) -> tuple[DatasetColumn, DatasetColumn]:
+    """Each candidate's column of unit counts; a zero count has no digits, so it is excluded and tallied."""
+    a_values = [a for a, _ in units if a >= 1]
+    b_values = [b for _, b in units if b >= 1]
     return (
-        DatasetColumn("candidate_a", a_values, excluded_count=config.n_units - len(a_values)),
-        DatasetColumn("candidate_b", b_values, excluded_count=config.n_units - len(b_values)),
+        DatasetColumn("candidate_a", a_values, excluded_count=len(units) - len(a_values)),
+        DatasetColumn("candidate_b", b_values, excluded_count=len(units) - len(b_values)),
     )
 
 
@@ -263,8 +263,11 @@ class LawResult:
 
 @dataclass(frozen=True)
 class ExperimentReport:
+    """Per-law results, and replicate 0's (candidate A, candidate B) counts per unit, zeros included."""
+
     replicates: int
     results: tuple
+    units: list = field(default_factory=list, repr=False)
 
 
 def _replicate_seed(seed: int, replicate: int) -> int:
@@ -292,11 +295,8 @@ def conformance_experiment(
         raise ValueError("empty law list")
     if replicates < 1:
         raise ValueError("replicates must be at least 1")
-    rep_columns = []
-    for r in range(replicates):
-        cfg = replace(config, seed=_replicate_seed(config.seed, r))
-        col_a, _ = sample_hmpm(cfg)
-        rep_columns.append(replace(col_a, name=f"pooled[{r}]"))
+    rep_units = [hmpm_unit_counts(replace(config, seed=_replicate_seed(config.seed, r))) for r in range(replicates)]
+    rep_columns = [_count_columns(units)[0] for units in rep_units]
     pooled = DatasetColumn(
         "pooled",
         np.concatenate([col.values for col in rep_columns]),
@@ -313,7 +313,7 @@ def conformance_experiment(
                 posteriors=tuple(r.posterior_h0 for r in rep_reports),
             )
         )
-    return ExperimentReport(replicates=replicates, results=tuple(results))
+    return ExperimentReport(replicates=replicates, results=tuple(results), units=rep_units[0])
 
 
 def screen_mixture(
@@ -322,10 +322,14 @@ def screen_mixture(
     prior: HypothesisPrior = HypothesisPrior(),
 ) -> TestReport:
     """Screen the significant digits of real-valued samples against a marginal law."""
-    if law.digit_index is None:
-        raise ValueError("mixture screening needs a marginal digit law")
+    _check_mixture_law(law)
     cv = real_digit_frequencies(samples, law.digit_index)
     return report_from_counts(cv, samples, law, prior)
+
+
+def _check_mixture_law(law: DigitDistribution) -> None:
+    if law.digit_index is None or law.restriction is not None:
+        raise ValueError(f"mixture samples are unbounded reals, screened against nb1 or nb2 only, not {law.kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +361,10 @@ class ExperimentSpec:
     replicates: int = 1
 
     def __post_init__(self):
-        self.laws()  # a bad law name fails when the config loads, before any data is written
+        # a bad law name or replicate count fails when the config loads, before any data is written
+        self.laws()
+        if self.replicates < 1:
+            raise ValueError("replicates must be at least 1")
 
     def laws(self) -> list[DigitDistribution]:
         return [law_from_name(name) for name in self.law_names]
@@ -424,6 +431,11 @@ def load_simulation_config(path) -> SimulationJob:
             _parse_component(value) for key, value in sec.items() if key == "component" or key.startswith("component.")
         )
         mixture = MixtureConfig(components=comps, n_samples=sec.getint("n_samples"), seed=sec.getint("seed"))
+        if experiment is not None:
+            if parser.has_option("experiment", "replicates"):
+                raise ValueError("a [mixture] experiment screens one sample; replicates applies to [voting_model]")
+            for law in experiment.laws():
+                _check_mixture_law(law)
         return SimulationJob(mixture=mixture, experiment=experiment)
     sec = parser["voting_model"]
     voting = VotingModelConfig(

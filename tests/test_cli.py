@@ -17,10 +17,13 @@ from digitscreen.cli import (
     render_law_table,
     run_screening,
 )
+from digitscreen.inference import tabulate
 from digitscreen.laws import RestrictionSpec, law_from_name, nbl_first, nbl_joint, nbl_second, restricted_law
 from digitscreen.report import COLUMNS, render
-from digitscreen.simulate import load_simulation_config
-from golden import SCREEN_ARGS, SCREEN_DIGESTS
+from digitscreen import simulate
+from digitscreen.digits import DatasetColumn
+from digitscreen.simulate import hmpm_unit_counts, load_simulation_config
+from golden import PROPORTIONS_DIGESTS, SCREEN_ARGS, SCREEN_DIGESTS, proportions_tree_digest
 
 DATA = Path(__file__).parent / "data"
 
@@ -137,6 +140,14 @@ class TestIngest:
         (col,) = ingest(path, ["votes"])
         assert col.name == "votes" and col.values.tolist() == [12, 45]
 
+    def test_diagnostics_name_the_file_line(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,b\n5,7\n\nx,3\n  \n12,0\n")
+        col_a, col_b = ingest(path, ["a", "b"])
+        assert col_a.values.tolist() == [5, 12] and col_b.values.tolist() == [7, 3]
+        assert col_a.diagnostics == ("a: row 4: not an integer: 'x'",)
+        assert col_b.diagnostics == ("b: row 6: zero count excluded",)
+
     @pytest.mark.parametrize("selectors", [["north", "north"], ["north", "1"], ["1", "1"], ["south", "north", "2"]])
     def test_column_selected_twice(self, small_csv, selectors):
         with pytest.raises(ValueError, match="a second time"):
@@ -237,7 +248,8 @@ class TestReportRendering:
 class TestProportions:
     def test_nb1_rows_match_reference_table(self, small_csv):
         (col,) = ingest(small_csv, ["north"])
-        table = proportions_table(col, law_from_name("nb1"))
+        law = law_from_name("nb1")
+        table = proportions_table(tabulate(col, law), law)
         assert len(table) == 9
         for (digit, observed, law), d in zip(table, range(1, 10)):
             assert digit == str(d)
@@ -245,14 +257,16 @@ class TestProportions:
 
     def test_nb2_rows_normalized(self, conforming_csv):
         (col,) = ingest(conforming_csv, ["votes"])
-        table = proportions_table(col, law_from_name("nb2"))
+        law = law_from_name("nb2")
+        table = proportions_table(tabulate(col, law), law)
         assert len(table) == 10
         assert sum(obs for _, obs, _ in table) == pytest.approx(1.0, abs=1e-9)
         assert sum(law for _, _, law in table) == pytest.approx(1.0, abs=1e-9)
 
     def test_joint_rows_keyed_by_digit_pair(self, small_csv):
         (col,) = ingest(small_csv, ["south"])
-        table = proportions_table(col, law_from_name("joint2"))
+        law = law_from_name("joint2")
+        table = proportions_table(tabulate(col, law), law)
         assert len(table) == 90
         assert table[0][0] == "10" and table[-1][0] == "99"
 
@@ -399,6 +413,38 @@ class TestMainEntry:
         assert sorted(p.name for p in (tmp_path / "props").iterdir()) == [
             "north_nb1.csv", "north_rnb2.csv", "south_nb1.csv", "south_rnb2.csv"]
 
+    def test_proportions_reuse_the_screen_tally(self, small_csv, tmp_path, monkeypatch, capsys):
+        calls = []
+        prefixes = DatasetColumn.prefixes
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return prefixes(self, *args, **kwargs)
+
+        monkeypatch.setattr(DatasetColumn, "prefixes", counting)
+        main(["screen", str(small_csv), "--columns", "north,south", "--tests", "nb1,nb2,joint2",
+              "--proportions", str(tmp_path / "props")])
+        assert len(calls) == 6 and len(list((tmp_path / "props").iterdir())) == 6
+
+    def test_simulate_generates_each_replicate_once(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "model.ini"
+        cfg.write_text("[voting_model]\nn_units = 40\nmax_voters = 500\nturnout = 2 2\npartisan_fraction = 1 1\n"
+                       "partisan_loyalty = 0.9\nswing_prob = 1 1\nseed = 4\n"
+                       "\n[experiment]\nlaws = nb1\nreplicates = 2\n")
+        generated = []
+
+        def counting(config):
+            generated.append(config.seed)
+            return hmpm_unit_counts(config)
+
+        monkeypatch.setattr(simulate, "hmpm_unit_counts", counting)
+        out = tmp_path / "data.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(generated) == 2 and generated[0] == 4
+        job = load_simulation_config(cfg)
+        rows = list(csv.reader(out.read_text().splitlines()))[1:]
+        assert rows == [[str(j), str(a), str(b)] for j, (a, b) in enumerate(hmpm_unit_counts(job.voting))]
+
     def test_json_proportions(self, small_csv, tmp_path, capsys):
         propdir = tmp_path / "props"
         main(["screen", str(small_csv), "--columns", "north", "--tests", "nb2",
@@ -445,7 +491,8 @@ def test_law_name_grammar(tmp_path, entry, name, upper, lower, base, spec, label
         assert probs == [f"{expected.probs[d]:.3f}" for d in expected.domain]
     else:
         cfg = tmp_path / "model.ini"
-        cfg.write_text("[mixture]\nn_samples = 10\nseed = 1\ncomponent.1 = lognormal weight=1 mu=0 sigma=1\n"
+        cfg.write_text("[voting_model]\nn_units = 10\nmax_voters = 800\nturnout = 1 1\npartisan_fraction = 1 1\n"
+                       "partisan_loyalty = 0.9\nswing_prob = 1 1\nseed = 1\n"
                        f"\n[experiment]\nlaws = {name}\n")
         (law,) = load_simulation_config(cfg).experiment.laws()
         assert law == expected and law.restriction == spec and law.kind == label
@@ -456,3 +503,11 @@ def test_screen_report_digests(policy, fmt, capsys):
     code = main(["screen", str(DATA / "golden_counts.csv"), *SCREEN_ARGS, "--policy", policy, "--format", fmt])
     stdout = capsys.readouterr().out
     assert (code, hashlib.sha256(stdout.encode("utf-8")).hexdigest()) == SCREEN_DIGESTS[(policy, fmt)]
+
+
+@pytest.mark.parametrize("policy,fmt", sorted(PROPORTIONS_DIGESTS))
+def test_proportions_digests(policy, fmt, tmp_path, capsys):
+    propdir = tmp_path / "props"
+    code = main(["screen", str(DATA / "golden_counts.csv"), *SCREEN_ARGS, "--policy", policy, "--format", fmt,
+                 "--proportions", str(propdir)])
+    assert (code, proportions_tree_digest(propdir)) == PROPORTIONS_DIGESTS[(policy, fmt)]

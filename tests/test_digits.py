@@ -1,5 +1,8 @@
 """Digit extraction and tabulation."""
 
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -218,7 +221,7 @@ class TestKernelMatchesStringOracle:
     @given(st.lists(COUNTS, max_size=40))
     def test_digit_frequencies(self, policy, values):
         col = DatasetColumn("x", values)
-        for i in (1, 2, 3, 4):
+        for i in range(1, 21):
             counts, excluded = str_digit_tally(values, i, policy)
             if not counts:
                 with pytest.raises(ValueError, match="no analyzable values"):
@@ -231,7 +234,7 @@ class TestKernelMatchesStringOracle:
     @given(st.lists(COUNTS, max_size=40))
     def test_joint_frequencies(self, policy, values):
         col = DatasetColumn("x", values)
-        for k in (2, 3):
+        for k in (2, 3, 4):
             counts, excluded = str_joint_tally(values, k, policy)
             if not counts:
                 with pytest.raises(ValueError, match="no analyzable values"):
@@ -257,3 +260,35 @@ class TestKernelMatchesStringOracle:
 def test_lower_median_of_floats_matches_sort(values):
     median = _lower_median(np.array(values))
     assert type(median) is float and median == sorted_lower_median(values)
+
+
+# Floats where `repr` switches notation (1e-5, 1e16), the largest 17-digit
+# significand below 1e16, subnormals, and their float neighbours.
+FLOAT_EDGES = sorted({y for x in (1e-5, 1e16, 9999999999999998.0, 5e-324, 2.2250738585072014e-308, 1.0, 0.1)
+                      for y in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)) if y > 0.0})
+REALS = st.one_of(
+    st.floats(min_value=5e-324, allow_nan=False, allow_infinity=False, allow_subnormal=True),
+    st.sampled_from(FLOAT_EDGES),
+    st.floats(min_value=1e-6, max_value=1e-4),
+    st.floats(min_value=1e15, max_value=1e17),
+    st.integers(1, 2**63 - 1),
+)
+
+
+@given(st.lists(REALS, max_size=30))
+def test_real_digit_frequencies_match_significant_digit(values):
+    for i in range(1, 21):
+        tally = Counter(significant_digit(x, i) for x in values)
+        if not values:
+            with pytest.raises(ValueError, match="no analyzable values"):
+                real_digit_frequencies(values, i)
+            continue
+        cv = real_digit_frequencies(values, i)
+        assert cv.counts == {d: tally.get(d, 0) for d in digit_domain(i)}
+        assert cv.excluded == 0 and cv.digit_index == i
+
+
+def test_real_digit_frequencies_rejects_ints_beyond_int64():
+    # ints are read exactly, and the kernel holds int64 significands only
+    with pytest.raises(ValueError, match="below 2\\^63"):
+        real_digit_frequencies([5, 2**63], 1)

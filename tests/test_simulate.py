@@ -237,6 +237,28 @@ class TestConfigFiles:
         with pytest.raises(ValueError, match="takes no bound"):
             load_simulation_config(path)
 
+    VOTING = ("[voting_model]\nn_units = 20\nmax_voters = 500\nturnout = 2 2\npartisan_fraction = 1 1\n"
+              "partisan_loyalty = 0.9\nswing_prob = 1 1\nseed = 1\n")
+    MIXTURE = "[mixture]\nn_samples = 50\nseed = 1\ncomponent.1 = lognormal weight=1 mu=0 sigma=1\n"
+
+    @pytest.mark.parametrize("config,message", [
+        (VOTING + "\n[experiment]\nlaws = nb2\nreplicates = 0\n", "replicates must be at least 1"),
+        (MIXTURE + "\n[experiment]\nlaws = nb1, joint2\n", "screened against nb1 or nb2 only"),
+        (MIXTURE + "\n[experiment]\nlaws = nb2, rnb2:50\n", r"not 'restricted\(benford-second, N<=50\)'"),
+        (MIXTURE + "\n[experiment]\nlaws = cnb1:900\n", "screened against nb1 or nb2 only"),
+        (MIXTURE + "\n[experiment]\nlaws = nb2\nreplicates = 3\n", "replicates applies to"),
+    ], ids=["replicates-0", "mixture-joint", "mixture-rnb2", "mixture-cnb1", "mixture-replicates"])
+    def test_bad_experiment_fails_before_any_file_is_written(self, tmp_path, capsys, config, message):
+        from digitscreen.cli import main
+
+        path = tmp_path / "bad.ini"
+        path.write_text(config)
+        with pytest.raises(ValueError, match=message):
+            load_simulation_config(path)
+        out = tmp_path / "data.csv"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+        assert not out.exists() and capsys.readouterr().out == ""
+
     def test_missing_file(self):
         with pytest.raises(ValueError, match="cannot read"):
             load_simulation_config("/nonexistent/config.ini")
