@@ -32,6 +32,9 @@ _DELIMITERS = (",", ";", "\t")
 
 _INT64_MAX = 2**63 - 1
 
+# samples per block written by `simulate --out`
+_SAMPLE_BLOCK = 1 << 14
+
 # the benchmark's traced replay patches this name, so it stays a module attribute
 law_for_test = law_from_name
 
@@ -211,6 +214,16 @@ def _write_csv(out_path: Path, header: tuple, rows) -> None:
         writer.writerows(rows)
 
 
+def _write_samples(out_path: Path, samples: np.ndarray) -> None:
+    """A one-column CSV of the samples' shortest round-trip decimals, as csv.writer writes them."""
+    out_path.parent.mkdir(parents=True, exist_ok=True)
+    with out_path.open("w", newline="", encoding="utf-8") as fh:
+        fh.write("value\n")
+        # blocks bound the joined text; a float's repr never needs csv quoting
+        for start in range(0, samples.size, _SAMPLE_BLOCK):
+            fh.write("\n".join(map(repr, samples[start:start + _SAMPLE_BLOCK].tolist())) + "\n")
+
+
 # ---------------------------------------------------------------------------
 # laws subcommand
 
@@ -235,13 +248,13 @@ def run_simulation(job: sim.SimulationJob, out_path: Path | None, fmt: str) -> s
     if job.kind == "mixture":
         samples = sim.sample_mixture(job.mixture)
         if out_path is not None:
-            _write_csv(out_path, ("value",), ((repr(float(v)),) for v in samples))
-        laws = job.experiment.laws() if job.experiment is not None else []
+            _write_samples(out_path, samples)
+        laws = job.experiment.laws if job.experiment is not None else ()
         rows = tuple(ReportRow("samples", law.kind, sim.screen_mixture(samples, law)) for law in laws)
     else:
         experiment = None
         if job.experiment is not None:
-            experiment = sim.conformance_experiment(job.voting, job.experiment.laws(),
+            experiment = sim.conformance_experiment(job.voting, job.experiment.laws,
                                                     replicates=job.experiment.replicates)
         if out_path is not None:
             # the experiment's replicate 0 is this very run of the model

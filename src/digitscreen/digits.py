@@ -12,9 +12,21 @@ padded with trailing zeros (trailing-zero). The k-th significant digit is
 ``prefix % 10``, and frequencies are ``np.bincount`` tallies of those digits
 or prefixes, all in exact int64 arithmetic.
 
-Floats (simulated samples) enter the same kernel: each becomes the integer
-significand of its shortest round-trip decimal representation (0.154 -> 154,
-always below 10^17), read under trailing-zero semantics.
+Floats (simulated samples) are read as their shortest round-trip decimal
+representation (0.154 -> "154"), under trailing-zero semantics, mostly
+without ``repr``. In blocks of 16 384, each float x gets a decimal exponent
+estimate from ``log10`` and is scaled by one exact float power of ten
+(10^0..10^22, so a single IEEE rounding) to y, meant to lie in
+[10^(i-1), 10^i); floor(y) is then its i-digit prefix. Both y and the scaled
+shortest decimal lie within 2^-53 * y of the exact scaled value, so their
+floors agree unless that value is about as close to an integer. A value
+whose y lies within 2^-40 * y of an integer, whose floor(y) falls outside
+[10^(i-1), 10^i) (a ``log10`` estimate off by one, or a shift beyond the
+table), and every value at a position past 12 is read through ``repr``
+instead, its significand (below 10^17) entering the integer kernel. A wrong
+``log10`` can thus only send a value to ``repr``, never change a digit, so
+the digits do not depend on numpy's SIMD ``log10`` or on the CPU dispatch
+that computes it.
 """
 
 from __future__ import annotations
@@ -222,28 +234,80 @@ def digit_frequencies(column: DatasetColumn, i: int, policy: str = EXCLUDE_SHORT
     counting them as trailing zeros would spuriously inflate digit 0.
     ``trailing-zero`` applies significant_digit literally instead.
     """
-    return _digit_tally(column, i, policy)
+    domain = digit_domain(i)
+    prefixes = column.prefixes(i, policy)
+    counts = np.bincount(prefixes % 10, minlength=10)
+    return _count_vector(domain, counts[list(domain)], column.m - prefixes.size, digit_index=i)
 
 
 def real_digit_frequencies(values, i: int) -> CountVector:
     """Tabulate the i-th significant digit of positive reals (simulated samples).
 
-    Each value enters the kernel as the integer significand of its shortest
-    round-trip decimal (0.154 -> 154, below 10^17 for any float), read under
-    trailing-zero semantics. Python ints are taken exactly: 2^63 or more is a ValueError.
+    ``values`` is a 1-D float64 array or a sequence of positive Python ints
+    and floats. A float's digits are those of its shortest round-trip decimal
+    (0.154 -> 1, 5, 4, 0, ...), read by the vector candidate of the module
+    docstring (exact powers of ten up to 10^22, one rounding, then floor) and
+    through ``repr`` only near a digit boundary, outside the decade or past
+    position 12, so they do not depend on numpy's CPU dispatch. A Python int
+    is read exactly, and 2^63 or more is a ValueError. Digits beyond the
+    written ones are 0 (trailing-zero semantics), so nothing is excluded.
     """
-    try:
-        significands = np.fromiter((int(_digit_string(x)) for x in values), dtype=np.int64)
-    except OverflowError:
-        raise ValueError("values must lie below 2^63") from None
-    return _digit_tally(DatasetColumn("values", significands), i, TRAILING_ZERO)
-
-
-def _digit_tally(column: DatasetColumn, i: int, policy: str) -> CountVector:
     domain = digit_domain(i)
-    prefixes = column.prefixes(i, policy)
-    counts = np.bincount(prefixes % 10, minlength=10)
-    return _count_vector(domain, counts[list(domain)], column.m - prefixes.size, digit_index=i)
+    exact, floats = _split_reals(values)
+    counts = np.zeros(10, dtype=np.int64)
+    for start in range(0, floats.size, _BLOCK):
+        prefixes, risky = _float_prefixes(floats[start:start + _BLOCK], i)
+        counts += np.bincount(prefixes % 10, minlength=10)
+        exact.extend(int(_digit_string(x)) for x in risky.tolist())
+    counts += np.bincount(DatasetColumn("values", exact).prefixes(i, TRAILING_ZERO) % 10, minlength=10)
+    return _count_vector(domain, counts[list(domain)], 0, digit_index=i)
+
+
+# values per block of the float path, which bounds its numpy temporaries
+_BLOCK = 1 << 14
+# 10^0 .. 10^22 as floats: each is exact, so scaling by one rounds once
+_FLOAT_POWERS_OF_TEN = np.array([float(10**j) for j in range(23)])
+# a scaled value this close to an integer, relative to itself, may floor
+# differently from its shortest repr (which differs from it by <= 2^-52 of it)
+_NEAR_INTEGER = 2.0**-40
+# from 10^12 on, 2^-40 * y exceeds 1/2: every candidate is near an integer
+_MAX_CANDIDATE_DIGITS = 12
+
+
+def _split_reals(values) -> tuple[list, np.ndarray]:
+    """The Python ints of ``values`` (read exactly) and its floats as a float64 array.
+
+    Raises the ValueError of ``_digit_string`` for the first value that is not
+    a positive finite float or a positive int.
+    """
+    if isinstance(values, np.ndarray) and values.dtype == np.float64 and values.ndim == 1:
+        ok = (values > 0.0) & (values < math.inf)
+        if not ok.all():
+            _digit_string(values[ok.argmin()].item())
+        return [], values
+    exact, floats = [], []
+    for x in values:
+        if isinstance(x, float) and 0.0 < x < math.inf:
+            floats.append(x)
+        else:
+            _digit_string(x)  # raises unless x is a positive int
+            exact.append(x)
+    return exact, np.array(floats, dtype=np.float64)
+
+
+def _float_prefixes(x: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """The i-digit prefixes of the floats whose vector candidate is safe, and the other floats."""
+    if i > _MAX_CANDIDATE_DIGITS:
+        return np.empty(0, dtype=np.int64), x
+    shift = (i - 1) - np.floor(np.log10(x)).astype(np.int64)
+    top = _FLOAT_POWERS_OF_TEN.size - 1
+    # one factor is 1.0, so y = x * 10^shift rounds once; a shift beyond the table leaves y outside the decade
+    y = x * _FLOAT_POWERS_OF_TEN[np.clip(shift, 0, top)] / _FLOAT_POWERS_OF_TEN[np.clip(-shift, 0, top)]
+    prefixes = np.floor(y)
+    # the decade test also catches a log10 off by one, so no digit depends on its accuracy
+    safe = ((prefixes >= _FLOAT_POWERS_OF_TEN[i - 1]) & (prefixes < _FLOAT_POWERS_OF_TEN[i])
+            & (np.abs(y - np.rint(y)) > y * _NEAR_INTEGER))
+    return prefixes[safe].astype(np.int64), x[~safe]
 
 
 def joint_frequencies(column: DatasetColumn, k: int = 2, policy: str = EXCLUDE_SHORT) -> CountVector:

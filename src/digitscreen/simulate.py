@@ -359,15 +359,13 @@ def default_voting_config(seed: int | None = None) -> VotingModelConfig:
 class ExperimentSpec:
     law_names: tuple
     replicates: int = 1
+    laws: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # a bad law name or replicate count fails when the config loads, before any data is written
-        self.laws()
+        object.__setattr__(self, "laws", tuple(law_from_name(name) for name in self.law_names))
         if self.replicates < 1:
             raise ValueError("replicates must be at least 1")
-
-    def laws(self) -> list[DigitDistribution]:
-        return [law_from_name(name) for name in self.law_names]
 
 
 @dataclass(frozen=True)
@@ -434,7 +432,7 @@ def load_simulation_config(path) -> SimulationJob:
         if experiment is not None:
             if parser.has_option("experiment", "replicates"):
                 raise ValueError("a [mixture] experiment screens one sample; replicates applies to [voting_model]")
-            for law in experiment.laws():
+            for law in experiment.laws:
                 _check_mixture_law(law)
         return SimulationJob(mixture=mixture, experiment=experiment)
     sec = parser["voting_model"]

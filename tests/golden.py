@@ -32,6 +32,20 @@ PROPORTIONS_DIGESTS = {
     ("trailing-zero", "json"): (2, "606932f6aa739a3df04cec8bdcc598c0e5c4b059309f3461dcae7942a6318c80"),
 }
 
+# `simulate --config C --out data.csv` on the shipped configs, with numpy's CPU
+# dispatch limited to its X86_V2 baseline (NPY_ENABLE_CPU_FEATURES=X86_V2),
+# keyed by config: (exit code, sha256 of stdout, sha256 of data.csv). The
+# mixture config gets SIMULATE_MIXTURE_EXPERIMENT appended; the voting config
+# runs its own [experiment]. Recorded at commit 806832b, where every float's
+# digits came from its repr.
+SIMULATE_MIXTURE_EXPERIMENT = "\n[experiment]\nlaws = nb1, nb2\n"
+SIMULATE_DIGESTS = {
+    "mixture_lognormal.ini": (0, "878af0c6c0a7cf78448218aac8a89046d796ea1d13fe5f9e13f217895c11defd",
+                              "3c480d35e416998978b4939647ce08d8894d1412914a161534425e3fd32cb313"),
+    "hmpm_default.ini": (0, "8116b4144b67c2752d1c3a0015393d0a17169ad03344c5e56b81abc072903d62",
+                         "e1ad2d47a40dd50759910e6b58010e93b1c64fb64131f88bb2650b6f75df062c"),
+}
+
 
 def proportions_tree_digest(directory) -> str:
     """sha256 over the files of a directory in name order: name, NUL, bytes, NUL."""

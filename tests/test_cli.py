@@ -2,7 +2,12 @@
 
 import csv
 import hashlib
+import importlib.resources
+import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +28,14 @@ from digitscreen.report import COLUMNS, render
 from digitscreen import simulate
 from digitscreen.digits import DatasetColumn
 from digitscreen.simulate import hmpm_unit_counts, load_simulation_config
-from golden import PROPORTIONS_DIGESTS, SCREEN_ARGS, SCREEN_DIGESTS, proportions_tree_digest
+from golden import (
+    PROPORTIONS_DIGESTS,
+    SCREEN_ARGS,
+    SCREEN_DIGESTS,
+    SIMULATE_DIGESTS,
+    SIMULATE_MIXTURE_EXPERIMENT,
+    proportions_tree_digest,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -364,16 +376,24 @@ class TestMainEntry:
         assert "benford-second pooled" in out and "restricted" in out
 
     def test_simulate_mixture_output_roundtrips(self, tmp_path, capsys):
+        # more samples than one written block, so a block boundary is crossed
         cfg = tmp_path / "mix.ini"
         cfg.write_text(
-            "[mixture]\nn_samples = 200\nseed = 6\n"
+            "[mixture]\nn_samples = 70000\nseed = 6\n"
             "component.1 = lognormal weight=1.0 mu=1.0 sigma=2.0\n"
         )
         out = tmp_path / "mix.csv"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         rows = list(csv.DictReader(out.read_text().splitlines()))
         values = [float(r["value"]) for r in rows]
-        assert len(values) == 200 and all(v > 0 for v in values)
+        assert len(values) == 70000 and all(v > 0 for v in values)
+        samples = simulate.sample_mixture(load_simulation_config(cfg).mixture)
+        assert values == samples.tolist()
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(("value",))
+        writer.writerows((repr(float(v)),) for v in samples)
+        assert out.read_bytes() == expected.getvalue().encode("utf-8")
 
     def test_proportions_with_index_selector(self, small_csv, tmp_path, capsys):
         propdir = tmp_path / "props"
@@ -445,6 +465,20 @@ class TestMainEntry:
         rows = list(csv.reader(out.read_text().splitlines()))[1:]
         assert rows == [[str(j), str(a), str(b)] for j, (a, b) in enumerate(hmpm_unit_counts(job.voting))]
 
+    def test_simulate_builds_each_law_once(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "mixture.ini"
+        cfg.write_text("[mixture]\nn_samples = 300\nseed = 2\ncomponent = lognormal weight=1 mu=0 sigma=2\n"
+                       "\n[experiment]\nlaws = nb1, nb2\n")
+        built = []
+
+        def counting(*args):
+            built.append(args[0])
+            return law_from_name(*args)
+
+        monkeypatch.setattr(simulate, "law_from_name", counting)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "data.csv")]) == 0
+        assert built == ["nb1", "nb2"]
+
     def test_json_proportions(self, small_csv, tmp_path, capsys):
         propdir = tmp_path / "props"
         main(["screen", str(small_csv), "--columns", "north", "--tests", "nb2",
@@ -494,7 +528,7 @@ def test_law_name_grammar(tmp_path, entry, name, upper, lower, base, spec, label
         cfg.write_text("[voting_model]\nn_units = 10\nmax_voters = 800\nturnout = 1 1\npartisan_fraction = 1 1\n"
                        "partisan_loyalty = 0.9\nswing_prob = 1 1\nseed = 1\n"
                        f"\n[experiment]\nlaws = {name}\n")
-        (law,) = load_simulation_config(cfg).experiment.laws()
+        (law,) = load_simulation_config(cfg).experiment.laws
         assert law == expected and law.restriction == spec and law.kind == label
 
 
@@ -511,3 +545,27 @@ def test_proportions_digests(policy, fmt, tmp_path, capsys):
     code = main(["screen", str(DATA / "golden_counts.csv"), *SCREEN_ARGS, "--policy", policy, "--format", fmt,
                  "--proportions", str(propdir)])
     assert (code, proportions_tree_digest(propdir)) == PROPORTIONS_DIGESTS[(policy, fmt)]
+
+
+def _numpy_baseline():
+    return np.show_config(mode="dicts").get("SIMD Extensions", {}).get("baseline")
+
+
+@pytest.mark.skipif(_numpy_baseline() != ["X86_V2"],
+                    reason=f"the digests hold for numpy's X86_V2 baseline dispatch; this numpy's baseline is "
+                           f"{_numpy_baseline()}")
+@pytest.mark.parametrize("config", sorted(SIMULATE_DIGESTS))
+def test_simulate_digests_under_baseline_dispatch(config, tmp_path):
+    # numpy's SIMD log, exp and tan differ between dispatch targets in the last bit, so
+    # the samples are pinned where dispatch is limited to the baseline every such CPU runs
+    text = (importlib.resources.files("digitscreen") / "configs" / config).read_text(encoding="utf-8")
+    if config.startswith("mixture"):
+        text += SIMULATE_MIXTURE_EXPERIMENT
+    (tmp_path / config).write_text(text, encoding="utf-8")
+    env = dict(os.environ, NPY_ENABLE_CPU_FEATURES="X86_V2", PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    env.pop("DIGITSCREEN_OUT", None)
+    run = subprocess.run([sys.executable, "-m", "digitscreen.cli", "simulate", "--config", config, "--out", "data.csv"],
+                         capture_output=True, env=env, cwd=tmp_path, timeout=300)
+    assert run.stderr == b""
+    assert (run.returncode, hashlib.sha256(run.stdout).hexdigest(),
+            hashlib.sha256((tmp_path / "data.csv").read_bytes()).hexdigest()) == SIMULATE_DIGESTS[config]

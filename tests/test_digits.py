@@ -1,6 +1,7 @@
 """Digit extraction and tabulation."""
 
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -292,3 +293,52 @@ def test_real_digit_frequencies_rejects_ints_beyond_int64():
     # ints are read exactly, and the kernel holds int64 significands only
     with pytest.raises(ValueError, match="below 2\\^63"):
         real_digit_frequencies([5, 2**63], 1)
+
+
+# Exact float powers of ten at the end of the scaling table and just past it,
+# their neighbours, and short decimals n / 10^e, whose scaled value can land a
+# rounding error below the integer their repr names (0.29 * 100 is
+# 28.999999999999996, but the digits of 0.29 are "29").
+POWER_EDGES = [y for x in (1e22, 1e23) for y in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))]
+ARRAY_REALS = st.one_of(
+    st.sampled_from(FLOAT_EDGES + POWER_EDGES + [0.29]),
+    st.floats(min_value=5e-324, max_value=2.2250738585072014e-308, exclude_max=True),
+    st.builds(lambda n, e: n / 10**e, st.integers(1, 10**6), st.integers(0, 12)),
+    st.floats(min_value=5e-324, allow_nan=False, allow_infinity=False),
+)
+
+
+@given(st.lists(ARRAY_REALS, max_size=30))
+def test_real_digit_frequencies_of_arrays_match_significant_digit(values):
+    array = np.array(values, dtype=np.float64)
+    for i in range(1, 25):
+        tally = Counter(significant_digit(x, i) for x in values)
+        if not values:
+            with pytest.raises(ValueError, match="no analyzable values"):
+                real_digit_frequencies(array, i)
+            continue
+        cv = real_digit_frequencies(array, i)
+        assert cv.counts == {d: tally.get(d, 0) for d in digit_domain(i)}
+        assert cv.excluded == 0 and cv.digit_index == i
+
+
+@pytest.mark.parametrize("offset", [-1.0, 0.0, 1.0])
+def test_real_digit_frequencies_of_blocks_whatever_log10_returns(offset, monkeypatch):
+    # an exponent estimate off by one puts the candidate outside its decade, where repr decides;
+    # 20 000 values span two blocks of the float path
+    values = np.exp(np.random.default_rng(5).normal(0.0, 8.0, 20_000))
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda x: log10(x) + offset)
+    for i in (1, 2, 3):
+        tally = Counter(significant_digit(x, i) for x in values.tolist())
+        assert real_digit_frequencies(values, i).counts == {d: tally.get(d, 0) for d in digit_domain(i)}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -0.0, -2.5])
+def test_real_digit_frequencies_reject_what_significant_digit_rejects(bad):
+    with pytest.raises(ValueError) as per_value:
+        significant_digit(bad, 1)
+    for values in (np.array([1.5, bad, 2.5]), [1.5, 7, bad]):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(per_value.value))}$"):
+            real_digit_frequencies(values, 1)

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from digitscreen import digits
+from digitscreen.digits import _digit_string as digit_string
 from digitscreen.inference import screen
 from digitscreen.laws import RestrictionSpec, nbl_first, nbl_second, restricted_law
 from digitscreen.simulate import (
@@ -98,6 +100,23 @@ class TestMixture:
             MixtureComponent("lognormal", {"mu": 0.0}, 1.0)
         with pytest.raises(ValueError, match="low < high"):
             MixtureComponent("uniform-range", {"low": 5.0, "high": 1.0}, 1.0)
+
+
+    def test_float_digits_rarely_fall_back_to_repr(self, monkeypatch):
+        # the vector candidate reads almost every sample; repr is for values near a digit boundary
+        calls = []
+
+        def counting(x):
+            calls.append(x)
+            return digit_string(x)
+
+        resource = importlib.resources.files("digitscreen") / "configs" / "mixture_lognormal.ini"
+        with importlib.resources.as_file(resource) as path:
+            samples = sample_mixture(load_simulation_config(path).mixture)
+        monkeypatch.setattr(digits, "_digit_string", counting)
+        for law in (nbl_first(), nbl_second()):
+            screen_mixture(samples, law)
+        assert samples.size == 100_000 and len(calls) < 0.001 * samples.size
 
 
 class TestVotingModel:
