@@ -64,8 +64,12 @@ class ScreenConfig:
         if (self.upper_bound, self.lower_bound) != (None, None) and all(law.restriction is None for law in laws):
             raise ValueError("--bound and --lower apply only to the restricted tests rnb1 and rnb2")
         object.__setattr__(self, "laws", laws)
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ValueError(f"threshold must lie in [0, 1], got {self.threshold!r}")
+        # no posterior lies below a threshold of 0, so the exit-code gate could never fire
+        if not 0.0 < self.threshold <= 1.0:
+            raise ValueError(f"threshold must lie in (0, 1], got {self.threshold!r}")
+        if self.delimiter is not None and (len(self.delimiter) != 1 or self.delimiter in '"\r\n'):
+            raise ValueError("delimiter must be one character other than a quote or a line break, "
+                             f"got {self.delimiter!r}")
         if self.policy not in POLICIES:
             raise ValueError(f"unknown policy {self.policy!r}")
         if self.output_format not in FORMATS:
@@ -91,11 +95,14 @@ def ingest(path, selectors, delimiter: str | None = None) -> list[DatasetColumn]
     """Read delimited text with a header row into one column per selector.
 
     Selectors are header names or 0-based indices, each naming a different
-    column. The file is UTF-8, with or without a byte-order mark. A cell is a
-    count only when it is ASCII decimal digits, at least 1 and below 2^63 (the
-    int64 range of a column); every other cell, including ``1_000``, ``+45``
-    and non-ASCII digits, is excluded with a diagnostic naming its line in the
-    file. Vote tallies are integers, so nothing is silently coerced.
+    column; a name that several header cells share selects nothing. The file
+    is UTF-8, with or without a byte-order mark. A cell is a count only when
+    it is ASCII decimal digits, at least 1 and below 2^63 (the int64 range of
+    a column); every other cell, including ``1_000``, ``+45`` and non-ASCII
+    digits, is excluded with a diagnostic naming its line in the file. A row
+    with more or fewer cells than the header (say, an unquoted thousands
+    separator) is excluded from every column, with one diagnostic shared by
+    all of them. Vote tallies are integers, so nothing is silently coerced.
     """
     lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
     # blank lines are skipped, but a row is numbered by the file line it ends on
@@ -105,12 +112,18 @@ def ingest(path, selectors, delimiter: str | None = None) -> list[DatasetColumn]
     delim = delimiter or _detect_delimiter(lines[numbers[0] - 1])
     reader = csv.reader([lines[n - 1] for n in numbers], delimiter=delim)
     header = [h.strip() for h in next(reader)]
-    colmap = {name: idx for idx, name in enumerate(header)}
+    colmap = {}
+    for idx, name in enumerate(header):
+        colmap.setdefault(name, []).append(idx)
 
     indices = []
     for sel in selectors:
-        if sel in colmap:
-            idx = colmap[sel]
+        matches = colmap.get(sel, ())
+        if len(matches) > 1:
+            raise ValueError(f"column {sel!r} is ambiguous: header columns {', '.join(map(str, matches))} share "
+                             "that name; select one by index")
+        if matches:
+            idx = matches[0]
         elif sel.isdigit() and int(sel) < len(header):
             idx = int(sel)
         else:
@@ -122,9 +135,16 @@ def ingest(path, selectors, delimiter: str | None = None) -> list[DatasetColumn]
     # one pass over the rows, which are never all held at once
     values = [[] for _ in indices]
     diagnostics = [[] for _ in indices]
+    width = len(header)
     for row in reader:
+        if len(row) != width:
+            diagnostic = (f"row {numbers[reader.line_num - 1]}: {len(row)} cells where the header has {width}; "
+                          "excluded from every column")
+            for col_diagnostics in diagnostics:
+                col_diagnostics.append(diagnostic)
+            continue
         for idx, col_values, col_diagnostics in zip(indices, values, diagnostics):
-            cell = row[idx].strip() if idx < len(row) else ""
+            cell = row[idx].strip()
             if cell.isdigit() and cell.isascii() and cell[0] != "0" and len(cell) < 19:
                 col_values.append(int(cell))  # 1 .. 10^18 - 1, the common case
                 continue
@@ -188,8 +208,7 @@ def run_screening(config: ScreenConfig, columns: list[DatasetColumn] | None = No
 
 def proportions_table(counts: CountVector, law: DigitDistribution) -> list[tuple[str, float, float]]:
     """Rows (digit, observed proportion, law probability) for external plotting."""
-    f = counts.proportions()
-    return [(digit_label(d), f[d], law.probs[d]) for d in law.domain]
+    return list(zip(map(digit_label, law.domain), counts.proportions(), law.probs))
 
 
 def digit_label(d) -> str:
@@ -235,7 +254,7 @@ def render_law_table(name: str) -> str:
         raise ValueError(f"unknown law table {name!r}: {exc}") from None
     title = name.strip().upper().replace(":", "_")
     digits = "  ".join(f"{digit_label(d):>5}" for d in law.domain)
-    probs = "  ".join(f"{law.probs[d]:.3f}" for d in law.domain)
+    probs = "  ".join(f"{p:.3f}" for p in law.probs)
     pad = max(len(title), len("digit"))
     return f"{'digit'.ljust(pad)}  {digits}\n{title.ljust(pad)}  {probs}\n"
 
@@ -315,9 +334,9 @@ def _cmd_screen(args) -> int:
         delimiter=args.delimiter,
     )
     columns = ingest(config.input_path, config.columns, config.delimiter)
-    for col in columns:
-        for diag in col.diagnostics:
-            print(f"diagnostic: {diag}", file=sys.stderr)
+    # a ragged row's diagnostic is shared by every column and printed once
+    for diag in dict.fromkeys(diag for col in columns for diag in col.diagnostics):
+        print(f"diagnostic: {diag}", file=sys.stderr)
     doc = run_screening(config, columns)
     rendered = render(doc, config.output_format)
     if args.out:

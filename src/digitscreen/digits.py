@@ -187,38 +187,31 @@ class DatasetColumn:
 class CountVector:
     """Observed digit frequencies n_d over an ordered digit (or prefix) domain.
 
-    ``excluded`` counts retained column values that could not contribute a
-    digit at this position under the active exclusion policy.
+    ``counts`` is a tuple of ints aligned with ``domain`` and ``n`` their
+    total. ``excluded`` counts retained column values that could not
+    contribute a digit at this position under the active exclusion policy.
     """
 
-    digit_index: int | None
     domain: tuple
-    counts: dict
+    counts: tuple
     excluded: int = 0
-    joint_k: int | None = None
+    n: int = field(init=False)
 
     def __post_init__(self):
-        domain = tuple(self.domain)
-        object.__setattr__(self, "domain", domain)
-        unknown = set(self.counts) - set(domain)
-        if unknown:
-            raise ValueError(f"counts outside domain: {sorted(unknown)!r}")
-        filled = {d: int(self.counts.get(d, 0)) for d in domain}
-        if any(c < 0 for c in filled.values()):
+        counts = tuple(map(int, self.counts))
+        if len(counts) != len(self.domain):
+            raise ValueError(f"{len(counts)} counts for a domain of {len(self.domain)} cells")
+        if any(c < 0 for c in counts):
             raise ValueError("counts must be nonnegative")
-        object.__setattr__(self, "counts", filled)
+        object.__setattr__(self, "domain", tuple(self.domain))
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "n", sum(counts))
 
-    @property
-    def n(self) -> int:
-        """Total number of tallied digits."""
-        return sum(self.counts.values())
-
-    def proportions(self) -> dict:
-        """Observed proportions f_d = n_d / n."""
-        n = self.n
-        if n == 0:
+    def proportions(self) -> tuple:
+        """Observed proportions f_d = n_d / n, aligned with ``domain``."""
+        if self.n == 0:
             raise ValueError("no analyzable values")
-        return {d: c / n for d, c in self.counts.items()}
+        return tuple(c / self.n for c in self.counts)
 
 
 def analyzable_values(column: DatasetColumn, width: int, policy: str = EXCLUDE_SHORT) -> np.ndarray:
@@ -237,7 +230,7 @@ def digit_frequencies(column: DatasetColumn, i: int, policy: str = EXCLUDE_SHORT
     domain = digit_domain(i)
     prefixes = column.prefixes(i, policy)
     counts = np.bincount(prefixes % 10, minlength=10)
-    return _count_vector(domain, counts[list(domain)], column.m - prefixes.size, digit_index=i)
+    return _count_vector(domain, counts[list(domain)], column.m - prefixes.size)
 
 
 def real_digit_frequencies(values, i: int) -> CountVector:
@@ -260,7 +253,7 @@ def real_digit_frequencies(values, i: int) -> CountVector:
         counts += np.bincount(prefixes % 10, minlength=10)
         exact.extend(int(_digit_string(x)) for x in risky.tolist())
     counts += np.bincount(DatasetColumn("values", exact).prefixes(i, TRAILING_ZERO) % 10, minlength=10)
-    return _count_vector(domain, counts[list(domain)], 0, digit_index=i)
+    return _count_vector(domain, counts[list(domain)], 0)
 
 
 # values per block of the float path, which bounds its numpy temporaries
@@ -318,13 +311,11 @@ def joint_frequencies(column: DatasetColumn, k: int = 2, policy: str = EXCLUDE_S
     # joint_domain(k) lists the prefixes 10^(k-1) .. 10^k - 1 in increasing order
     first = 10 ** (k - 1)
     counts = np.bincount(prefixes - first, minlength=9 * first)
-    return _count_vector(joint_domain(k), counts, column.m - prefixes.size, joint_k=k)
+    return _count_vector(joint_domain(k), counts, column.m - prefixes.size)
 
 
-def _count_vector(domain: tuple, counts: np.ndarray, excluded: int, digit_index: int | None = None,
-                  joint_k: int | None = None) -> CountVector:
+def _count_vector(domain: tuple, counts: np.ndarray, excluded: int) -> CountVector:
     """A CountVector from tallies aligned with ``domain``."""
     if not counts.any():
         raise ValueError("no analyzable values")
-    return CountVector(digit_index=digit_index, domain=domain, counts=dict(zip(domain, counts.tolist())),
-                       excluded=excluded, joint_k=joint_k)
+    return CountVector(domain, counts.tolist(), excluded)

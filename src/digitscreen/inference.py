@@ -49,9 +49,9 @@ class TestReport:
 
     ``m`` is the number of units whose digit entered this test (it shrinks as
     the digit position grows under exclude-short), ``ulb`` is the universal
-    lower bound on P(H0|data), or None when the p-value exceeds 1/e and the
-    bound is simply reported as "> 0.5". ``counts`` is the tally the report
-    was computed from; it is never rendered.
+    lower bound on P(H0|data), or None when the p-value exceeds 1/e under
+    equal priors and the bound is simply reported as "> 0.5". ``counts`` is
+    the tally the report was computed from; it is never rendered.
     """
 
     __test__ = False  # not a pytest class, despite the name
@@ -76,10 +76,9 @@ def chi_squared_stat(obs: CountVector, ref: DigitDistribution) -> tuple[float, i
     n = obs.n
     if n == 0:
         raise ValueError("no analyzable values")
-    if any(ref.probs[d] <= 0.0 for d in ref.domain):
+    if min(ref.probs) <= 0.0:
         raise ValueError(f"reference law {ref.kind!r} has zero-probability cells; chi-squared undefined")
-    f = obs.proportions()
-    chi2 = n * math.fsum((ref.probs[d] - f[d]) ** 2 / ref.probs[d] for d in ref.domain)
+    chi2 = n * math.fsum((p - f) ** 2 / p for p, f in zip(ref.probs, obs.proportions()))
     return chi2, len(ref.domain) - 1
 
 
@@ -92,17 +91,19 @@ def chi_squared_pvalue(chi2: float, df: int) -> float:
     return regularized_gamma_q(0.5 * df, 0.5 * chi2)
 
 
-def universal_lower_bound(p: float) -> float | None:
+def universal_lower_bound(p: float, prior: HypothesisPrior = HypothesisPrior()) -> float | None:
     """Minimum posterior probability of H0 compatible with a p-value.
 
-    Returns 1 / (1 + [-e * p * ln p]^(-1)) for p <= 1/e (equal priors), and
-    None above that threshold, where the bound is only reportable as "> 0.5".
+    Returns 1 / (1 + ((1 - pi) / pi) / (-e * p * ln p)) for p <= 1/e, where pi
+    is the prior probability of H0. Above 1/e the bound on B01 is 1, so the
+    bound is pi itself; under equal priors that is None, reported as "> 0.5".
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p-value must lie in (0, 1], got {p!r}")
     if p > _ULB_P_MAX:
-        return None
-    return 1.0 / (1.0 + 1.0 / (-math.e * p * math.log(p)))
+        return None if prior.prior_h0 == 0.5 else prior.prior_h0
+    odds_h1 = (1.0 - prior.prior_h0) / prior.prior_h0  # exactly 1.0 under equal priors
+    return 1.0 / (1.0 + odds_h1 / (-math.e * p * math.log(p)))
 
 
 def log_bayes_factor_uniform(obs: CountVector, ref: DigitDistribution) -> float:
@@ -119,18 +120,14 @@ def log_bayes_factor_uniform(obs: CountVector, ref: DigitDistribution) -> float:
     if n == 0:
         return 0.0  # Gamma(k) * 1 / Gamma(k): no data, no evidence
     loglik = 0.0
-    for d in obs.domain:
-        c = obs.counts[d]
+    for c, p in zip(obs.counts, ref.probs):
         if c == 0:
             continue
-        p = ref.probs[d]
         if p == 0.0:
             return -math.inf
         loglik += c * math.log(p)
     # zero-count cells contribute ln Gamma(1) = 0 and are skipped
-    log_marginal = -math.lgamma(float(k)) - math.fsum(
-        math.lgamma(c + 1.0) for c in obs.counts.values() if c > 0
-    )
+    log_marginal = -math.lgamma(float(k)) - math.fsum(math.lgamma(c + 1.0) for c in obs.counts if c > 0)
     return loglik + log_marginal + math.lgamma(float(n + k))
 
 
@@ -161,7 +158,7 @@ def report_from_counts(
     """Assemble a TestReport from an already-tabulated count vector."""
     chi2, df = chi_squared_stat(cv, law)
     p = chi_squared_pvalue(chi2, df)
-    small = tuple(d for d in cv.domain if cv.n * law.probs[d] < SMALL_EXPECTED_COUNT)
+    small = tuple(d for d, prob in zip(cv.domain, law.probs) if cv.n * prob < SMALL_EXPECTED_COUNT)
     log_b01 = log_bayes_factor_uniform(cv, law)
     return TestReport(
         law=law.kind,
@@ -170,7 +167,7 @@ def report_from_counts(
         chi2=chi2,
         df=df,
         p_value=p,
-        ulb=universal_lower_bound(p) if p > 0.0 else 0.0,
+        ulb=universal_lower_bound(p, prior) if p > 0.0 else 0.0,
         log_b01=log_b01,
         posterior_h0=posterior_h0(log_b01, prior),
         small_expected=small,
@@ -210,5 +207,5 @@ def screen(
     """
     _check_restriction(column, law)
     cv = tabulate(column, law, policy)
-    analyzed = analyzable_values(column, cv.joint_k or cv.digit_index, policy)
+    analyzed = analyzable_values(column, law.joint_k or law.digit_index, policy)
     return report_from_counts(cv, analyzed, law, prior)

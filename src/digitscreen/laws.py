@@ -47,46 +47,42 @@ class RestrictionSpec:
 
 @dataclass(frozen=True)
 class DigitDistribution:
-    """A reference probability vector over a digit (or digit-prefix) domain."""
+    """A reference probability vector over a digit (or digit-prefix) domain.
+
+    ``probs`` is a tuple of floats aligned with ``domain``.
+    """
 
     kind: str
     domain: tuple
-    probs: dict
+    probs: tuple
     digit_index: int | None = None
     joint_k: int | None = None
     restriction: RestrictionSpec | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        domain = tuple(self.domain)
-        object.__setattr__(self, "domain", domain)
-        if set(self.probs) != set(domain):
-            raise ValueError(f"probability keys do not match domain for {self.kind!r}")
-        ordered = {d: float(self.probs[d]) for d in domain}
-        if any(p < 0.0 for p in ordered.values()):
+        probs = tuple(map(float, self.probs))
+        if len(probs) != len(self.domain):
+            raise ValueError(f"{len(probs)} probabilities for a domain of {len(self.domain)} cells in {self.kind!r}")
+        if any(p < 0.0 for p in probs):
             raise ValueError(f"negative probability in {self.kind!r}")
-        total = math.fsum(ordered.values())
+        total = math.fsum(probs)
         if abs(total - 1.0) > _SUM_TOL:
             raise ValueError(f"probabilities of {self.kind!r} sum to {total!r}, not 1")
-        object.__setattr__(self, "probs", ordered)
-
-    def __getitem__(self, d) -> float:
-        return self.probs[d]
+        object.__setattr__(self, "domain", tuple(self.domain))
+        object.__setattr__(self, "probs", probs)
 
 
 @lru_cache(maxsize=None)
 def nbl_first() -> DigitDistribution:
     """First-digit law: P(d) = log10(1 + 1/d) for d = 1..9."""
-    probs = {d: math.log10(1.0 + 1.0 / d) for d in FIRST_DIGIT_DOMAIN}
+    probs = [math.log10(1.0 + 1.0 / d) for d in FIRST_DIGIT_DOMAIN]
     return DigitDistribution(BENFORD_FIRST, FIRST_DIGIT_DOMAIN, probs, digit_index=1)
 
 
 @lru_cache(maxsize=None)
 def nbl_second() -> DigitDistribution:
     """Second-digit law: P(d) = sum_j log10(1 + 1/(10j + d)) for d = 0..9, j = 1..9."""
-    probs = {
-        d: math.fsum(math.log10(1.0 + 1.0 / (10 * j + d)) for j in FIRST_DIGIT_DOMAIN)
-        for d in LATER_DIGIT_DOMAIN
-    }
+    probs = [math.fsum(math.log10(1.0 + 1.0 / (10 * j + d)) for j in FIRST_DIGIT_DOMAIN) for d in LATER_DIGIT_DOMAIN]
     return DigitDistribution(BENFORD_SECOND, LATER_DIGIT_DOMAIN, probs, digit_index=2)
 
 
@@ -97,22 +93,16 @@ def nbl_joint(k: int) -> DigitDistribution:
         raise ValueError("joint law needs k >= 2; use nbl_first for a single digit")
     if k > MAX_JOINT_DIGITS:
         raise ValueError(f"joint law supported up to k={MAX_JOINT_DIGITS}, got {k}")
-    domain = joint_domain(k)
-    probs = {}
-    for prefix in domain:
-        value = 0
-        for d in prefix:
-            value = value * 10 + d
-        probs[prefix] = math.log10(1.0 + 1.0 / value)
-    return DigitDistribution(f"benford-joint({k})", domain, probs, joint_k=k)
+    # joint_domain(k) lists the prefixes 10^(k-1) .. 10^k - 1 in increasing order
+    probs = [math.log10(1.0 + 1.0 / value) for value in range(10 ** (k - 1), 10**k)]
+    return DigitDistribution(f"benford-joint({k})", joint_domain(k), probs, joint_k=k)
 
 
 @lru_cache(maxsize=None)
 def uniform_law(i: int = 1) -> DigitDistribution:
     """Uniform digit distribution: 1/9 on 1..9 for i=1, 1/10 on 0..9 after."""
     domain = digit_domain(i)
-    probs = {d: 1.0 / len(domain) for d in domain}
-    return DigitDistribution("uniform", domain, probs, digit_index=i)
+    return DigitDistribution("uniform", domain, [1.0 / len(domain)] * len(domain), digit_index=i)
 
 
 def _count_mod10_upto(x: int, d: int) -> int:
@@ -171,11 +161,6 @@ def count_with_digit(d: int, i: int, spec: RestrictionSpec) -> int:
     return _count_upto(spec.upper, i, d) - _count_upto(lower - 1, i, d)
 
 
-def _renormalize(base: DigitDistribution, weights: dict) -> dict:
-    total = math.fsum(base.probs[d] * weights[d] for d in base.domain)
-    return {d: base.probs[d] * weights[d] / total for d in base.domain}
-
-
 def restricted_law(base: DigitDistribution, spec: RestrictionSpec) -> DigitDistribution:
     """The base digit law conditioned on counts lying in the admissible set.
 
@@ -186,13 +171,14 @@ def restricted_law(base: DigitDistribution, spec: RestrictionSpec) -> DigitDistr
     """
     if base.kind not in (BENFORD_FIRST, BENFORD_SECOND):
         raise ValueError(f"restricted law is defined for {BENFORD_FIRST!r} or {BENFORD_SECOND!r} bases, got {base.kind!r}")
-    cards = {d: count_with_digit(d, base.digit_index, spec) for d in base.domain}
+    cards = [count_with_digit(d, base.digit_index, spec) for d in base.domain]
     kind = f"restricted({base.kind}, {spec})"
-    if all(c == 0 for c in cards.values()):
+    if not any(cards):
         raise ValueError(f"empty restriction: no admissible integers under {spec}")
-    if len(set(cards.values())) == 1:
+    if len(set(cards)) == 1:
         return replace(base, kind=kind, restriction=spec)
-    probs = _renormalize(base, cards)
+    total = math.fsum(p * c for p, c in zip(base.probs, cards))
+    probs = [p * c / total for p, c in zip(base.probs, cards)]
     return DigitDistribution(kind, base.domain, probs, digit_index=base.digit_index, restriction=spec)
 
 

@@ -3,7 +3,9 @@
 These deliberately avoid the code paths they check: the incomplete gamma
 oracle integrates the density numerically at high precision, the Bayes
 factor oracle works in exact rational arithmetic, and the digit tallies read
-each value's decimal string instead of dividing by powers of ten.
+each value's decimal string instead of dividing by powers of ten. The
+digit-keyed chi-squared and ln B01 oracles pin the float operations of the
+reports instead: they must agree with the library bit for bit.
 """
 
 import math
@@ -46,6 +48,35 @@ def exact_log_b01(counts, probs) -> float:
     for c in counts:
         b01 /= math.factorial(c)
     return math.log(b01.numerator) - math.log(b01.denominator)
+
+
+# Chi-squared and ln B01 over dicts keyed by digit, in the order and with the
+# float operations every report has used: math.fsum over (p - f) ** 2 / p (a
+# libm pow, which is not always x * x), a sequential += of n_d * math.log(p_d),
+# and math.lgamma per nonzero cell.
+
+
+def dict_chi_squared(counts: dict, probs: dict) -> float:
+    """n * sum_d (p_d - n_d / n) ** 2 / p_d over the digits of ``probs``."""
+    n = sum(counts.values())
+    f = {d: c / n for d, c in counts.items()}
+    return n * math.fsum((probs[d] - f[d]) ** 2 / probs[d] for d in probs)
+
+
+def dict_log_b01(counts: dict, probs: dict) -> float:
+    """ln B01 = sum_d n_d ln p_d - ln(k-1)! - sum_d ln n_d! + ln(n+k-1)!."""
+    k, n = len(counts), sum(counts.values())
+    if n == 0:
+        return 0.0
+    loglik = 0.0
+    for d in probs:
+        if counts[d] == 0:
+            continue
+        if probs[d] == 0.0:
+            return -math.inf
+        loglik += counts[d] * math.log(probs[d])
+    log_marginal = -math.lgamma(float(k)) - math.fsum(math.lgamma(c + 1.0) for c in counts.values() if c > 0)
+    return loglik + log_marginal + math.lgamma(float(n + k))
 
 
 # Digit tabulation read from decimal strings, one value at a time: the

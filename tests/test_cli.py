@@ -5,6 +5,7 @@ import hashlib
 import importlib.resources
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -54,7 +55,7 @@ def conforming_csv(tmp_path):
     # second digits drawn from the second-digit law itself
     law = nbl_second()
     rng = np.random.Generator(np.random.PCG64(21))
-    edges = np.cumsum([law.probs[d] for d in law.domain])
+    edges = np.cumsum(law.probs)
     edges[-1] = 1.0
     digits = np.searchsorted(edges, rng.random(4000), side="right")
     path = tmp_path / "conforming.csv"
@@ -165,6 +166,34 @@ class TestIngest:
         with pytest.raises(ValueError, match="a second time"):
             ingest(small_csv, selectors)
 
+    def test_ragged_row_excluded_from_every_column(self, tmp_path):
+        # an unquoted thousands separator splits one cell in two and shifts the rest of its row
+        path = tmp_path / "d.csv"
+        path.write_text("station,votes,other\nA,1,234,17\nB,12,5\nC,7\n\nD,30,40\n")
+        votes, other = ingest(path, ["votes", "other"])
+        assert votes.values.tolist() == [12, 30] and other.values.tolist() == [5, 40]
+        ragged = ("row 2: 4 cells where the header has 3; excluded from every column",
+                  "row 4: 2 cells where the header has 3; excluded from every column")
+        assert votes.diagnostics == other.diagnostics == ragged
+        assert votes.m + votes.excluded_count == other.m + other.excluded_count == 4
+
+    def test_ragged_row_has_one_diagnostic_line(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        path.write_text("station,votes,other\nA,1,234,17\nB,12,x\n" + "".join(f"u{n},{n},{n}\n" for n in range(10, 40)))
+        assert main(["screen", str(path), "--columns", "votes,other", "--tests", "nb1"]) in (0, 2)
+        assert capsys.readouterr().err.splitlines() == [
+            "diagnostic: row 2: 4 cells where the header has 3; excluded from every column",
+            "diagnostic: other: row 3: not an integer: 'x'",
+        ]
+
+    def test_ambiguous_name_is_an_error(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,a,b\n100,200,300\n")
+        with pytest.raises(ValueError, match="'a' is ambiguous: header columns 0, 1 share that name"):
+            ingest(path, ["a"])
+        first, second, b = ingest(path, ["0", "1", "b"])
+        assert (first.values.tolist(), second.values.tolist(), b.values.tolist()) == ([100], [200], [300])
+
 
 class TestRunScreening:
     def test_rows_follow_config_order(self, small_csv):
@@ -200,7 +229,7 @@ class TestRunScreening:
         with pytest.raises(ValueError, match="restricted"):
             ScreenConfig(str(small_csv), ("north",), ("nb1", "joint2"), upper_bound=800)
 
-    @pytest.mark.parametrize("threshold", [float("nan"), -0.1, 1.5])
+    @pytest.mark.parametrize("threshold", [float("nan"), -0.1, 1.5, 0.0])
     def test_threshold_outside_unit_interval(self, small_csv, threshold):
         with pytest.raises(ValueError, match="threshold"):
             ScreenConfig(str(small_csv), ("north",), ("nb1",), threshold=threshold)
@@ -315,6 +344,23 @@ class TestMainEntry:
     def test_error_exit(self, small_csv, capsys):
         assert main(["screen", str(small_csv), "--columns", "absent", "--tests", "nb1"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("delimiter", [",,", "", '"', "\n", "\r"])
+    def test_delimiter_must_be_one_plain_character(self, small_csv, capsys, delimiter):
+        assert main(["screen", str(small_csv), "--columns", "north", "--delimiter", delimiter]) == 1
+        assert capsys.readouterr().err == ("error: delimiter must be one character other than a quote or a line "
+                                           f"break, got {delimiter!r}\n")
+
+    def test_lower_bound_under_a_prior(self, tmp_path, capsys):
+        # 22 values whose second digit is 5 eight times: p = 0.03, and P_lb was 0.22 above P(H0|data) 0.096
+        values = [10 + d for d in range(10)] + [15] * 6 + [10 + d for d in range(6)]
+        path = tmp_path / "v.csv"
+        path.write_text("unit,v\n" + "".join(f"u{i},{v}\n" for i, v in enumerate(values)))
+        assert main(["screen", str(path), "--columns", "v", "--prior", "0.05", "--format", "json"]) == 2
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        calibration = -math.e * row["p_value"] * math.log(row["p_value"])
+        assert row["ulb"] == pytest.approx(1 / (1 + 19 / calibration), rel=1e-12)
+        assert row["ulb"] < row["posterior_h0"] < 0.1
 
     def test_default_tests_depend_on_bound(self, small_csv, capsys):
         main(["screen", str(small_csv), "--columns", "north"])
@@ -522,7 +568,7 @@ def test_law_name_grammar(tmp_path, entry, name, upper, lower, base, spec, label
     elif entry == "laws":
         title, *probs = render_law_table(name).splitlines()[1].split()
         assert title == label
-        assert probs == [f"{expected.probs[d]:.3f}" for d in expected.domain]
+        assert probs == [f"{p:.3f}" for p in expected.probs]
     else:
         cfg = tmp_path / "model.ini"
         cfg.write_text("[voting_model]\nn_units = 10\nmax_voters = 800\nturnout = 1 1\npartisan_fraction = 1 1\n"

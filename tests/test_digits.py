@@ -26,6 +26,11 @@ from digitscreen.inference import _lower_median
 from oracles import sorted_lower_median, str_analyzable, str_digit_tally, str_joint_tally
 
 
+def by_digit(cv: CountVector) -> dict:
+    """The tally read by digit (or prefix)."""
+    return dict(zip(cv.domain, cv.counts))
+
+
 class TestSignificantDigit:
     def test_second_digit_of_decimal(self):
         assert significant_digit(0.154, 2) == 5
@@ -111,19 +116,19 @@ class TestDigitFrequencies:
     def test_first_digit_counts(self):
         col = DatasetColumn("x", (154, 23, 9))
         cv = digit_frequencies(col, 1)
-        assert cv.counts[1] == 1 and cv.counts[2] == 1 and cv.counts[9] == 1
+        assert by_digit(cv)[1] == 1 and by_digit(cv)[2] == 1 and by_digit(cv)[9] == 1
         assert cv.n == 3 and cv.excluded == 0
 
     def test_exclude_short_drops_one_digit_values(self):
         col = DatasetColumn("x", (154, 23, 9))
         cv = digit_frequencies(col, 2, EXCLUDE_SHORT)
-        assert cv.counts[5] == 1 and cv.counts[3] == 1
+        assert by_digit(cv)[5] == 1 and by_digit(cv)[3] == 1
         assert cv.n == 2 and cv.excluded == 1
 
     def test_trailing_zero_keeps_them_as_zero(self):
         col = DatasetColumn("x", (154, 23, 9))
         cv = digit_frequencies(col, 2, TRAILING_ZERO)
-        assert cv.counts[5] == 1 and cv.counts[3] == 1 and cv.counts[0] == 1
+        assert by_digit(cv)[5] == 1 and by_digit(cv)[3] == 1 and by_digit(cv)[0] == 1
         assert cv.n == 3 and cv.excluded == 0
 
     def test_empty_column_errors(self):
@@ -154,8 +159,8 @@ class TestDigitFrequencies:
 class TestJointFrequencies:
     def test_pairs(self):
         cv = joint_frequencies(DatasetColumn("x", (154, 23)), 2)
-        assert cv.counts[(1, 5)] == 1 and cv.counts[(2, 3)] == 1
-        assert cv.n == 2 and cv.joint_k == 2
+        assert by_digit(cv)[(1, 5)] == 1 and by_digit(cv)[(2, 3)] == 1
+        assert cv.n == 2 and cv.domain == joint_domain(2)
 
     def test_too_short_everything_errors(self):
         with pytest.raises(ValueError, match="no analyzable values"):
@@ -164,7 +169,7 @@ class TestJointFrequencies:
     def test_full_century_is_flat(self):
         cv = joint_frequencies(DatasetColumn("x", tuple(range(100, 200))), 2)
         for d2 in range(10):
-            assert cv.counts[(1, d2)] == 10
+            assert by_digit(cv)[(1, d2)] == 10
 
     def test_k_must_be_at_least_two(self):
         with pytest.raises(ValueError):
@@ -181,27 +186,23 @@ class TestJointFrequencies:
             return
         first = digit_frequencies(DatasetColumn("x", long_enough), 1)
         for d1 in range(1, 10):
-            assert sum(joint.counts[(d1, d2)] for d2 in range(10)) == first.counts[d1]
+            assert sum(by_digit(joint)[(d1, d2)] for d2 in range(10)) == by_digit(first)[d1]
 
 
 class TestCountVector:
-    def test_fills_missing_domain_cells(self):
-        cv = CountVector(1, tuple(range(1, 10)), {3: 2})
-        assert cv.counts[1] == 0 and cv.counts[3] == 2
-        assert cv.n == 2
-
     def test_proportions_sum_to_one(self):
-        cv = CountVector(1, tuple(range(1, 10)), {1: 3, 2: 1})
-        assert sum(cv.proportions().values()) == pytest.approx(1.0, abs=1e-12)
+        cv = CountVector(tuple(range(1, 10)), (3, 1, 0, 0, 0, 0, 0, 0, 0))
+        assert sum(cv.proportions()) == pytest.approx(1.0, abs=1e-12)
 
-    def test_rejects_out_of_domain_counts(self):
-        with pytest.raises(ValueError):
-            CountVector(1, tuple(range(1, 10)), {0: 1})
+    @pytest.mark.parametrize("counts", [(), (1,) * 8, (1,) * 10], ids=["empty", "short", "long"])
+    def test_rejects_counts_not_aligned_with_domain(self, counts):
+        with pytest.raises(ValueError, match="counts for a domain of 9 cells"):
+            CountVector(tuple(range(1, 10)), counts)
 
 
 def test_real_digit_frequencies():
     cv = real_digit_frequencies([0.154, 23.0, 9.1, 0.5], 1)
-    assert cv.counts[1] == 1 and cv.counts[2] == 1 and cv.counts[9] == 1 and cv.counts[5] == 1
+    assert by_digit(cv)[1] == 1 and by_digit(cv)[2] == 1 and by_digit(cv)[9] == 1 and by_digit(cv)[5] == 1
 
 
 def test_analyzable_values_matches_policy():
@@ -229,8 +230,8 @@ class TestKernelMatchesStringOracle:
                     digit_frequencies(col, i, policy)
                 continue
             cv = digit_frequencies(col, i, policy)
-            assert cv.counts == {d: counts.get(d, 0) for d in digit_domain(i)}
-            assert cv.excluded == excluded and cv.digit_index == i
+            assert cv.counts == tuple(counts.get(d, 0) for d in digit_domain(i))
+            assert cv.excluded == excluded and cv.domain == digit_domain(i)
 
     @given(st.lists(COUNTS, max_size=40))
     def test_joint_frequencies(self, policy, values):
@@ -242,8 +243,8 @@ class TestKernelMatchesStringOracle:
                     joint_frequencies(col, k, policy)
                 continue
             cv = joint_frequencies(col, k, policy)
-            assert cv.counts == {d: counts.get(d, 0) for d in joint_domain(k)}
-            assert cv.excluded == excluded and cv.joint_k == k
+            assert cv.counts == tuple(counts.get(d, 0) for d in joint_domain(k))
+            assert cv.excluded == excluded and cv.domain == joint_domain(k)
 
     @given(st.lists(COUNTS, max_size=40))
     def test_analyzable_values_and_median(self, policy, values):
@@ -285,8 +286,8 @@ def test_real_digit_frequencies_match_significant_digit(values):
                 real_digit_frequencies(values, i)
             continue
         cv = real_digit_frequencies(values, i)
-        assert cv.counts == {d: tally.get(d, 0) for d in digit_domain(i)}
-        assert cv.excluded == 0 and cv.digit_index == i
+        assert cv.counts == tuple(tally.get(d, 0) for d in digit_domain(i))
+        assert cv.excluded == 0 and cv.domain == digit_domain(i)
 
 
 def test_real_digit_frequencies_rejects_ints_beyond_int64():
@@ -318,8 +319,8 @@ def test_real_digit_frequencies_of_arrays_match_significant_digit(values):
                 real_digit_frequencies(array, i)
             continue
         cv = real_digit_frequencies(array, i)
-        assert cv.counts == {d: tally.get(d, 0) for d in digit_domain(i)}
-        assert cv.excluded == 0 and cv.digit_index == i
+        assert cv.counts == tuple(tally.get(d, 0) for d in digit_domain(i))
+        assert cv.excluded == 0 and cv.domain == digit_domain(i)
 
 
 @pytest.mark.parametrize("offset", [-1.0, 0.0, 1.0])
@@ -331,7 +332,7 @@ def test_real_digit_frequencies_of_blocks_whatever_log10_returns(offset, monkeyp
     monkeypatch.setattr(np, "log10", lambda x: log10(x) + offset)
     for i in (1, 2, 3):
         tally = Counter(significant_digit(x, i) for x in values.tolist())
-        assert real_digit_frequencies(values, i).counts == {d: tally.get(d, 0) for d in digit_domain(i)}
+        assert real_digit_frequencies(values, i).counts == tuple(tally.get(d, 0) for d in digit_domain(i))
 
 
 @pytest.mark.filterwarnings("error")

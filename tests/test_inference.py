@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import exact_log_b01
+from oracles import dict_chi_squared, dict_log_b01, exact_log_b01
 from hypothesis import given, settings, strategies as st
 
 from digitscreen.digits import CountVector, DatasetColumn
@@ -23,6 +23,7 @@ from digitscreen.inference import (
 from digitscreen.laws import (
     DigitDistribution,
     RestrictionSpec,
+    law_from_name,
     nbl_first,
     nbl_joint,
     nbl_second,
@@ -35,51 +36,51 @@ ULB_TABLE = [(0.05, 0.29), (0.01, 0.11), (0.001, 0.0184)]
 
 def count_vector(counts, domain=None):
     domain = domain if domain is not None else tuple(range(1, len(counts) + 1))
-    return CountVector(1 if len(domain) == 9 else None, domain, dict(zip(domain, counts)))
+    return CountVector(domain, counts)
 
 
 def simple_law(probs, domain=None):
     domain = domain if domain is not None else tuple(range(1, len(probs) + 1))
-    return DigitDistribution("test-law", domain, dict(zip(domain, probs)), digit_index=1)
+    return DigitDistribution("test-law", domain, probs, digit_index=1)
 
 
 class TestChiSquaredStat:
     def test_perfect_fit_is_zero(self):
         law = uniform_law(2)
-        cv = CountVector(2, law.domain, {d: 7 for d in law.domain})
+        cv = CountVector(law.domain, [7] * len(law.domain))
         chi2, df = chi_squared_stat(cv, law)
         assert chi2 == 0.0
         assert df == 9
 
     def test_single_observation_against_first_law(self):
         # hand evaluation of n * sum (p_d - f_d)^2 / p_d with f_1 = 1
-        cv = CountVector(1, tuple(range(1, 10)), {1: 1})
+        cv = count_vector([1, 0, 0, 0, 0, 0, 0, 0, 0])
         chi2, df = chi_squared_stat(cv, nbl_first())
         assert chi2 == pytest.approx(2.32193, abs=5e-5)
         assert df == 8
 
     def test_doubling_counts_doubles_stat(self):
         law = nbl_second()
-        counts = {d: (d + 2) * 3 for d in law.domain}
-        cv1 = CountVector(2, law.domain, counts)
-        cv2 = CountVector(2, law.domain, {d: 2 * c for d, c in counts.items()})
+        counts = [(d + 2) * 3 for d in law.domain]
+        cv1 = CountVector(law.domain, counts)
+        cv2 = CountVector(law.domain, [2 * c for c in counts])
         chi2_1, _ = chi_squared_stat(cv1, law)
         chi2_2, _ = chi_squared_stat(cv2, law)
         assert chi2_2 == pytest.approx(2 * chi2_1, rel=1e-12)
 
     def test_joint_degrees_of_freedom(self):
         law = nbl_joint(2)
-        cv = CountVector(None, law.domain, {d: 1 for d in law.domain}, joint_k=2)
+        cv = CountVector(law.domain, [1] * len(law.domain))
         _, df = chi_squared_stat(cv, law)
         assert df == 89
 
     def test_domain_mismatch(self):
-        cv = CountVector(1, tuple(range(1, 10)), {1: 1})
+        cv = count_vector([1, 0, 0, 0, 0, 0, 0, 0, 0])
         with pytest.raises(ValueError, match="domain"):
             chi_squared_stat(cv, nbl_second())
 
     def test_empty_counts(self):
-        cv = CountVector(1, tuple(range(1, 10)), {})
+        cv = count_vector([0] * 9)
         with pytest.raises(ValueError, match="no analyzable"):
             chi_squared_stat(cv, nbl_first())
 
@@ -154,6 +155,18 @@ class TestUniversalLowerBound:
         assert universal_lower_bound(0.5) is None
         assert universal_lower_bound(1.0) is None
 
+    @pytest.mark.parametrize("p", [0.05, 0.001, 1e-12])
+    def test_calibrates_with_the_prior_odds(self, p):
+        calibration = -math.e * p * math.log(p)
+        assert universal_lower_bound(p, HypothesisPrior(0.05)) == pytest.approx(1 / (1 + 19 / calibration), rel=1e-12)
+        assert universal_lower_bound(p, HypothesisPrior(0.8)) == pytest.approx(1 / (1 + 0.25 / calibration), rel=1e-12)
+        assert universal_lower_bound(p, HypothesisPrior(0.5)) == universal_lower_bound(p) == 1 / (1 + 1 / calibration)
+
+    @pytest.mark.parametrize("prior", [0.05, 0.8])
+    def test_bound_is_the_prior_above_boundary(self, prior):
+        assert universal_lower_bound(1 / math.e, HypothesisPrior(prior)) == pytest.approx(prior, abs=1e-12)
+        assert universal_lower_bound(0.5, HypothesisPrior(prior)) == prior
+
     def test_domain(self):
         with pytest.raises(ValueError):
             universal_lower_bound(0.0)
@@ -210,8 +223,31 @@ class TestLogBayesFactor:
         # NBL2 multinomial draw, n = 1e5: the Bayes factor must favor the null
         law = nbl_second()
         counts = _multinomial_counts(law, 100_000, seed=2024)
-        cv = CountVector(2, law.domain, counts)
+        cv = CountVector(law.domain, counts)
         assert log_bayes_factor_uniform(cv, law) > 0
+
+
+# nb1, nb2, joint2, rnb2 on N <= 2250 and rnb1 on 10 <= N <= 2250
+BIT_EXACT_LAWS = (nbl_first(), nbl_second(), nbl_joint(2), law_from_name("rnb2:2250"), law_from_name("rnb1", 2250, 10))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**64 - 1))
+def test_chi2_and_log_b01_match_the_dict_oracles_bit_for_bit(seed):
+    # (p - f) ** 2 and (p - f) * (p - f) differ in about 1 of 1 700 chi-squared values, so each
+    # example checks 800 random count vectors: 160 per law, scales 1 to 10^6, a fifth of the cells zero
+    rng = np.random.default_rng(seed)
+    for law in BIT_EXACT_LAWS:
+        k = len(law.domain)
+        counts = rng.integers(0, 10 ** rng.integers(1, 7, size=(160, 1)), size=(160, k))
+        counts[rng.random((160, k)) < 0.2] = 0
+        counts[:, rng.integers(0, k)] += 1  # every vector has a nonzero total
+        probs = dict(zip(law.domain, law.probs))
+        for row in counts.tolist():
+            cv = CountVector(law.domain, row)
+            by_digit = dict(zip(law.domain, row))
+            assert chi_squared_stat(cv, law)[0] == dict_chi_squared(by_digit, probs)
+            assert log_bayes_factor_uniform(cv, law) == dict_log_b01(by_digit, probs)
 
 
 class TestPosterior:
@@ -248,16 +284,16 @@ class TestPosterior:
 def _multinomial_counts(law, n, seed):
     """Inverse-transform multinomial draw, independent of numpy's own multinomial."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    edges = np.cumsum([law.probs[d] for d in law.domain])
+    edges = np.cumsum(law.probs)
     edges[-1] = 1.0
     picks = np.searchsorted(edges, rng.random(n), side="right")
-    return {d: int((picks == i).sum()) for i, d in enumerate(law.domain)}
+    return tuple(int((picks == i).sum()) for i in range(len(law.domain)))
 
 
 def _column_with_second_digits(law, n, seed):
     """A column of two-digit values 10..19 whose second digits follow `law`."""
     counts = _multinomial_counts(law, n, seed)
-    values = [10 + d for d, c in counts.items() for _ in range(c)]
+    values = [10 + d for d, c in zip(law.domain, counts) for _ in range(c)]
     return DatasetColumn("synthetic", tuple(values))
 
 

@@ -23,6 +23,11 @@ from golden import CNB1_800_TABLE, CNB2_800_TABLE, NB1_TABLE, NB2_TABLE
 TABLE_TOL = 0.0005  # half an ulp of the printed third decimal
 
 
+def by_digit(law: DigitDistribution) -> dict:
+    """The law's probabilities read by digit."""
+    return dict(zip(law.domain, law.probs))
+
+
 def brute_force_count(d, i, lower, upper):
     return sum(
         1 for v in range(lower, upper + 1) if len(str(v)) >= i and int(str(v)[i - 1]) == d
@@ -31,46 +36,46 @@ def brute_force_count(d, i, lower, upper):
 
 class TestFirstDigitLaw:
     def test_golden_values(self):
-        law = nbl_first()
+        law = by_digit(nbl_first())
         for d, expected in NB1_TABLE.items():
             assert abs(law[d] - expected) < TABLE_TOL, f"digit {d}"
 
     def test_sums_to_one_exactly(self):
         # telescoping: the float values happen to fsum to exactly 1.0
-        assert math.fsum(nbl_first().probs.values()) == 1.0
+        assert math.fsum(nbl_first().probs) == 1.0
 
     def test_formula(self):
-        law = nbl_first()
+        law = by_digit(nbl_first())
         for d in range(1, 10):
             assert law[d] == math.log10(1 + 1 / d)
 
 
 class TestSecondDigitLaw:
     def test_golden_values(self):
-        law = nbl_second()
+        law = by_digit(nbl_second())
         for d, expected in NB2_TABLE.items():
             assert abs(law[d] - expected) < TABLE_TOL, f"digit {d}"
 
     def test_normalized(self):
-        assert math.fsum(nbl_second().probs.values()) == pytest.approx(1.0, abs=1e-12)
+        assert math.fsum(nbl_second().probs) == pytest.approx(1.0, abs=1e-12)
 
     def test_less_spread_than_first(self):
         nb1, nb2 = nbl_first(), nbl_second()
-        assert max(nb2.probs.values()) - min(nb2.probs.values()) < max(nb1.probs.values()) - min(nb1.probs.values())
+        assert max(nb2.probs) - min(nb2.probs) < max(nb1.probs) - min(nb1.probs)
 
 
 class TestJointLaw:
     def test_prefix_ten(self):
-        assert nbl_joint(2)[(1, 0)] == pytest.approx(math.log10(1 + 1 / 10), abs=1e-15)
+        assert by_digit(nbl_joint(2))[(1, 0)] == pytest.approx(math.log10(1 + 1 / 10), abs=1e-15)
 
     def test_second_digit_marginal(self):
-        joint, second = nbl_joint(2), nbl_second()
+        joint, second = by_digit(nbl_joint(2)), by_digit(nbl_second())
         for d2 in range(10):
             marginal = math.fsum(joint[(d1, d2)] for d1 in range(1, 10))
             assert marginal == pytest.approx(second[d2], abs=1e-12)
 
     def test_first_digit_marginal(self):
-        joint, first = nbl_joint(2), nbl_first()
+        joint, first = by_digit(nbl_joint(2)), by_digit(nbl_first())
         for d1 in range(1, 10):
             marginal = math.fsum(joint[(d1, d2)] for d2 in range(10))
             assert marginal == pytest.approx(first[d1], abs=1e-12)
@@ -88,8 +93,8 @@ class TestJointLaw:
 
 class TestUniformLaw:
     def test_values(self):
-        assert uniform_law(1)[3] == pytest.approx(1 / 9)
-        assert uniform_law(2)[0] == pytest.approx(1 / 10)
+        assert by_digit(uniform_law(1))[3] == pytest.approx(1 / 9)
+        assert by_digit(uniform_law(2))[0] == pytest.approx(1 / 10)
 
 
 class TestCardinality:
@@ -143,12 +148,12 @@ class TestCardinality:
 
 class TestRestrictedLaw:
     def test_cnb1_800_golden(self):
-        law = restricted_law(nbl_first(), RestrictionSpec(upper=800))
+        law = by_digit(restricted_law(nbl_first(), RestrictionSpec(upper=800)))
         for d, expected in CNB1_800_TABLE.items():
             assert abs(law[d] - expected) < TABLE_TOL, f"digit {d}"
 
     def test_cnb2_800_golden(self):
-        law = restricted_law(nbl_second(), RestrictionSpec(upper=800))
+        law = by_digit(restricted_law(nbl_second(), RestrictionSpec(upper=800)))
         for d, expected in CNB2_800_TABLE.items():
             assert abs(law[d] - expected) < TABLE_TOL, f"digit {d}"
 
@@ -158,9 +163,9 @@ class TestRestrictedLaw:
 
     def test_complete_decades_no_correction(self):
         for j in range(1, 7):
-            law = restricted_law(nbl_first(), RestrictionSpec(upper=10**j - 1))
+            law = by_digit(restricted_law(nbl_first(), RestrictionSpec(upper=10**j - 1)))
             for d in range(1, 10):
-                assert abs(law[d] - nbl_first()[d]) <= 1e-12
+                assert abs(law[d] - by_digit(nbl_first())[d]) <= 1e-12
 
     def test_empty_restriction(self):
         # integers 1..9 carry no second digit at all
@@ -174,9 +179,9 @@ class TestRestrictedLaw:
     def test_two_sided(self):
         law = restricted_law(nbl_first(), RestrictionSpec(lower=200, upper=800))
         # digits 2..7 keep mass; 8 only via the single number 800; 9 impossible
-        assert law[9] == 0.0
-        assert law[1] == 0.0
-        assert sum(law.probs.values()) == pytest.approx(1.0, abs=1e-12)
+        assert by_digit(law)[9] == 0.0
+        assert by_digit(law)[1] == 0.0
+        assert sum(law.probs) == pytest.approx(1.0, abs=1e-12)
 
     def test_kind_records_restriction(self):
         law = restricted_law(nbl_second(), RestrictionSpec(upper=2250))
@@ -186,20 +191,17 @@ class TestRestrictedLaw:
     @given(st.integers(min_value=10, max_value=10**5))
     def test_probabilities_normalized(self, upper):
         law = restricted_law(nbl_first(), RestrictionSpec(upper=upper))
-        assert math.fsum(law.probs.values()) == pytest.approx(1.0, abs=1e-12)
-        assert all(p >= 0 for p in law.probs.values())
+        assert math.fsum(law.probs) == pytest.approx(1.0, abs=1e-12)
+        assert all(p >= 0 for p in law.probs)
 
     def test_scaling_cardinalities_cancels(self):
-        # the renormalization is invariant to a common factor in the weights
-        from digitscreen.laws import _renormalize
-
-        base = nbl_first()
-        weights = {d: float(w) for d, w in zip(base.domain, (111, 111, 111, 111, 111, 111, 111, 12, 11))}
-        scaled = {d: 7.0 * w for d, w in weights.items()}
-        one = _renormalize(base, weights)
-        two = _renormalize(base, scaled)
-        for d in base.domain:
-            assert one[d] == pytest.approx(two[d], abs=1e-12)
+        # the law is the base times the cardinalities over one common factor, so a common scale cancels
+        base, spec = nbl_first(), RestrictionSpec(upper=800)
+        cards = [count_with_digit(d, 1, spec) for d in base.domain]
+        assert cards == [111, 111, 111, 111, 111, 111, 111, 12, 11]
+        scaled = [7.0 * p * c for p, c in zip(base.probs, cards)]
+        for p, w in zip(restricted_law(base, spec).probs, scaled):
+            assert p == pytest.approx(w / math.fsum(scaled), abs=1e-12)
 
 
 class TestRestrictionSpec:
@@ -253,8 +255,8 @@ class TestLawNameBounds:
 
 def test_distribution_validation():
     with pytest.raises(ValueError, match="sum"):
-        DigitDistribution("broken", (1, 2), {1: 0.6, 2: 0.6})
+        DigitDistribution("broken", (1, 2), (0.6, 0.6))
     with pytest.raises(ValueError, match="negative"):
-        DigitDistribution("broken", (1, 2), {1: 1.5, 2: -0.5})
+        DigitDistribution("broken", (1, 2), (1.5, -0.5))
     with pytest.raises(ValueError, match="domain"):
-        DigitDistribution("broken", (1, 2), {1: 1.0})
+        DigitDistribution("broken", (1, 2), (1.0,))
