@@ -9,7 +9,9 @@ pipelines. Relative output paths resolve against $DIGITSCREEN_OUT when set.
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
+import itertools
 import json
 import os
 import sys
@@ -31,6 +33,12 @@ DEFAULT_THRESHOLD = 0.5
 _DELIMITERS = (",", ";", "\t")
 
 _INT64_MAX = 2**63 - 1
+_INT32_MAX = 2**31 - 1
+
+# bytes per block of the plain-table reader: its per-cell index arrays take
+# tens of bytes per input byte, so a larger block raises the peak memory, not
+# the speed (reading a 500-column table took 7.2 MB at 256 KiB, 2.6 at 64 KiB)
+_BLOCK_BYTES = 1 << 16
 
 # samples per block written by `simulate --out`
 _SAMPLE_BLOCK = 1 << 14
@@ -94,29 +102,33 @@ def _detect_delimiter(header_line: str) -> str:
 def ingest(path, selectors, delimiter: str | None = None) -> list[DatasetColumn]:
     """Read delimited text with a header row into one column per selector.
 
-    Selectors are header names or 0-based indices, each naming a different
-    column; a name that several header cells share selects nothing. The file
-    is UTF-8, with or without a byte-order mark. A cell is a count only when
-    it is ASCII decimal digits, at least 1 and below 2^63 (the int64 range of
-    a column); every other cell, including ``1_000``, ``+45`` and non-ASCII
-    digits, is excluded with a diagnostic naming its line in the file. A row
-    with more or fewer cells than the header (say, an unquoted thousands
-    separator) is excluded from every column, with one diagnostic shared by
-    all of them. Vote tallies are integers, so nothing is silently coerced.
+    Selectors are header names or 0-based ASCII indices, each naming a
+    different column; a name that several header cells share selects
+    nothing. The file is UTF-8, with or without a byte-order mark. Only
+    ``\\n``, ``\\r\\n`` and ``\\r`` end a line; blank and whitespace-only
+    lines are skipped. A cell is a count only when it is ASCII decimal
+    digits, at least 1 and below 2^63 (the int64 range of a column); every
+    other cell, including ``1_000``, ``+45`` and non-ASCII digits, is
+    excluded with a diagnostic naming its line in the file. A row with more
+    or fewer cells than the header (say, an unquoted thousands separator) is
+    excluded from every column, with one diagnostic shared by all of them.
+    Vote tallies are integers, so nothing is silently coerced.
+
+    A plain ASCII table is read from its bytes with numpy; any other file
+    goes through ``csv`` (see ``_read_plain``). Both readers give the same
+    columns, diagnostics and errors.
     """
-    lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
-    # blank lines are skipped, but a row is numbered by the file line it ends on
-    numbers = [n for n, ln in enumerate(lines, start=1) if ln.strip()]
-    if not numbers:
-        raise ValueError(f"empty input file: {path}")
-    delim = delimiter or _detect_delimiter(lines[numbers[0] - 1])
-    reader = csv.reader([lines[n - 1] for n in numbers], delimiter=delim)
-    header = [h.strip() for h in next(reader)]
+    columns = _read_plain(path, selectors, delimiter)
+    return _read_csv(path, selectors, delimiter) if columns is None else columns
+
+
+def _select(row: list[str], selectors) -> tuple[list[str], list[int]]:
+    """The header (its cells stripped) and the column index each selector names."""
+    header = [h.strip() for h in row]
     colmap = {}
     for idx, name in enumerate(header):
         colmap.setdefault(name, []).append(idx)
-
-    indices = []
+    indices = {}  # insertion-ordered, with constant-time membership
     for sel in selectors:
         matches = colmap.get(sel, ())
         if len(matches) > 1:
@@ -124,44 +136,24 @@ def ingest(path, selectors, delimiter: str | None = None) -> list[DatasetColumn]
                              "that name; select one by index")
         if matches:
             idx = matches[0]
-        elif sel.isdigit() and int(sel) < len(header):
+        elif sel.isascii() and sel.isdigit() and int(sel) < len(header):
             idx = int(sel)
         else:
             raise ValueError(f"column {sel!r} not found; available headers: {', '.join(header)}")
         if idx in indices:
             raise ValueError(f"column {sel!r} selects column {idx} ({header[idx]!r}) a second time")
-        indices.append(idx)
-
-    # one pass over the rows, which are never all held at once
-    values = [[] for _ in indices]
-    diagnostics = [[] for _ in indices]
-    width = len(header)
-    for row in reader:
-        if len(row) != width:
-            diagnostic = (f"row {numbers[reader.line_num - 1]}: {len(row)} cells where the header has {width}; "
-                          "excluded from every column")
-            for col_diagnostics in diagnostics:
-                col_diagnostics.append(diagnostic)
-            continue
-        for idx, col_values, col_diagnostics in zip(indices, values, diagnostics):
-            cell = row[idx].strip()
-            if cell.isdigit() and cell.isascii() and cell[0] != "0" and len(cell) < 19:
-                col_values.append(int(cell))  # 1 .. 10^18 - 1, the common case
-                continue
-            try:
-                col_values.append(_parse_count(cell))
-            except ValueError as exc:
-                col_diagnostics.append(f"{header[idx]}: row {numbers[reader.line_num - 1]}: {exc}")
-    return [DatasetColumn(header[idx], np.array(col_values, dtype=np.int64), excluded_count=len(col_diagnostics),
-                          diagnostics=tuple(col_diagnostics))
-            for idx, col_values, col_diagnostics in zip(indices, values, diagnostics)]
+        indices[idx] = None
+    return header, list(indices)
 
 
-def _parse_count(cell: str) -> int:
-    """The count a stripped cell holds; ValueError says why it holds none.
+def _cell_count(cell: str) -> int:
+    """The count a cell holds; ValueError says why it holds none.
 
     A leading "-" is read only to name a negative count as such.
     """
+    cell = cell.strip()
+    if cell.isdigit() and cell.isascii() and cell[0] != "0" and len(cell) < 19:
+        return int(cell)  # 1 .. 10^18 - 1, the common case
     negative = cell.startswith("-")
     digits = cell[1:] if negative else cell
     if not (digits.isdigit() and digits.isascii()):
@@ -175,6 +167,172 @@ def _parse_count(cell: str) -> int:
     if len(digits) > 19 or int(digits) > _INT64_MAX:
         raise ValueError(f"count {digits} exceeds the int64 maximum {_INT64_MAX}; excluded")
     return int(digits)
+
+
+def _read_csv(path, selectors, delimiter: str | None) -> list[DatasetColumn]:
+    """``ingest`` through the csv module: any UTF-8 file, quoted cells and ragged rows included."""
+    # universal newlines turn \r\n and \r into \n, the only line end split on
+    lines = Path(path).read_text(encoding="utf-8-sig").split("\n")
+    # blank lines are skipped, but a row is numbered by the file line it ends on
+    numbers = [n for n, ln in enumerate(lines, start=1) if ln.strip()]
+    if not numbers:
+        raise ValueError(f"empty input file: {path}")
+    delim = delimiter or _detect_delimiter(lines[numbers[0] - 1])
+    reader = csv.reader([lines[n - 1] for n in numbers], delimiter=delim)
+    header, indices = _select(next(reader), selectors)
+
+    # one pass over the rows, which are never all held at once
+    values = [[] for _ in indices]
+    diagnostics = [[] for _ in indices]
+    width = len(header)
+    for row in reader:
+        if len(row) != width:
+            diagnostic = (f"row {numbers[reader.line_num - 1]}: {len(row)} cells where the header has {width}; "
+                          "excluded from every column")
+            for col_diagnostics in diagnostics:
+                col_diagnostics.append(diagnostic)
+            continue
+        for idx, col_values, col_diagnostics in zip(indices, values, diagnostics):
+            try:
+                col_values.append(_cell_count(row[idx]))
+            except ValueError as exc:
+                col_diagnostics.append(f"{header[idx]}: row {numbers[reader.line_num - 1]}: {exc}")
+    return [DatasetColumn(header[idx], np.array(col_values, dtype=np.int64), excluded_count=len(col_diagnostics),
+                          diagnostics=tuple(col_diagnostics))
+            for idx, col_values, col_diagnostics in zip(indices, values, diagnostics)]
+
+
+def _read_plain(path, selectors, delimiter: str | None) -> list[DatasetColumn] | None:
+    """``ingest`` of a plain ASCII table, read in blocks with numpy; None for any other file.
+
+    A plain table is ASCII after an optional byte-order mark, holds no
+    quote, ends every line in ``\\n`` or ``\\r\\n`` (the last line may lack
+    it), has no blank or whitespace-only line, and has as many cells in each
+    row as in its header; its delimiter is one ASCII character other than a
+    digit. Every selected cell of a block is tested at once for 1 to 18 ASCII
+    digits without a leading zero, and those cells are read by Horner's rule
+    over their digit bytes. Any other cell goes through ``_cell_count``, as
+    in ``_read_csv``, so its value or diagnostic is the same.
+    """
+    with open(path, "rb") as fh:
+        blocks = _line_blocks(fh)
+        first = next(blocks, b"").removeprefix(codecs.BOM_UTF8)
+        end = first.find(b"\n")
+        line = first[:end].removesuffix(b"\r")
+        if end < 0 or not line.isascii() or b'"' in line or b"\r" in line or not line.decode().strip():
+            return None
+        text = line.decode()
+        delim = delimiter or _detect_delimiter(text)
+        if len(delim) != 1 or not delim.isascii() or delim.isdigit() or delim in '"\r\n':
+            return None
+        try:  # the line holds no quote, so splitting it gives csv.reader's row
+            header, indices = _select(text.split(delim), selectors)
+        except ValueError:
+            return None  # _read_csv raises it, after any error reading the rest of the file
+        width, cols = len(header), np.array(indices, dtype=np.intp)
+        pieces = [[] for _ in indices]
+        diagnostics = [[] for _ in indices]
+        row = 2  # the file line of a block's first row
+        for block in itertools.chain([first[end + 1:]], blocks):
+            cells = _plain_cells(block, ord(delim), width, cols)
+            if cells is None:
+                return None
+            values, kept, bad = cells
+            for j, i, cell in bad:
+                try:
+                    values[j, i] = _cell_count(cell)
+                    kept[j, i] = True
+                except ValueError as exc:
+                    diagnostics[j].append(f"{header[indices[j]]}: row {row + i}: {exc}")
+            row += values.shape[1]
+            if values.max(initial=0) <= _INT32_MAX:
+                values = values.astype(np.int32)  # halves the pieces held until each column is joined
+            for col_pieces, col_values, col_kept in zip(pieces, values, kept):
+                col_pieces.append(col_values[col_kept])
+    return [DatasetColumn(header[idx], _joined(col_pieces), excluded_count=len(col_diagnostics),
+                          diagnostics=tuple(col_diagnostics))
+            for idx, col_pieces, col_diagnostics in zip(indices, pieces, diagnostics)]
+
+
+def _joined(pieces: list) -> np.ndarray:
+    """The pieces (never none) as one array; emptying the list frees each column's pieces once it is joined."""
+    values = np.concatenate(pieces)
+    pieces.clear()
+    return values
+
+
+def _line_blocks(fh):
+    """A binary file's bytes in blocks of about _BLOCK_BYTES, each ending in a newline (added if the file lacks it)."""
+    parts = []
+    while chunk := fh.read(_BLOCK_BYTES):
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            yield b"".join([*parts, chunk[:cut]])
+            parts = []
+        parts.append(chunk[cut:])
+    if any(parts):
+        yield b"".join(parts) + b"\n"
+
+
+def _plain_cells(block: bytes, delim: int, width: int, cols: np.ndarray):
+    """The selected cells of a block of whole rows, as (values, kept, bad); None unless the block is plain.
+
+    ``values`` and ``kept`` are (selected columns x rows) arrays: the count
+    of every cell of 1 to 18 digits without a leading zero, and where such
+    cells are. ``bad`` lists (column, row, text) for every other cell.
+    """
+    a = np.frombuffer(block, dtype=np.uint8)
+    if a.max(initial=0) > 127 or b'"' in block:
+        return None
+    # digit values after 18 zero bytes, so the 18 bytes before any cell's end can be read
+    digits = np.zeros(18 + a.size, dtype=np.uint8)
+    np.subtract(a, ord("0"), out=digits[18:])  # wraps below "0", so a non-digit is > 9
+    nondigit = np.flatnonzero(digits[18:] > 9)
+    byte = a[nondigit]
+    if b"\r" in block and (a[nondigit[byte == 13] + 1] != 10).any():
+        return None  # a lone \r ends a line for _read_csv
+    lines = np.count_nonzero(byte == 10)
+    # every delimiter and newline is a non-digit: bound[k] is the position of
+    # the k-th of them and rank[k] its place among the non-digits, after a -1
+    # that opens the block; a cell holds only digits when its closing
+    # separator directly follows its opening one among the non-digits
+    rank = np.concatenate(([-1], np.flatnonzero((byte == delim) | (byte == 10))))
+    bound = np.concatenate(([-1], nondigit[rank[1:]]))
+    # rectangular: each row is width - 1 delimiters, then its newline
+    if rank.size != lines * width + 1 or (a[bound[width::width]] != 10).any():
+        return None
+    # a line's bytes run from the previous line's newline (or the opening -1) to its own
+    newline = bound[width::width]
+    line_bytes = newline - bound[:-1:width]
+    # only a line without digits can be whitespace only, which _read_csv skips
+    digitless = np.flatnonzero(line_bytes == rank[width::width] - rank[:-1:width])
+    if any(not block[end - n + 1:end].decode().strip()
+           for end, n in zip(newline[digitless].tolist(), line_bytes[digitless].tolist())):
+        return None
+    opening = np.arange(lines) * width + cols[:, None]  # the boundary before each selected cell
+    start, nondigits = bound[opening] + 1, rank[opening + 1] - rank[opening]
+    stop = bound[opening + 1]
+    if b"\r" in block:
+        # a \r\n row's last cell ends before its \r, which counts as one more non-digit
+        crlf = a[newline - 1] == 13
+        last = cols == width - 1
+        stop[last] -= crlf
+        nondigits[last] -= crlf
+    length = stop - start
+    ok = (nondigits == 1) & (length > 0) & (length < 19) & (a[start] != ord("0"))
+    where = np.nonzero(~ok)
+    bad = [(j, i, block[s:e].decode()) for j, i, s, e in zip(*(w.tolist() for w in where), start[where].tolist(),
+                                                             stop[where].tolist())]
+    length[~ok] = 0
+    # Horner's rule, right-aligned: the positions before a shorter cell's first digit add zeros
+    values = np.zeros(ok.shape, dtype=np.int64)
+    longest = int(length.max(initial=0))
+    at = stop + 18 - longest
+    for p in range(longest, 0, -1):
+        values *= 10
+        values += np.take(digits, at) * (length >= p)
+        at += 1
+    return values, ok, bad
 
 
 def test_label(test: str, law: DigitDistribution, upper: int | None, lower: int | None = None) -> str:
@@ -334,6 +492,11 @@ def _cmd_screen(args) -> int:
         delimiter=args.delimiter,
     )
     columns = ingest(config.input_path, config.columns, config.delimiter)
+    names = [col.name for col in columns]
+    if args.proportions and len(set(names)) < len(names):
+        shared = next(name for name in names if names.count(name) > 1)
+        raise ValueError(f"--proportions names its files by column, and {shared!r} names more than one "
+                         "selected column")
     # a ragged row's diagnostic is shared by every column and printed once
     for diag in dict.fromkeys(diag for col in columns for diag in col.diagnostics):
         print(f"diagnostic: {diag}", file=sys.stderr)

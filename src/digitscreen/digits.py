@@ -32,6 +32,7 @@ that computes it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import product
@@ -158,8 +159,8 @@ class DatasetColumn:
 
     @cached_property
     def digit_counts(self) -> np.ndarray:
-        """Number of decimal digits of each value (1 for 1..9, at most 19)."""
-        return np.searchsorted(_POWERS_OF_TEN, self.values, side="right")
+        """Number of decimal digits of each value (1 for 1..9, at most 19), as uint8."""
+        return np.searchsorted(_POWERS_OF_TEN, self.values, side="right").astype(np.uint8)
 
     def _kept(self, k: int, policy: str):
         """Index of the values that carry a k-th digit: all under trailing-zero, else those with >= k digits."""
@@ -176,9 +177,12 @@ class DatasetColumn:
         """
         kept = self._kept(k, policy)
         values, nd = self.values[kept], self.digit_counts[kept]
-        prefixes = values // _POWERS_OF_TEN[np.maximum(nd - k, 0)]
+        # nd - k would wrap in uint8; no value has more than 19 digits, so any k above 19 divides by 10^0
+        top = min(k, 19)
+        prefixes = _POWERS_OF_TEN[np.maximum(nd, top) - top]
+        np.floor_divide(values, prefixes, out=prefixes)
         short = nd < k
-        zeros = np.minimum(k - nd[short], 18)
+        zeros = np.minimum(k - nd[short].astype(np.int64), 18)
         prefixes[short] = values[short] % _POWERS_OF_TEN[18 - zeros] * _POWERS_OF_TEN[zeros]
         return prefixes
 
@@ -198,10 +202,17 @@ class CountVector:
     n: int = field(init=False)
 
     def __post_init__(self):
-        counts = tuple(map(int, self.counts))
+        counts = tuple(self.counts)
+        # one test per distinct type other than int: numpy integers become ints, floats and bools are errors
+        kinds = set(map(type, counts)) - {int}
+        if kinds:
+            for kind in kinds:
+                if not issubclass(kind, numbers.Integral) or issubclass(kind, bool):
+                    raise ValueError(f"counts must be integers, got {kind.__name__}")
+            counts = tuple(map(int, counts))
         if len(counts) != len(self.domain):
             raise ValueError(f"{len(counts)} counts for a domain of {len(self.domain)} cells")
-        if any(c < 0 for c in counts):
+        if min(counts, default=0) < 0:
             raise ValueError("counts must be nonnegative")
         object.__setattr__(self, "domain", tuple(self.domain))
         object.__setattr__(self, "counts", counts)

@@ -9,10 +9,13 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from digitscreen import cli
 from digitscreen.cli import (
@@ -72,6 +75,70 @@ def uniform_csv(tmp_path):
     lines = ["unit,votes"] + [f"u{i},{10 + int(d)}" for i, d in enumerate(digits)]
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+# Cells on both sides of every rule of the fast reader: the 18-digit window
+# (18, 19 and 20 digits, and 2^63 - 1 and its neighbours), leading zeros,
+# zeros and signs, padding and form feeds, NA, empty and NUL cells.
+PLAIN_CELLS = st.one_of(
+    st.integers(1, 10**4).map(str),
+    st.integers(10**17, 10**18 - 1).map(str),
+    st.integers(10**18, 10**19 - 1).map(str),
+    st.integers(10**19, 10**20 - 1).map(str),
+    st.integers(2**63 - 3, 2**63 + 3).map(str),
+    st.integers(0, 10**19).map(lambda v: f"0{v}"),
+    st.sampled_from(["", "0", "000", "-0", "-007", "-12", "+5", " 42", "42 ", " 7\t", "\x0c5", "3\x0c4", "\x0b6",
+                     "NA", "1_000", "2.5", "x", "a\x00b"]),
+)
+# cells that keep a file off the fast reader
+ODD_CELLS = st.sampled_from(['"12"', '"1,2"', '"3', "caf\u00e9", "\u0661\u0662", "\uff11", "1\r2", "4\u20285"])
+BLANK_LINES = st.sampled_from(["", " ", "\t", "\x0c", " \x1c "])
+
+
+@st.composite
+def delimited_files(draw):
+    """(file bytes, selectors, delimiter override) for a small table, plain or not."""
+    delim = draw(st.sampled_from([",", ";", "\t"]))
+    width = draw(st.integers(1, 4))
+    # each flaw that keeps a file off the fast reader comes in one file of five
+    odd, ragged, blanks, lone_cr = (draw(st.integers(0, 4)) == 0 for _ in range(4))
+    cell = st.one_of(PLAIN_CELLS, ODD_CELLS) if odd else PLAIN_CELLS
+    ends = ("\n", "\r") if lone_cr else draw(st.sampled_from([("\n",), ("\r\n",), ("\n", "\r\n")]))
+    names = st.sampled_from(["a", "b", " c ", "votes", "d e", "f"])
+    header = draw(st.lists(names, min_size=width, max_size=width, unique=draw(st.integers(0, 4)) > 0))
+    lines = [delim.join(header)]
+    for _ in range(draw(st.integers(0, 12))):
+        size = width + (draw(st.sampled_from([0, 0, 0, -1, 1])) if ragged else 0)
+        lines.append(delim.join(draw(st.lists(cell, min_size=size, max_size=size))))
+        if blanks and draw(st.integers(0, 3)) == 0:
+            lines.append(draw(BLANK_LINES))
+    text = "".join(line + draw(st.sampled_from(ends)) for line in lines)
+    if not draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no final line end
+    data = (b"\xef\xbb\xbf" if draw(st.booleans()) else b"") + text.encode("utf-8")
+    columns = draw(st.lists(st.integers(0, width - 1), min_size=1, max_size=width, unique=True))
+    by_name = draw(st.booleans())
+    selectors = [header[c].strip() if by_name else str(c) for c in columns]
+    return data, selectors, draw(st.sampled_from([None, delim]))
+
+
+def is_plain(data: bytes, delimiter) -> bool:
+    """Whether a file is ASCII, quote-free, has \\n or \\r\\n line ends, no blank line and no ragged row."""
+    data = data.removeprefix(b"\xef\xbb\xbf")
+    if not data.isascii() or b'"' in data or b"\r" in data.replace(b"\r\n", b""):
+        return False
+    lines = [line.removesuffix(b"\r").decode() for line in data.removesuffix(b"\n").split(b"\n")]
+    if any(not line.strip() for line in lines):
+        return False
+    delim = delimiter or cli._detect_delimiter(lines[0])
+    return all(line.count(delim) == lines[0].count(delim) for line in lines)
+
+
+def read_with(reader, *args):
+    try:
+        return [(col.name, col.values.tolist(), col.excluded_count, col.diagnostics) for col in reader(*args)]
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 class TestIngest:
@@ -193,6 +260,60 @@ class TestIngest:
             ingest(path, ["a"])
         first, second, b = ingest(path, ["0", "1", "b"])
         assert (first.values.tolist(), second.values.tolist(), b.values.tolist()) == ([100], [200], [300])
+
+    @pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_only_newline_and_carriage_return_end_a_line(self, tmp_path, separator):
+        path = tmp_path / "d.csv"
+        path.write_text(f"a,b\n12,3{separator}4\n5,6\r\n7,8\r9,10\n", encoding="utf-8")
+        (col,) = ingest(path, ["b"])
+        assert col.values.tolist() == [6, 8, 10]
+        assert col.diagnostics == (f"b: row 2: not an integer: {'3' + separator + '4'!r}",)
+
+    @pytest.mark.parametrize("selector", ["\u00b2", "\u0661", "\uff11"])
+    def test_index_selectors_are_ascii(self, tmp_path, selector):
+        path = tmp_path / "d.csv"
+        path.write_text("a,a,b\n100,200,300\n")
+        with pytest.raises(ValueError, match=f"column '{selector}' not found; available headers: a, a, b"):
+            ingest(path, [selector])
+
+    @settings(max_examples=300, deadline=None)
+    @given(delimited_files(), st.sampled_from([1, 2, 7, 64, cli._BLOCK_BYTES]))
+    def test_fast_reader_matches_csv_reader(self, file, block_bytes):
+        data, selectors, delimiter = file
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_BLOCK_BYTES", block_bytes):
+            path = Path(tmp) / "t.csv"
+            path.write_bytes(data)
+            expected = read_with(cli._read_csv, path, selectors, delimiter)
+            assert read_with(ingest, path, selectors, delimiter) == expected
+            fast = cli._read_plain(path, selectors, delimiter)
+            if fast is not None:
+                assert read_with(lambda: fast) == expected
+            elif is_plain(data, delimiter) and not isinstance(expected, str):
+                pytest.fail("the fast reader refused a plain table")
+
+    @pytest.mark.parametrize("text", ["a,b\n12,3\n", "a,b\r\n12,3\r\n", "\ufeffa;b\n12;3", "a\tb\n 12\t3 \n",
+                                      "a\n12\n"])
+    def test_fast_reader_accepts_plain_tables(self, tmp_path, text):
+        path = tmp_path / "t.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        fast = cli._read_plain(path, ["0"], None)
+        assert fast is not None and read_with(lambda: fast) == read_with(cli._read_csv, path, ["0"], None)
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    def test_fast_reader_reads_clean_cells_in_bulk(self, tmp_path, end):
+        path = tmp_path / "t.csv"
+        path.write_bytes(f"a,b{end}12,{10**17}{end}987654321012345678,3{end}".encode())
+        with mock.patch.object(cli, "_cell_count", side_effect=AssertionError("a clean cell left the bulk path")):
+            a, b = cli._read_plain(path, ["a", "b"], None)
+        assert a.values.tolist() == [12, 987654321012345678] and b.values.tolist() == [10**17, 3]
+
+    @pytest.mark.parametrize("text", ["a,b\n\n12,3\n", "a,b\n \x0c\n12,3\n", "a,b\n12,3\r4,5\n", 'a,b\n"12",3\n',
+                                      "a,b\n12,3,4\n", "a,b\n12,\u00e9\n", "\n\na,b\n12,3\n"])
+    def test_fast_reader_refuses_other_files(self, tmp_path, text):
+        path = tmp_path / "t.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert cli._read_plain(path, ["a"], None) is None
+        assert read_with(ingest, path, ["a"], None) == read_with(cli._read_csv, path, ["a"], None)
 
 
 class TestRunScreening:
@@ -452,6 +573,21 @@ class TestMainEntry:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error: column 'north' selects column 1 ('north') a second time" in captured.err
+
+    def test_proportions_refuse_columns_that_share_a_name(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        path.write_text("a,a,b\n" + "".join(f"{n},{2 * n},{n}\n" for n in range(10, 60)) + "x,7,8\n")
+        propdir = tmp_path / "props"
+        assert main(["screen", str(path), "--columns", "0,1", "--tests", "nb1", "--proportions", str(propdir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: --proportions names its files by column, and 'a' names more than one "
+                                "selected column\n")
+        assert not propdir.exists()
+        # without --proportions the same columns are screened
+        assert main(["screen", str(path), "--columns", "0,1", "--tests", "nb1"]) in (0, 2)
+        out = capsys.readouterr().out
+        assert sum(line.startswith("NB1 a ") for line in out.splitlines()) == 2
 
     def test_restricted_law_outside_its_bound(self, tmp_path, capsys):
         path = tmp_path / "v.csv"

@@ -199,6 +199,31 @@ class TestCountVector:
         with pytest.raises(ValueError, match="counts for a domain of 9 cells"):
             CountVector(tuple(range(1, 10)), counts)
 
+    @pytest.mark.parametrize("count", [2.7, 2.0, True, np.float64(2.0), np.True_], ids=repr)
+    def test_rejects_non_integer_counts(self, count):
+        with pytest.raises(ValueError, match="counts must be integers"):
+            CountVector(tuple(range(1, 10)), [count] + [0] * 8)
+
+    def test_numpy_integer_counts_become_ints(self):
+        cv = CountVector(tuple(range(1, 10)), np.arange(9, dtype=np.uint8))
+        assert cv.counts == tuple(range(9)) and all(type(c) is int for c in cv.counts) and cv.n == 36
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_digit_counts_are_uint8_at_any_position(policy):
+    values = [1, 9, 10, 99, 1234, 10**18, 2**63 - 1]
+    col = DatasetColumn("x", values)
+    assert col.digit_counts.dtype == np.uint8 and col.digit_counts.tolist() == [len(str(v)) for v in values]
+    # positions past the 19 digits of int64 and past the uint8 range
+    for i in (20, 255, 256, 300):
+        counts, excluded = str_digit_tally(values, i, policy)
+        if not counts:
+            with pytest.raises(ValueError, match="no analyzable values"):
+                digit_frequencies(col, i, policy)
+            continue
+        cv = digit_frequencies(col, i, policy)
+        assert by_digit(cv) == {d: counts.get(d, 0) for d in digit_domain(i)} and cv.excluded == excluded
+
 
 def test_real_digit_frequencies():
     cv = real_digit_frequencies([0.154, 23.0, 9.1, 0.5], 1)
