@@ -35,6 +35,9 @@ _DELIMITERS = (",", ";", "\t")
 _INT64_MAX = 2**63 - 1
 _INT32_MAX = 2**31 - 1
 
+# ends the diagnostic of a ragged row, which every selected column shares
+_RAGGED = "excluded from every column"
+
 # bytes per block of the plain-table reader: its per-cell index arrays take
 # tens of bytes per input byte, so a larger block raises the peak memory, not
 # the speed (reading a 500-column table took 7.2 MB at 256 KiB, 2.6 at 64 KiB)
@@ -179,16 +182,17 @@ def _read_csv(path, selectors, delimiter: str | None) -> list[DatasetColumn]:
         raise ValueError(f"empty input file: {path}")
     delim = delimiter or _detect_delimiter(lines[numbers[0] - 1])
     reader = csv.reader([lines[n - 1] for n in numbers], delimiter=delim)
-    header, indices = _select(next(reader), selectors)
+    rows = _csv_rows(reader, numbers, path)
+    header, indices = _select(next(rows), selectors)
 
     # one pass over the rows, which are never all held at once
     values = [[] for _ in indices]
     diagnostics = [[] for _ in indices]
     width = len(header)
-    for row in reader:
+    for row in rows:
         if len(row) != width:
             diagnostic = (f"row {numbers[reader.line_num - 1]}: {len(row)} cells where the header has {width}; "
-                          "excluded from every column")
+                          f"{_RAGGED}")
             for col_diagnostics in diagnostics:
                 col_diagnostics.append(diagnostic)
             continue
@@ -200,6 +204,15 @@ def _read_csv(path, selectors, delimiter: str | None) -> list[DatasetColumn]:
     return [DatasetColumn(header[idx], np.array(col_values, dtype=np.int64), excluded_count=len(col_diagnostics),
                           diagnostics=tuple(col_diagnostics))
             for idx, col_values, col_diagnostics in zip(indices, values, diagnostics)]
+
+
+def _csv_rows(reader, numbers: list[int], path):
+    """The reader's rows; its error on a row (say, a cell over csv's field size limit) is a ValueError naming the
+    file line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"{path}: row {numbers[reader.line_num - 1]}: {exc}") from None
 
 
 def _read_plain(path, selectors, delimiter: str | None) -> list[DatasetColumn] | None:
@@ -497,9 +510,11 @@ def _cmd_screen(args) -> int:
         shared = next(name for name in names if names.count(name) > 1)
         raise ValueError(f"--proportions names its files by column, and {shared!r} names more than one "
                          "selected column")
-    # a ragged row's diagnostic is shared by every column and printed once
-    for diag in dict.fromkeys(diag for col in columns for diag in col.diagnostics):
-        print(f"diagnostic: {diag}", file=sys.stderr)
+    # a ragged row's diagnostic, which every column shares, is printed with the first column's
+    for i, col in enumerate(columns):
+        for diag in col.diagnostics:
+            if i == 0 or not diag.endswith(_RAGGED):
+                print(f"diagnostic: {diag}", file=sys.stderr)
     doc = run_screening(config, columns)
     rendered = render(doc, config.output_format)
     if args.out:

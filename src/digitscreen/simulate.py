@@ -9,7 +9,8 @@ is promised: numpy's SIMD log, exp and tan can differ in the last bit between
 dispatch targets, and the shipped lognormal mixture writes different values
 under AVX512 than under SSE4.2. Unit j of a voting run uses the stream
 PCG64(SeedSequence(seed, spawn_key=(j,))), which makes per-unit generation
-order-independent and safe to parallelize.
+order-independent and safe to parallelize. Units are generated in blocks,
+but each unit reads its own stream in the order of a unit generated alone.
 """
 
 from __future__ import annotations
@@ -27,6 +28,16 @@ from .laws import DigitDistribution, law_from_name
 MIXTURE_FAMILIES = ("lognormal", "half-cauchy", "scaled-exponential", "uniform-range")
 
 _MAX_REDRAW_ROUNDS = 100
+
+# samples per block of mixture membership uniforms, which keeps that draw's
+# temporaries small beside the one byte per sample that membership takes
+_MEMBERSHIP_BLOCK = 1 << 16
+
+# The voting model builds its units' generators a block at a time; a small
+# block keeps peak memory flat. Each unit draws its first _HEAD uniforms up
+# front, which its three Beta draws nearly always fit in.
+_BLOCK = 32
+_HEAD = 64
 
 
 @dataclass(frozen=True)
@@ -127,56 +138,98 @@ def _unit_rng(seed: int, unit_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _standard_normals(rng: np.random.Generator, size: int) -> np.ndarray:
-    # Box-Muller on the uniform stream; 1 - u keeps the log argument in (0, 1]
-    u1 = 1.0 - rng.random(size)
-    u2 = rng.random(size)
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+def _box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """Standard normals sqrt(-2 ln(1 - u1)) cos(2 pi u2), computed in place in u1 and u2.
+
+    Each step is one elementwise ufunc, so an element's value does not depend
+    on the shape or length of the arrays; 1 - u keeps the log argument in (0, 1].
+    """
+    z = np.subtract(1.0, u1, out=u1)
+    np.log(z, out=z)
+    np.multiply(z, -2.0, out=z)
+    np.sqrt(z, out=z)
+    np.multiply(u2, 2.0 * np.pi, out=u2)
+    np.cos(u2, out=u2)
+    return np.multiply(z, u2, out=z)
 
 
-def _normal_scalar(rng: np.random.Generator) -> float:
-    return float(_standard_normals(rng, 1)[0])
+def _head_normals(head: np.ndarray) -> np.ndarray:
+    """The Box-Muller normal at each offset of the head's last axis, as a unit
+    generated alone would draw it there: offset i reads uniforms i and i + 1."""
+    return _box_muller(head[..., :-1].copy(), head[..., 1:].copy())
 
 
-def _gamma_variate(rng: np.random.Generator, shape: float) -> float:
-    # Marsaglia-Tsang squeeze; the shape < 1 case boosts through shape + 1
+def _gamma_variate(h: list, z: list, cur: int, shape: float) -> tuple[float, int]:
+    """Marsaglia-Tsang squeeze over a unit's head: its uniforms h, the normals z
+    at each offset, and the cursor of the first unused uniform. Returns the
+    variate and the cursor after it; IndexError when the head runs out.
+    """
+    # the shape < 1 case boosts through shape + 1, with its uniform read after that draw's
     if shape < 1.0:
-        return _gamma_variate(rng, shape + 1.0) * (1.0 - rng.random()) ** (1.0 / shape)
+        g, cur = _gamma_variate(h, z, cur, shape + 1.0)
+        return g * (1.0 - h[cur]) ** (1.0 / shape), cur + 1
     d = shape - 1.0 / 3.0
     c = 1.0 / math.sqrt(9.0 * d)
     while True:
-        x = _normal_scalar(rng)
+        x = z[cur]
+        cur += 2
         v = (1.0 + c * x) ** 3
         if v <= 0.0:
             continue
-        u = rng.random()
+        u = h[cur]
+        cur += 1
         if u < 1.0 - 0.0331 * x**4:
-            return d * v
+            return d * v, cur
         if u > 0.0 and math.log(u) < 0.5 * x * x + d - d * v + d * math.log(v):
-            return d * v
+            return d * v, cur
 
 
-def _beta_variate(rng: np.random.Generator, a: float, b: float) -> float:
-    if b == 0.0:
-        return 1.0
-    if a == 0.0:
-        return 0.0
-    x = _gamma_variate(rng, a)
-    y = _gamma_variate(rng, b)
-    return x / (x + y)
+def _unit_betas(h: list, z: list, betas) -> tuple[list, int]:
+    """A unit's Beta draws, in order, from its head; and the cursor after them."""
+    draws, cur = [], 0
+    for a, b in betas:
+        if b == 0.0:
+            draws.append(1.0)
+        elif a == 0.0:
+            draws.append(0.0)
+        else:
+            x, cur = _gamma_variate(h, z, cur, a)
+            y, cur = _gamma_variate(h, z, cur, b)
+            draws.append(x / (x + y))
+    return draws, cur
 
 
-def _bernoulli_count(rng: np.random.Generator, n: int, p: float) -> int:
-    # Binomial(n, p) as a count of uniforms below p; exact and stream-stable
-    if n <= 0:
-        return 0
-    return int(np.count_nonzero(rng.random(n) < p))
+def _long_head(seed: int, unit_index: int, betas) -> tuple:
+    """The unit's generator built again, for Beta draws that outrun the shared
+    head: the head doubles until they fit. Returns the generator, the head,
+    the draws and the cursor after them."""
+    size = 2 * _HEAD
+    while True:
+        rng = _unit_rng(seed, unit_index)
+        head = rng.random(size)
+        try:
+            return rng, head, *_unit_betas(head.tolist(), _head_normals(head).tolist(), betas)
+        except IndexError:
+            size *= 2
+
+
+def _uniforms(rest: np.ndarray, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The unit's next n uniforms, those left in ``rest`` first; and what ``rest`` still holds."""
+    if rest.size >= n:
+        return rest[:n], rest[n:]
+    u = np.empty(n)
+    u[:rest.size] = rest
+    rng.random(out=u[rest.size:])
+    return u, rest[:0]
 
 
 def _draw_family(rng: np.random.Generator, comp: MixtureComponent, size: int) -> np.ndarray:
     p = comp.params
     if comp.family == "lognormal":
-        return np.exp(p["mu"] + p["sigma"] * _standard_normals(rng, size))
+        z = _box_muller(rng.random(size), rng.random(size))
+        np.multiply(z, p["sigma"], out=z)
+        np.add(z, p["mu"], out=z)
+        return np.exp(z, out=z)
     if comp.family == "half-cauchy":
         return p["scale"] * np.tan(0.5 * np.pi * rng.random(size))
     if comp.family == "scaled-exponential":
@@ -194,13 +247,18 @@ def sample_mixture(config: MixtureConfig) -> np.ndarray:
     rng = _root_rng(config.seed)
     cum = np.cumsum([c.weight for c in config.components])
     cum[-1] = 1.0
-    membership = np.searchsorted(cum, rng.random(config.n_samples), side="right")
+    # drawn in blocks, the membership uniforms are the same stream as in one draw
+    membership = np.empty(config.n_samples, dtype=np.min_scalar_type(len(cum)))
+    for start in range(0, config.n_samples, _MEMBERSHIP_BLOCK):
+        block = membership[start:start + _MEMBERSHIP_BLOCK]
+        block[:] = np.searchsorted(cum, rng.random(block.size), side="right")
     out = np.empty(config.n_samples, dtype=float)
     for j, comp in enumerate(config.components):
-        slots = np.flatnonzero(membership == j)
-        if slots.size == 0:
+        slots = membership == j
+        size = int(np.count_nonzero(slots))
+        if size == 0:
             continue
-        draws = _draw_family(rng, comp, slots.size)
+        draws = _draw_family(rng, comp, size)
         for _ in range(_MAX_REDRAW_ROUNDS):
             bad = ~(draws > 0.0)
             if not bad.any():
@@ -220,18 +278,37 @@ def hmpm_unit_counts(config: VotingModelConfig) -> list[tuple[int, int]]:
     each bloc votes for A with its own probability (loyalty, resp. a
     Beta-drawn swing probability); B receives the remainder, so counts can
     never exceed max_voters.
+
+    Units are generated _BLOCK at a time: each draws its first _HEAD uniforms
+    into one array, whose Box-Muller normals at every offset come from one
+    numpy pass. The Marsaglia-Tsang rejection loop then reads each unit's
+    head in Python, in the order and with the float operations of a unit
+    generated alone, and each Bernoulli count is one ``count_nonzero`` over
+    the next uniforms of the unit's stream. Blocks change neither a unit's
+    stream nor the order it is read in.
     """
+    betas = (config.turnout_dist, config.partisan_fraction_dist, config.swing_prob_dist)
     units = []
-    for j in range(config.n_units):
-        rng = _unit_rng(config.seed, j)
-        t = _beta_variate(rng, *config.turnout_dist)
-        phi = _beta_variate(rng, *config.partisan_fraction_dist)
-        w = _beta_variate(rng, *config.swing_prob_dist)
-        turnout = _bernoulli_count(rng, config.max_voters, t)
-        partisans = _bernoulli_count(rng, turnout, phi)
-        swing = turnout - partisans
-        a = _bernoulli_count(rng, partisans, config.partisan_loyalty) + _bernoulli_count(rng, swing, w)
-        units.append((a, turnout - a))
+    for start in range(0, config.n_units, _BLOCK):
+        rngs = [_unit_rng(config.seed, j) for j in range(start, min(start + _BLOCK, config.n_units))]
+        heads = np.empty((len(rngs), _HEAD))
+        for rng, head in zip(rngs, heads):
+            rng.random(out=head)
+        normals = _head_normals(heads).tolist()
+        for j, (rng, head, h, z) in enumerate(zip(rngs, heads, heads.tolist(), normals), start):
+            try:
+                (t, phi, w), cur = _unit_betas(h, z, betas)
+            except IndexError:
+                rng, head, (t, phi, w), cur = _long_head(config.seed, j, betas)
+            # each count reads on from the first uniform its predecessor left unused
+            u, rest = _uniforms(head[cur:], rng, config.max_voters)
+            turnout = int(np.count_nonzero(u < t))
+            # partisans among the turnout, then the loyal partisans and the swing voters for A
+            u, _ = _uniforms(rest, rng, 2 * turnout)
+            partisans = int(np.count_nonzero(u[:turnout] < phi))
+            a = int(np.count_nonzero(u[turnout:turnout + partisans] < config.partisan_loyalty))
+            a += int(np.count_nonzero(u[turnout + partisans:] < w))
+            units.append((a, turnout - a))
     return units
 
 

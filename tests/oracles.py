@@ -5,7 +5,8 @@ oracle integrates the density numerically at high precision, the Bayes
 factor oracle works in exact rational arithmetic, and the digit tallies read
 each value's decimal string instead of dividing by powers of ten. The
 digit-keyed chi-squared and ln B01 oracles pin the float operations of the
-reports instead: they must agree with the library bit for bit.
+reports instead: they must agree with the library bit for bit, as must the
+voting model's former scalar generator.
 """
 
 import math
@@ -13,6 +14,7 @@ from collections import Counter
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 
 
 def mp_gamma_q(a: float, x: float, dps: int = 40) -> float:
@@ -124,3 +126,76 @@ def sorted_lower_median(values):
     """The lower middle element of the sorted values."""
     ordered = sorted(values)
     return ordered[(len(ordered) - 1) // 2]
+
+
+# The voting model's former scalar generator, copied verbatim from
+# digitscreen.simulate: one unit at a time, one Box-Muller normal per
+# 1-element draw, and one draw per Bernoulli count. simulate.hmpm_unit_counts
+# must give the same units, bit for bit.
+
+
+def _unit_rng(seed: int, unit_index: int) -> np.random.Generator:
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(unit_index,))
+    return np.random.Generator(np.random.PCG64(ss))
+
+
+def _standard_normals(rng: np.random.Generator, size: int) -> np.ndarray:
+    # Box-Muller on the uniform stream; 1 - u keeps the log argument in (0, 1]
+    u1 = 1.0 - rng.random(size)
+    u2 = rng.random(size)
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+
+
+def _normal_scalar(rng: np.random.Generator) -> float:
+    return float(_standard_normals(rng, 1)[0])
+
+
+def _gamma_variate(rng: np.random.Generator, shape: float) -> float:
+    # Marsaglia-Tsang squeeze; the shape < 1 case boosts through shape + 1
+    if shape < 1.0:
+        return _gamma_variate(rng, shape + 1.0) * (1.0 - rng.random()) ** (1.0 / shape)
+    d = shape - 1.0 / 3.0
+    c = 1.0 / math.sqrt(9.0 * d)
+    while True:
+        x = _normal_scalar(rng)
+        v = (1.0 + c * x) ** 3
+        if v <= 0.0:
+            continue
+        u = rng.random()
+        if u < 1.0 - 0.0331 * x**4:
+            return d * v
+        if u > 0.0 and math.log(u) < 0.5 * x * x + d - d * v + d * math.log(v):
+            return d * v
+
+
+def _beta_variate(rng: np.random.Generator, a: float, b: float) -> float:
+    if b == 0.0:
+        return 1.0
+    if a == 0.0:
+        return 0.0
+    x = _gamma_variate(rng, a)
+    y = _gamma_variate(rng, b)
+    return x / (x + y)
+
+
+def _bernoulli_count(rng: np.random.Generator, n: int, p: float) -> int:
+    # Binomial(n, p) as a count of uniforms below p; exact and stream-stable
+    if n <= 0:
+        return 0
+    return int(np.count_nonzero(rng.random(n) < p))
+
+
+def scalar_hmpm_unit_counts(config) -> list[tuple[int, int]]:
+    """The voting model's per-unit (candidate A, candidate B) counts, one unit at a time."""
+    units = []
+    for j in range(config.n_units):
+        rng = _unit_rng(config.seed, j)
+        t = _beta_variate(rng, *config.turnout_dist)
+        phi = _beta_variate(rng, *config.partisan_fraction_dist)
+        w = _beta_variate(rng, *config.swing_prob_dist)
+        turnout = _bernoulli_count(rng, config.max_voters, t)
+        partisans = _bernoulli_count(rng, turnout, phi)
+        swing = turnout - partisans
+        a = _bernoulli_count(rng, partisans, config.partisan_loyalty) + _bernoulli_count(rng, swing, w)
+        units.append((a, turnout - a))
+    return units

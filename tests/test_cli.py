@@ -253,6 +253,24 @@ class TestIngest:
             "diagnostic: other: row 3: not an integer: 'x'",
         ]
 
+    def test_columns_sharing_a_name_print_each_cell_diagnostic(self, tmp_path, capsys):
+        # two exclusions, one per column, print two lines; the ragged row 4 still prints one
+        path = tmp_path / "d.csv"
+        path.write_text("a,a,b\n5,5,1\nx,x,2\n12,12\n" + "".join(f"{n},{n},{n}\n" for n in range(10, 40)))
+        assert main(["screen", str(path), "--columns", "0,1", "--tests", "nb1"]) in (0, 2)
+        assert capsys.readouterr().err.splitlines() == [
+            "diagnostic: a: row 3: not an integer: 'x'",
+            "diagnostic: row 4: 2 cells where the header has 3; excluded from every column",
+            "diagnostic: a: row 3: not an integer: 'x'",
+        ]
+
+    def test_cell_over_the_csv_field_limit_is_an_error(self, tmp_path, capsys):
+        # the quote sends the file to the csv reader, whose field size limit refuses the long cell
+        path = tmp_path / "d.csv"
+        path.write_text("a,b\n1," + "9" * 200_000 + '\n2,"3"\n')
+        assert main(["screen", str(path), "--columns", "b", "--tests", "nb1"]) == 1
+        assert capsys.readouterr().err == f"error: {path}: row 2: field larger than field limit (131072)\n"
+
     def test_ambiguous_name_is_an_error(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("a,a,b\n100,200,300\n")

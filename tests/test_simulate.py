@@ -2,11 +2,14 @@
 
 import importlib.resources
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from digitscreen import digits
+from digitscreen import digits, simulate
 from digitscreen.digits import _digit_string as digit_string
 from digitscreen.inference import screen
 from digitscreen.laws import RestrictionSpec, nbl_first, nbl_second, restricted_law
@@ -23,6 +26,7 @@ from digitscreen.simulate import (
     sample_mixture,
     screen_mixture,
 )
+from oracles import scalar_hmpm_unit_counts
 
 
 def lognormal_mixture(n_components=50, n_samples=100_000, seed=7):
@@ -102,6 +106,23 @@ class TestMixture:
             MixtureComponent("uniform-range", {"low": 5.0, "high": 1.0}, 1.0)
 
 
+    def test_transient_memory_is_bounded(self):
+        # the shipped two-lognormal mixture at the benchmark's size; the result itself is 2 MB
+        cfg = MixtureConfig(
+            components=(MixtureComponent("lognormal", {"mu": 0.0, "sigma": 2.0}, 0.5),
+                        MixtureComponent("lognormal", {"mu": 4.0, "sigma": 2.5}, 0.5)),
+            n_samples=250_000,
+            seed=11,
+        )
+        tracemalloc.start()
+        try:
+            samples = sample_mixture(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert samples.nbytes == 2_000_000
+        assert peak <= 7_000_000
+
     def test_float_digits_rarely_fall_back_to_repr(self, monkeypatch):
         # the vector candidate reads almost every sample; repr is for values near a digit boundary
         calls = []
@@ -178,6 +199,54 @@ class TestVotingModel:
             )
         with pytest.raises(ValueError, match="seed"):
             default_voting_config(seed=-3)
+
+
+BETA_SHAPES = st.sampled_from([0.0, 0.19, 0.58, 0.85, 1.0, 1.05, 2.5, 30.0])
+BETA_PAIRS = st.tuples(BETA_SHAPES, BETA_SHAPES).filter(lambda ab: ab[0] + ab[1] > 0.0)
+
+
+@st.composite
+def voting_configs(draw):
+    return VotingModelConfig(
+        n_units=draw(st.sampled_from([1, simulate._BLOCK - 1, simulate._BLOCK, simulate._BLOCK + 1, 300])),
+        max_voters=draw(st.sampled_from([10, 2250])),
+        turnout_dist=draw(BETA_PAIRS),
+        partisan_fraction_dist=draw(BETA_PAIRS),
+        partisan_loyalty=draw(st.sampled_from([0.0, 0.99, 1.0])),
+        swing_prob_dist=draw(BETA_PAIRS),
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+
+
+class TestVotingModelOracle:
+    """The block generator against the former scalar one, unit for unit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(voting_configs())
+    def test_blocks_match_scalar_oracle(self, cfg):
+        assert hmpm_unit_counts(cfg) == scalar_hmpm_unit_counts(cfg)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 7, 42, 987654321, 2**63 + 5, 2**64 - 1])
+    def test_shipped_default_matches_scalar_oracle(self, seed):
+        cfg = replace(default_voting_config(seed), n_units=200)
+        assert hmpm_unit_counts(cfg) == scalar_hmpm_unit_counts(cfg)
+
+    def test_units_that_outrun_the_head_match_scalar_oracle(self, monkeypatch):
+        # a 4-uniform head holds no Beta draw, so every unit with one builds its generator again
+        calls = []
+        long_head = simulate._long_head
+        monkeypatch.setattr(simulate, "_HEAD", 4)
+        monkeypatch.setattr(simulate, "_long_head", lambda *args: calls.append(args) or long_head(*args))
+        cfg = replace(default_voting_config(9), n_units=70, swing_prob_dist=(30.0, 2.5))
+        assert hmpm_unit_counts(cfg) == scalar_hmpm_unit_counts(cfg)
+        assert len(calls) == cfg.n_units
+
+    def test_oracle_sees_a_dropped_head_remainder(self, monkeypatch):
+        # counting turnout from fresh uniforms, past the head's unused ones, changes the units
+        unit_betas = simulate._unit_betas
+        monkeypatch.setattr(simulate, "_unit_betas", lambda h, z, betas: (unit_betas(h, z, betas)[0], len(h)))
+        cfg = replace(default_voting_config(9), n_units=40)
+        assert hmpm_unit_counts(cfg) != scalar_hmpm_unit_counts(cfg)
 
 
 class TestConformanceExperiment:
