@@ -12,9 +12,9 @@ import argparse
 import codecs
 import csv
 import itertools
-import json
 import os
 import sys
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -65,6 +65,7 @@ class ScreenConfig:
     threshold: float = DEFAULT_THRESHOLD
     delimiter: str | None = None
     laws: tuple = field(init=False, repr=False, compare=False)
+    prior: HypothesisPrior = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.columns:
@@ -75,6 +76,7 @@ class ScreenConfig:
         if (self.upper_bound, self.lower_bound) != (None, None) and all(law.restriction is None for law in laws):
             raise ValueError("--bound and --lower apply only to the restricted tests rnb1 and rnb2")
         object.__setattr__(self, "laws", laws)
+        object.__setattr__(self, "prior", HypothesisPrior(self.prior_h0))
         # no posterior lies below a threshold of 0, so the exit-code gate could never fire
         if not 0.0 < self.threshold <= 1.0:
             raise ValueError(f"threshold must lie in (0, 1], got {self.threshold!r}")
@@ -173,46 +175,78 @@ def _cell_count(cell: str) -> int:
 
 
 def _read_csv(path, selectors, delimiter: str | None) -> list[DatasetColumn]:
-    """``ingest`` through the csv module: any UTF-8 file, quoted cells and ragged rows included."""
-    # universal newlines turn \r\n and \r into \n, the only line end split on
-    lines = Path(path).read_text(encoding="utf-8-sig").split("\n")
-    # blank lines are skipped, but a row is numbered by the file line it ends on
-    numbers = [n for n, ln in enumerate(lines, start=1) if ln.strip()]
-    if not numbers:
-        raise ValueError(f"empty input file: {path}")
-    delim = delimiter or _detect_delimiter(lines[numbers[0] - 1])
-    reader = csv.reader([lines[n - 1] for n in numbers], delimiter=delim)
-    rows = _csv_rows(reader, numbers, path)
-    header, indices = _select(next(rows), selectors)
+    """``ingest`` through the csv module: any UTF-8 file, quoted cells and ragged rows included.
 
-    # one pass over the rows, which are never all held at once
-    values = [[] for _ in indices]
-    diagnostics = [[] for _ in indices]
-    width = len(header)
-    for row in rows:
-        if len(row) != width:
-            diagnostic = (f"row {numbers[reader.line_num - 1]}: {len(row)} cells where the header has {width}; "
-                          f"{_RAGGED}")
-            for col_diagnostics in diagnostics:
-                col_diagnostics.append(diagnostic)
-            continue
-        for idx, col_values, col_diagnostics in zip(indices, values, diagnostics):
-            try:
-                col_values.append(_cell_count(row[idx]))
-            except ValueError as exc:
-                col_diagnostics.append(f"{header[idx]}: row {numbers[reader.line_num - 1]}: {exc}")
-    return [DatasetColumn(header[idx], np.array(col_values, dtype=np.int64), excluded_count=len(col_diagnostics),
+    The file is read one line at a time and its counts are kept in int64
+    arrays, so no more than one row's text is held at once.
+    """
+    # universal newlines turn \r\n and \r into \n, the only line end split on; a byte that is not UTF-8 is
+    # read as a lone surrogate, so that _Lines can name its line
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
+        lines = _Lines(fh, path)
+        first = next(lines, None)
+        if first is None:
+            raise ValueError(f"empty input file: {path}")
+        reader = csv.reader(itertools.chain([first], lines), delimiter=delimiter or _detect_delimiter(first))
+        rows = _csv_rows(reader, lines, path)
+        header, indices = _select(next(rows), selectors)
+        values = [array("q") for _ in indices]
+        diagnostics = [[] for _ in indices]
+        width = len(header)
+        for row in rows:
+            if len(row) != width:
+                diagnostic = f"row {lines.number}: {len(row)} cells where the header has {width}; {_RAGGED}"
+                for col_diagnostics in diagnostics:
+                    col_diagnostics.append(diagnostic)
+                continue
+            for idx, col_values, col_diagnostics in zip(indices, values, diagnostics):
+                try:
+                    col_values.append(_cell_count(row[idx]))
+                except ValueError as exc:
+                    col_diagnostics.append(f"{header[idx]}: row {lines.number}: {exc}")
+    return [DatasetColumn(header[idx], np.frombuffer(col_values, dtype=np.int64), excluded_count=len(col_diagnostics),
                           diagnostics=tuple(col_diagnostics))
             for idx, col_values, col_diagnostics in zip(indices, values, diagnostics)]
 
 
-def _csv_rows(reader, numbers: list[int], path):
+class _Lines:
+    """An iterator over the non-blank lines of a text file, without their line ends.
+
+    Blank lines are skipped, but a row is numbered by the file line it ends
+    on: ``number`` is the file line of the last line handed out. A line that
+    holds a byte read as a lone surrogate (the file is not UTF-8 there) is a
+    ValueError naming its file line.
+    """
+
+    def __init__(self, fh, path):
+        self._lines = enumerate(fh, start=1)
+        self._path = path
+        self.number = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> str:
+        for number, line in self._lines:
+            if line.strip():
+                self.number = number
+                if not line.isascii():
+                    try:
+                        line.encode()
+                    except UnicodeEncodeError as exc:
+                        raise ValueError(f"{self._path}: row {number}: byte {ord(line[exc.start]) - 0xDC00:#04x} "
+                                         "is not UTF-8") from None
+                return line.removesuffix("\n")
+        raise StopIteration
+
+
+def _csv_rows(reader, lines: _Lines, path):
     """The reader's rows; its error on a row (say, a cell over csv's field size limit) is a ValueError naming the
     file line."""
     try:
         yield from reader
     except csv.Error as exc:
-        raise ValueError(f"{path}: row {numbers[reader.line_num - 1]}: {exc}") from None
+        raise ValueError(f"{path}: row {lines.number}: {exc}") from None
 
 
 def _read_plain(path, selectors, delimiter: str | None) -> list[DatasetColumn] | None:
@@ -366,12 +400,11 @@ def run_screening(config: ScreenConfig, columns: list[DatasetColumn] | None = No
     errors: list[ReportError] = []
     if columns is None:
         columns = ingest(config.input_path, config.columns, config.delimiter)
-    prior = HypothesisPrior(config.prior_h0)
     for test, law in zip(config.tests, config.laws):
         label = test_label(test, law, config.upper_bound, config.lower_bound)
         for col in columns:
             try:
-                rows.append(ReportRow(col.name, label, screen(col, law, prior, config.policy), test))
+                rows.append(ReportRow(col.name, label, screen(col, law, config.prior, config.policy), test))
             except (ValueError, RuntimeError) as exc:
                 errors.append(ReportError(col.name, label, str(exc)))
     return ReportDocument(rows=tuple(rows), errors=tuple(errors))
@@ -387,13 +420,27 @@ def digit_label(d) -> str:
     return "".join(map(str, d)) if isinstance(d, tuple) else str(d)
 
 
-def write_proportions(table, out_path: Path, fmt: str) -> None:
+def proportions_template(law: DigitDistribution, fmt: str) -> str:
+    """The text of one ``proportions_table`` file of ``law``, with a ``%r`` slot for each observed proportion.
+
+    ``fmt`` is "csv" or "json". Filled with ``CountVector.proportions()``, it
+    gives the bytes that ``csv.writer`` (``repr`` of each float; no digit
+    label needs quoting) or ``json.dumps(rows, indent=2)`` write from the
+    table's rows.
+    """
+    labels = map(digit_label, law.domain)
     if fmt == "json":
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        payload = [{"digit": d, "observed": obs, "law": law} for d, obs, law in table]
-        out_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    else:
-        _write_csv(out_path, ("digit", "observed_proportion", "law_probability"), table)
+        rows = ",\n".join(f'  {{\n    "digit": "{label}",\n    "observed": %r,\n    "law": {p!r}\n  }}'
+                          for label, p in zip(labels, law.probs))
+        return f"[\n{rows}\n]\n"
+    return "digit,observed_proportion,law_probability\n" + "".join(f"{label},%r,{p!r}\n"
+                                                                  for label, p in zip(labels, law.probs))
+
+
+def write_proportions(template: str, out_path: Path, counts: CountVector) -> None:
+    """Write the proportions file of ``counts`` from its law's ``proportions_template``; the directory exists."""
+    with open(out_path, "wb") as fh:
+        fh.write((template % counts.proportions()).encode())
 
 
 def _write_csv(out_path: Path, header: tuple, rows) -> None:
@@ -505,11 +552,8 @@ def _cmd_screen(args) -> int:
         delimiter=args.delimiter,
     )
     columns = ingest(config.input_path, config.columns, config.delimiter)
-    names = [col.name for col in columns]
-    if args.proportions and len(set(names)) < len(names):
-        shared = next(name for name in names if names.count(name) > 1)
-        raise ValueError(f"--proportions names its files by column, and {shared!r} names more than one "
-                         "selected column")
+    if args.proportions:
+        _check_file_names([col.name for col in columns])
     # a ragged row's diagnostic, which every column shares, is printed with the first column's
     for i, col in enumerate(columns):
         for diag in col.diagnostics:
@@ -523,14 +567,28 @@ def _cmd_screen(args) -> int:
         out.write_text(rendered, encoding="utf-8")
     else:
         sys.stdout.write(rendered)
-    if args.proportions:
+    if args.proportions and doc.rows:
         outdir = resolve_out(args.proportions)
+        outdir.mkdir(parents=True, exist_ok=True)
         fmt = "json" if config.output_format == "json" else "csv"
-        laws = dict(zip(config.tests, config.laws))
+        templates = {test: proportions_template(law, fmt) for test, law in zip(config.tests, config.laws)}
         for row in doc.rows:
-            table = proportions_table(row.report.counts, laws[row.test_name])
-            write_proportions(table, outdir / f"{row.column}_{row.test_name}.{fmt}", fmt)
+            write_proportions(templates[row.test_name], outdir / f"{row.column}_{row.test_name}.{fmt}",
+                              row.report.counts)
     return doc.exit_code(config.threshold)
+
+
+def _check_file_names(names: list[str]) -> None:
+    """Refuse column names that cannot name --proportions files: shared, or holding a path separator."""
+    if len(set(names)) < len(names):
+        shared = next(name for name in names if names.count(name) > 1)
+        raise ValueError(f"--proportions names its files by column, and {shared!r} names more than one "
+                         "selected column")
+    separators = {"/", os.sep, os.altsep} - {None}
+    for name in names:
+        if separators.intersection(name):
+            raise ValueError(f"--proportions names its files by column, and the column name {name!r} holds a "
+                             "path separator")
 
 
 def _cmd_simulate(args) -> int:

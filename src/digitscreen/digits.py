@@ -145,6 +145,8 @@ class DatasetColumn:
     values: np.ndarray
     excluded_count: int = 0
     diagnostics: tuple[str, ...] = field(default=(), repr=False)
+    # the tallies of digit_frequencies and joint_frequencies, which the read-only values never invalidate
+    _tallies: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "values", _count_array(self.name, self.values))
@@ -237,11 +239,19 @@ def digit_frequencies(column: DatasetColumn, i: int, policy: str = EXCLUDE_SHORT
     digits are dropped and tallied in the result's ``excluded`` field;
     counting them as trailing zeros would spuriously inflate digit 0.
     ``trailing-zero`` applies significant_digit literally instead.
+
+    The tally is kept on the column, so a later call for the same (i,
+    policy), say rnb1 after nb1, returns the same CountVector without
+    reading the values again. A column without analyzable values raises on
+    every call.
     """
     domain = digit_domain(i)
-    prefixes = column.prefixes(i, policy)
-    counts = np.bincount(prefixes % 10, minlength=10)
-    return _count_vector(domain, counts[list(domain)], column.m - prefixes.size)
+    key = ("digit", i, policy)
+    if key not in column._tallies:
+        prefixes = column.prefixes(i, policy)
+        counts = np.bincount(prefixes % 10, minlength=10)
+        column._tallies[key] = _count_vector(domain, counts[list(domain)], column.m - prefixes.size)
+    return column._tallies[key]
 
 
 def real_digit_frequencies(values, i: int) -> CountVector:
@@ -315,14 +325,22 @@ def _float_prefixes(x: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def joint_frequencies(column: DatasetColumn, k: int = 2, policy: str = EXCLUDE_SHORT) -> CountVector:
-    """Tabulate ordered k-digit prefixes (d1, ..., dk) of every retained value."""
+    """Tabulate ordered k-digit prefixes (d1, ..., dk) of every retained value.
+
+    As in ``digit_frequencies``, the tally is kept on the column for later
+    calls with the same (k, policy), and a failed one is not.
+    """
+    _check_digit_index(k)  # an integral float would otherwise find the int's tally
     if k < 2:
         raise ValueError("joint tabulation needs k >= 2; use digit_frequencies for a single digit")
-    prefixes = column.prefixes(k, policy)
-    # joint_domain(k) lists the prefixes 10^(k-1) .. 10^k - 1 in increasing order
-    first = 10 ** (k - 1)
-    counts = np.bincount(prefixes - first, minlength=9 * first)
-    return _count_vector(joint_domain(k), counts, column.m - prefixes.size)
+    key = ("joint", k, policy)
+    if key not in column._tallies:
+        prefixes = column.prefixes(k, policy)
+        # joint_domain(k) lists the prefixes 10^(k-1) .. 10^k - 1 in increasing order
+        first = 10 ** (k - 1)
+        counts = np.bincount(prefixes - first, minlength=9 * first)
+        column._tallies[key] = _count_vector(joint_domain(k), counts, column.m - prefixes.size)
+    return column._tallies[key]
 
 
 def _count_vector(domain: tuple, counts: np.ndarray, excluded: int) -> CountVector:

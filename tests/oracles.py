@@ -6,12 +6,15 @@ factor oracle works in exact rational arithmetic, and the digit tallies read
 each value's decimal string instead of dividing by powers of ten. The
 digit-keyed chi-squared and ln B01 oracles pin the float operations of the
 reports instead: they must agree with the library bit for bit, as must the
-voting model's former scalar generator.
+voting model's former scalar generator and the former `--proportions` writer.
 """
 
+import csv
+import json
 import math
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -199,3 +202,21 @@ def scalar_hmpm_unit_counts(config) -> list[tuple[int, int]]:
         a = _bernoulli_count(rng, partisans, config.partisan_loyalty) + _bernoulli_count(rng, swing, w)
         units.append((a, turnout - a))
     return units
+
+
+# The former `screen --proportions` writer, copied from digitscreen.cli: one
+# table of (digit label, observed proportion, law probability) rows, from
+# cli.proportions_table, through csv.writer or json.dumps. The files the CLI
+# writes must be byte-identical to its.
+
+
+def former_write_proportions(table, out_path: Path, fmt: str) -> None:
+    out_path.parent.mkdir(parents=True, exist_ok=True)
+    if fmt == "json":
+        payload = [{"digit": d, "observed": obs, "law": law} for d, obs, law in table]
+        out_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    else:
+        with out_path.open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(("digit", "observed_proportion", "law_probability"))
+            writer.writerows(table)

@@ -10,6 +10,8 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
 
@@ -30,7 +32,7 @@ from digitscreen.inference import tabulate
 from digitscreen.laws import RestrictionSpec, law_from_name, nbl_first, nbl_joint, nbl_second, restricted_law
 from digitscreen.report import COLUMNS, render
 from digitscreen import simulate
-from digitscreen.digits import DatasetColumn
+from digitscreen.digits import POLICIES, CountVector, DatasetColumn
 from digitscreen.simulate import hmpm_unit_counts, load_simulation_config
 from golden import (
     PROPORTIONS_DIGESTS,
@@ -40,6 +42,7 @@ from golden import (
     SIMULATE_MIXTURE_EXPERIMENT,
     proportions_tree_digest,
 )
+from oracles import former_write_proportions, str_digit_tally, str_joint_tally
 
 DATA = Path(__file__).parent / "data"
 
@@ -333,6 +336,26 @@ class TestIngest:
         assert cli._read_plain(path, ["a"], None) is None
         assert read_with(ingest, path, ["a"], None) == read_with(cli._read_csv, path, ["a"], None)
 
+    def test_csv_fallback_streams_its_rows(self, tmp_path):
+        # one quoted cell sends the file to the csv module, which must not hold its text or all its lines
+        path = tmp_path / "t.csv"
+        rows = "".join(f"u{i},{i % 9973 + 1},{i % 7919 + 10},{i % 4999 + 100}\n" for i in range(1, 250_000))
+        path.write_text('unit,a,b,c\n"u0",5,6,7\n' + rows)
+        tracemalloc.start()
+        try:
+            a, b, c = ingest(path, ["a", "b", "c"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert a.m == b.m == c.m == 250_000 and a.values[:2].tolist() == [5, 2]
+        assert peak <= 16 << 20
+
+    def test_csv_fallback_names_the_line_of_a_byte_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"a,b\n1,2\r\n\n3,4\xe9\n")
+        with pytest.raises(ValueError, match=r"t\.csv: row 4: byte 0xe9 is not UTF-8$"):
+            ingest(path, ["a"])
+
 
 class TestRunScreening:
     def test_rows_follow_config_order(self, small_csv):
@@ -372,6 +395,11 @@ class TestRunScreening:
     def test_threshold_outside_unit_interval(self, small_csv, threshold):
         with pytest.raises(ValueError, match="threshold"):
             ScreenConfig(str(small_csv), ("north",), ("nb1",), threshold=threshold)
+
+    @pytest.mark.parametrize("prior", [float("nan"), 0.0, 1.0, 1.5])
+    def test_prior_outside_unit_interval(self, small_csv, prior):
+        with pytest.raises(ValueError, match="prior_h0 must lie strictly between 0 and 1"):
+            ScreenConfig(str(small_csv), ("north",), ("nb1",), prior_h0=prior)
 
     def test_render_deterministic(self, small_csv):
         config = ScreenConfig(str(small_csv), ("north", "south"), ("nb1", "nb2"))
@@ -490,6 +518,14 @@ class TestMainEntry:
         assert capsys.readouterr().err == ("error: delimiter must be one character other than a quote or a line "
                                            f"break, got {delimiter!r}\n")
 
+    def test_invalid_prior_is_refused_before_reading_the_file(self, tmp_path, capsys):
+        path = tmp_path / "v.csv"
+        path.write_text("unit,v\nA,12\nB,NA\n")
+        assert main(["screen", str(path), "--columns", "v", "--prior", "1.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: prior_h0 must lie strictly between 0 and 1, got 1.5\n"
+
     def test_lower_bound_under_a_prior(self, tmp_path, capsys):
         # 22 values whose second digit is 5 eight times: p = 0.03, and P_lb was 0.22 above P(H0|data) 0.096
         values = [10 + d for d in range(10)] + [15] * 6 + [10 + d for d in range(6)]
@@ -607,6 +643,19 @@ class TestMainEntry:
         out = capsys.readouterr().out
         assert sum(line.startswith("NB1 a ") for line in out.splitlines()) == 2
 
+    @pytest.mark.parametrize("name", ["a/b", "../evil"])
+    def test_proportions_refuse_a_path_separator_in_a_column_name(self, tmp_path, capsys, name):
+        path = tmp_path / "d.csv"
+        path.write_text(f"unit,{name},c\n" + "".join(f"u{n},{n},{n}\n" for n in range(10, 60)) + "x,NA,8\n")
+        propdir = tmp_path / "run" / "props"
+        assert main(["screen", str(path), "--columns", f"{name},c", "--tests", "nb1",
+                     "--proportions", str(propdir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: --proportions names its files by column, and the column name {name!r} "
+                                "holds a path separator\n")
+        assert not (tmp_path / "run").exists()
+
     def test_restricted_law_outside_its_bound(self, tmp_path, capsys):
         path = tmp_path / "v.csv"
         path.write_text("unit,v\n" + "".join(f"u{n},{n}\n" for n in range(10, 3001, 7)))
@@ -645,6 +694,21 @@ class TestMainEntry:
         main(["screen", str(small_csv), "--columns", "north,south", "--tests", "nb1,nb2,joint2",
               "--proportions", str(tmp_path / "props")])
         assert len(calls) == 6 and len(list((tmp_path / "props").iterdir())) == 6
+
+    def test_laws_at_one_digit_position_share_its_tally(self, small_csv, tmp_path, monkeypatch, capsys):
+        calls = []
+        prefixes = DatasetColumn.prefixes
+
+        def counting(self, *args, **kwargs):
+            calls.append((self.name, *args))
+            return prefixes(self, *args, **kwargs)
+
+        monkeypatch.setattr(DatasetColumn, "prefixes", counting)
+        main(["screen", str(small_csv), "--columns", "north,south", "--tests", "nb1,rnb1,nb2,rnb2", "--bound", "8000",
+              "--proportions", str(tmp_path / "props")])
+        assert sorted(calls) == [("north", 1, "exclude-short"), ("north", 2, "exclude-short"),
+                                 ("south", 1, "exclude-short"), ("south", 2, "exclude-short")]
+        assert len(list((tmp_path / "props").iterdir())) == 8
 
     def test_simulate_generates_each_replicate_once(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "model.ini"
@@ -737,6 +801,44 @@ def test_screen_report_digests(policy, fmt, capsys):
     code = main(["screen", str(DATA / "golden_counts.csv"), *SCREEN_ARGS, "--policy", policy, "--format", fmt])
     stdout = capsys.readouterr().out
     assert (code, hashlib.sha256(stdout.encode("utf-8")).hexdigest()) == SCREEN_DIGESTS[(policy, fmt)]
+
+
+def _tree(directory: Path) -> dict:
+    return {p.name: p.read_bytes() for p in directory.iterdir()} if directory.exists() else {}
+
+
+@settings(max_examples=60, deadline=None)
+@given(columns=st.lists(st.lists(st.integers(1, 2500), max_size=16), min_size=1, max_size=3),
+       bound=st.integers(100, 3000), lower=st.integers(1, 9), named_bound=st.booleans(),
+       policy=st.sampled_from(POLICIES), fmt=st.sampled_from(["csv", "json"]))
+def test_proportions_files_match_the_former_writer(columns, bound, lower, named_bound, policy, fmt):
+    # tallies from decimal strings, tables through csv.writer or json.dumps: every file and its name must agree
+    names = [f"c{j}" for j in range(len(columns))]
+    if named_bound:
+        tests, bounds = ["nb1", "nb2", "joint2", f"rnb1:{bound}"], ()
+    else:
+        tests, bounds = ["nb1", "rnb1", "nb2", "rnb2"], (bound, lower)
+    lines = [",".join(names)] + [",".join(str(col[r]) if r < len(col) else "NA" for col in columns)
+                                 for r in range(max(map(len, columns)))]
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        tmp = Path(tmp)
+        (tmp / "t.csv").write_text("\n".join(lines) + "\n")
+        options = ["--bound", str(bound), "--lower", str(lower)] if bounds else []
+        main(["screen", str(tmp / "t.csv"), "--columns", ",".join(names), "--tests", ",".join(tests), *options,
+              "--policy", policy, "--format", fmt, "--proportions", str(tmp / "new")])
+        for test in tests:
+            law = law_from_name(test, *bounds)
+            spec = law.restriction
+            for name, values in zip(names, columns):
+                if spec and not all((spec.lower or 1) <= v <= spec.upper for v in values):
+                    continue  # an error row, which has no table
+                tally = (str_joint_tally(values, law.joint_k, policy) if law.joint_k
+                         else str_digit_tally(values, law.digit_index, policy))[0]
+                counts = CountVector(law.domain, [tally.get(d, 0) for d in law.domain])
+                if counts.n:
+                    former_write_proportions(proportions_table(counts, law), tmp / "old" / f"{name}_{test}.{fmt}",
+                                             fmt)
+        assert _tree(tmp / "new") == _tree(tmp / "old")
 
 
 @pytest.mark.parametrize("policy,fmt", sorted(PROPORTIONS_DIGESTS))

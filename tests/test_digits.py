@@ -139,6 +139,23 @@ class TestDigitFrequencies:
         with pytest.raises(ValueError, match="no analyzable values"):
             digit_frequencies(DatasetColumn("x", (1, 2, 3)), 2, EXCLUDE_SHORT)
 
+    def test_no_analyzable_values_on_every_call(self):
+        col = DatasetColumn("x", (1, 2, 3))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="no analyzable values"):
+                digit_frequencies(col, 2)
+            with pytest.raises(ValueError, match="no analyzable values"):
+                joint_frequencies(col, 2)
+        assert digit_frequencies(col, 2, TRAILING_ZERO).counts == (3,) + (0,) * 9
+
+    def test_each_tally_is_kept_on_its_column(self):
+        col = DatasetColumn("x", (154, 23, 9))
+        assert digit_frequencies(col, 2) is digit_frequencies(col, 2)
+        assert joint_frequencies(col, 2) is joint_frequencies(col, 2)
+        assert digit_frequencies(col, 2, TRAILING_ZERO).n == 3 and digit_frequencies(col, 2).n == 2
+        assert by_digit(joint_frequencies(col, 2, TRAILING_ZERO))[(9, 0)] == 1
+        assert (9, 0) not in {d for d, c in by_digit(joint_frequencies(col, 2)).items() if c}
+
     def test_unknown_policy(self):
         with pytest.raises(ValueError, match="policy"):
             digit_frequencies(DatasetColumn("x", (12,)), 1, "drop-everything")
@@ -174,6 +191,13 @@ class TestJointFrequencies:
     def test_k_must_be_at_least_two(self):
         with pytest.raises(ValueError):
             joint_frequencies(DatasetColumn("x", (12,)), 1)
+
+    def test_k_must_be_an_integer(self):
+        col = DatasetColumn("x", (12, 345))
+        assert joint_frequencies(col, 2).n == 2
+        for k in (2.0, True):
+            with pytest.raises(ValueError, match="digit index must be a positive integer"):
+                joint_frequencies(col, k)
 
     @given(st.lists(st.integers(min_value=1, max_value=10**6), min_size=1, max_size=60))
     def test_marginalizing_joint_reproduces_first_digit(self, values):
