@@ -204,9 +204,10 @@ def _read_csv(path, selectors, delimiter: str | None) -> list[DatasetColumn]:
                     col_values.append(_cell_count(row[idx]))
                 except ValueError as exc:
                     col_diagnostics.append(f"{header[idx]}: row {lines.number}: {exc}")
-    return [DatasetColumn(header[idx], np.frombuffer(col_values, dtype=np.int64), excluded_count=len(col_diagnostics),
-                          diagnostics=tuple(col_diagnostics))
-            for idx, col_values, col_diagnostics in zip(indices, values, diagnostics)]
+    # each column's array is popped, so it is freed once the column holds its int64 copy
+    return [DatasetColumn(header[idx], np.frombuffer(values.pop(0), dtype=np.int64),
+                          excluded_count=len(col_diagnostics), diagnostics=tuple(col_diagnostics))
+            for idx, col_diagnostics in zip(indices, diagnostics)]
 
 
 class _Lines:
@@ -328,6 +329,9 @@ def _plain_cells(block: bytes, delim: int, width: int, cols: np.ndarray):
     of every cell of 1 to 18 digits without a leading zero, and where such
     cells are. ``bad`` lists (column, row, text) for every other cell.
     """
+    block = block.replace(b"\r\n", b"\n")
+    if b"\r" in block:
+        return None  # a lone \r ends a line for _read_csv
     a = np.frombuffer(block, dtype=np.uint8)
     if a.max(initial=0) > 127 or b'"' in block:
         return None
@@ -336,8 +340,6 @@ def _plain_cells(block: bytes, delim: int, width: int, cols: np.ndarray):
     np.subtract(a, ord("0"), out=digits[18:])  # wraps below "0", so a non-digit is > 9
     nondigit = np.flatnonzero(digits[18:] > 9)
     byte = a[nondigit]
-    if b"\r" in block and (a[nondigit[byte == 13] + 1] != 10).any():
-        return None  # a lone \r ends a line for _read_csv
     lines = np.count_nonzero(byte == 10)
     # every delimiter and newline is a non-digit: bound[k] is the position of
     # the k-th of them and rank[k] its place among the non-digits, after a -1
@@ -359,12 +361,6 @@ def _plain_cells(block: bytes, delim: int, width: int, cols: np.ndarray):
     opening = np.arange(lines) * width + cols[:, None]  # the boundary before each selected cell
     start, nondigits = bound[opening] + 1, rank[opening + 1] - rank[opening]
     stop = bound[opening + 1]
-    if b"\r" in block:
-        # a \r\n row's last cell ends before its \r, which counts as one more non-digit
-        crlf = a[newline - 1] == 13
-        last = cols == width - 1
-        stop[last] -= crlf
-        nondigits[last] -= crlf
     length = stop - start
     ok = (nondigits == 1) & (length > 0) & (length < 19) & (a[start] != ord("0"))
     where = np.nonzero(~ok)

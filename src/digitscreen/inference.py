@@ -180,7 +180,7 @@ def _check_restriction(column: DatasetColumn, law: DigitDistribution) -> None:
     if spec is None:
         return
     v = column.values
-    outside = np.count_nonzero((v < (spec.lower or 1)) | (v > (spec.upper or np.iinfo(np.int64).max)))
+    outside = np.count_nonzero((v < (spec.lower or 1)) | (v > spec.upper))
     if outside:
         raise ValueError(f"{outside} of {column.m} units lie outside the restriction {spec}")
 

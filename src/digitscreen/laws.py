@@ -23,25 +23,23 @@ _SUM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class RestrictionSpec:
-    """Admissible-count set: N <= upper, N >= lower, or lower <= N <= upper."""
+    """Admissible-count set: N <= upper, or lower <= N <= upper; the upper bound is required."""
 
     lower: int | None = None
     upper: int | None = None
 
     def __post_init__(self):
-        if self.lower is None and self.upper is None:
-            raise ValueError("restriction needs a lower bound, an upper bound, or both")
+        if self.upper is None:
+            raise ValueError("restriction needs an upper bound")
         for name, bound in (("lower", self.lower), ("upper", self.upper)):
             if bound is not None and (not isinstance(bound, int) or isinstance(bound, bool) or bound < 1):
                 raise ValueError(f"{name} bound must be a positive integer, got {bound!r}")
-        if self.lower is not None and self.upper is not None and self.lower > self.upper:
+        if self.lower is not None and self.lower > self.upper:
             raise ValueError(f"lower bound {self.lower} exceeds upper bound {self.upper}")
 
     def __str__(self) -> str:
         if self.lower is None:
             return f"N<={self.upper}"
-        if self.upper is None:
-            return f"N>={self.lower}"
         return f"{self.lower}<=N<={self.upper}"
 
 
@@ -105,58 +103,37 @@ def uniform_law(i: int = 1) -> DigitDistribution:
     return DigitDistribution("uniform", domain, [1.0 / len(domain)] * len(domain), digit_index=i)
 
 
-def _count_mod10_upto(x: int, d: int) -> int:
-    # integers in [0, x] whose last decimal digit is d
-    if x < d:
-        return 0
-    return (x - d) // 10 + 1
-
-
-def _count_mod10(a: int, b: int, d: int) -> int:
-    # integers in [a, b] whose last decimal digit is d
-    if b < a:
-        return 0
-    return _count_mod10_upto(b, d) - _count_mod10_upto(a - 1, d)
-
-
 def _count_upto(n: int, i: int, d: int) -> int:
     """Integers in [1, n] having at least i digits with i-th significant digit d.
 
-    Walks the decades: an m-digit number's i-th digit is the last digit of its
-    leading i-digit prefix, and each prefix owns a block of 10^(m-i)
-    consecutive integers. O(log n) per call.
+    An integer's i-th digit is the last digit of its i-digit prefix, and the
+    m-digit integers that share a prefix fill a block of 10^(m-i). For an
+    m-digit n with prefix q and remainder r (q, r = divmod(n, block)), each
+    prefix ending in d counts 1 + 10 + ... + block / 10 = (block - 1) / 9
+    integers in the shorter decades and, below q, a whole block in n's
+    decade; q itself counts r + 1 when it ends in d. Exact Python ints.
     """
-    if n <= 0:
+    lo = 10 ** (i - 1)  # the smallest i-digit prefix (1 when i == 1)
+    if n < lo:
         return 0
-    total = 0
-    m = i
-    prefix_lo = 10 ** (i - 1)  # smallest i-digit prefix (1 when i == 1)
-    prefix_hi = 10**i - 1
-    while 10 ** (m - 1) <= n:
-        decade_hi = 10**m - 1
-        block = 10 ** (m - i)
-        if n >= decade_hi:
-            total += block * _count_mod10(prefix_lo, prefix_hi, d)
-        else:
-            q, r = divmod(n, block)
-            total += block * _count_mod10(prefix_lo, q - 1, d)
-            if q >= prefix_lo and q % 10 == d:
-                total += r + 1
-        m += 1
-    return total
+
+    def ending_in_d(b: int) -> int:  # prefixes in [lo, b] whose last digit is d
+        return (b - d) // 10 - (lo - 1 - d) // 10
+
+    block = 10 ** (len(str(n)) - i)
+    q, r = divmod(n, block)
+    return (block - 1) // 9 * ending_in_d(10 * lo - 1) + block * ending_in_d(q - 1) + (r + 1 if q % 10 == d else 0)
 
 
 def count_with_digit(d: int, i: int, spec: RestrictionSpec) -> int:
     """Exact number of admissible integers whose i-th significant digit is d.
 
     Admissible means lying in [lower, upper] (lower defaults to 1) and having
-    at least i digits; counting a one-sided N >= lower set is impossible, so
-    an upper bound is required.
+    at least i digits: the count up to upper less the count below lower, in
+    closed form.
     """
     if d not in digit_domain(i):
         raise ValueError(f"digit {d} is outside the domain for position {i}")
-    if spec.upper is None:
-        raise ValueError("cardinality requires an upper bound")
     lower = 1 if spec.lower is None else spec.lower
     return _count_upto(spec.upper, i, d) - _count_upto(lower - 1, i, d)
 

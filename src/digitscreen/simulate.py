@@ -64,6 +64,11 @@ class MixtureComponent:
         missing = [k for k in needed if k not in p]
         if missing:
             raise ValueError(f"{self.family} component missing parameters {missing}")
+        unknown = sorted(set(p) - set(needed))
+        if unknown:
+            raise ValueError(f"{self.family} component takes no parameters {unknown}")
+        if not all(map(math.isfinite, (self.weight, *p.values()))):
+            raise ValueError(f"{self.family} component parameters and weight must be finite")
         if self.family == "lognormal" and p["sigma"] < 0.0:
             raise ValueError("lognormal sigma must be nonnegative")
         if self.family in ("half-cauchy", "scaled-exponential") and p["scale"] <= 0.0:
@@ -119,8 +124,8 @@ class VotingModelConfig:
             raise ValueError("partisan_loyalty must lie in [0, 1]")
         for name in ("turnout_dist", "partisan_fraction_dist", "swing_prob_dist"):
             a, b = getattr(self, name)
-            if a < 0.0 or b < 0.0 or a + b == 0.0:
-                raise ValueError(f"{name} Beta parameters must be nonnegative with a + b > 0")
+            if not (0.0 <= a < math.inf and 0.0 <= b < math.inf) or a + b == 0.0:
+                raise ValueError(f"{name} Beta parameters must be finite and nonnegative with a + b > 0")
         _check_seed(self.seed)
 
 
@@ -199,20 +204,6 @@ def _unit_betas(h: list, z: list, betas) -> tuple[list, int]:
     return draws, cur
 
 
-def _long_head(seed: int, unit_index: int, betas) -> tuple:
-    """The unit's generator built again, for Beta draws that outrun the shared
-    head: the head doubles until they fit. Returns the generator, the head,
-    the draws and the cursor after them."""
-    size = 2 * _HEAD
-    while True:
-        rng = _unit_rng(seed, unit_index)
-        head = rng.random(size)
-        try:
-            return rng, head, *_unit_betas(head.tolist(), _head_normals(head).tolist(), betas)
-        except IndexError:
-            size *= 2
-
-
 def _uniforms(rest: np.ndarray, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The unit's next n uniforms, those left in ``rest`` first; and what ``rest`` still holds."""
     if rest.size >= n:
@@ -283,9 +274,10 @@ def hmpm_unit_counts(config: VotingModelConfig) -> list[tuple[int, int]]:
     into one array, whose Box-Muller normals at every offset come from one
     numpy pass. The Marsaglia-Tsang rejection loop then reads each unit's
     head in Python, in the order and with the float operations of a unit
-    generated alone, and each Bernoulli count is one ``count_nonzero`` over
-    the next uniforms of the unit's stream. Blocks change neither a unit's
-    stream nor the order it is read in.
+    generated alone; a unit whose Beta draws outrun its head doubles it with
+    the next uniforms of its stream and reads it again. Each Bernoulli count
+    is one ``count_nonzero`` over the next uniforms of the unit's stream.
+    Blocks change neither a unit's stream nor the order it is read in.
     """
     betas = (config.turnout_dist, config.partisan_fraction_dist, config.swing_prob_dist)
     units = []
@@ -295,11 +287,15 @@ def hmpm_unit_counts(config: VotingModelConfig) -> list[tuple[int, int]]:
         for rng, head in zip(rngs, heads):
             rng.random(out=head)
         normals = _head_normals(heads).tolist()
-        for j, (rng, head, h, z) in enumerate(zip(rngs, heads, heads.tolist(), normals), start):
-            try:
-                (t, phi, w), cur = _unit_betas(h, z, betas)
-            except IndexError:
-                rng, head, (t, phi, w), cur = _long_head(config.seed, j, betas)
+        for rng, head, h, z in zip(rngs, heads, heads.tolist(), normals):
+            while True:
+                try:
+                    (t, phi, w), cur = _unit_betas(h, z, betas)
+                    break
+                except IndexError:
+                    # the generator has drawn exactly the head, so its next uniforms double it in place
+                    head = np.concatenate((head, rng.random(head.size)))
+                    h, z = head.tolist(), _head_normals(head).tolist()
             # each count reads on from the first uniform its predecessor left unused
             u, rest = _uniforms(head[cur:], rng, config.max_voters)
             turnout = int(np.count_nonzero(u < t))
@@ -486,40 +482,46 @@ def _parse_component(raw: str) -> MixtureComponent:
 
 
 def load_simulation_config(path) -> SimulationJob:
-    """Parse a simulation INI file (see configs/ for annotated examples)."""
+    """Parse a simulation INI file (see configs/); a malformed file, a missing key or a bad value is a ValueError."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = parser.read(path)
-    if not read:
-        raise ValueError(f"cannot read config file {path}")
+    try:
+        if not parser.read(path):
+            raise ValueError(f"cannot read config file {path}")
+        return _simulation_job(parser)
+    except configparser.Error as exc:
+        raise ValueError(" ".join(str(exc).splitlines())) from None
+
+
+def _simulation_job(parser: configparser.ConfigParser) -> SimulationJob:
     has_mixture = parser.has_section("mixture")
     has_voting = parser.has_section("voting_model")
     if has_mixture == has_voting:
         raise ValueError("config must have exactly one of [mixture] or [voting_model]")
     experiment = None
     if parser.has_section("experiment"):
-        sec = parser["experiment"]
-        names = tuple(s.strip() for s in sec["laws"].split(",") if s.strip())
-        experiment = ExperimentSpec(law_names=names, replicates=sec.getint("replicates", fallback=1))
+        names = tuple(s.strip() for s in parser.get("experiment", "laws").split(",") if s.strip())
+        experiment = ExperimentSpec(law_names=names, replicates=parser.getint("experiment", "replicates", fallback=1))
     if has_mixture:
         sec = parser["mixture"]
         comps = tuple(
             _parse_component(value) for key, value in sec.items() if key == "component" or key.startswith("component.")
         )
-        mixture = MixtureConfig(components=comps, n_samples=sec.getint("n_samples"), seed=sec.getint("seed"))
+        mixture = MixtureConfig(components=comps, n_samples=parser.getint("mixture", "n_samples"),
+                                seed=parser.getint("mixture", "seed"))
         if experiment is not None:
             if parser.has_option("experiment", "replicates"):
                 raise ValueError("a [mixture] experiment screens one sample; replicates applies to [voting_model]")
             for law in experiment.laws:
                 _check_mixture_law(law)
         return SimulationJob(mixture=mixture, experiment=experiment)
-    sec = parser["voting_model"]
+    section = "voting_model"
     voting = VotingModelConfig(
-        n_units=sec.getint("n_units"),
-        max_voters=sec.getint("max_voters"),
-        turnout_dist=_parse_beta_pair(sec["turnout"]),
-        partisan_fraction_dist=_parse_beta_pair(sec["partisan_fraction"]),
-        partisan_loyalty=sec.getfloat("partisan_loyalty"),
-        swing_prob_dist=_parse_beta_pair(sec["swing_prob"]),
-        seed=sec.getint("seed"),
+        n_units=parser.getint(section, "n_units"),
+        max_voters=parser.getint(section, "max_voters"),
+        turnout_dist=_parse_beta_pair(parser.get(section, "turnout")),
+        partisan_fraction_dist=_parse_beta_pair(parser.get(section, "partisan_fraction")),
+        partisan_loyalty=parser.getfloat(section, "partisan_loyalty"),
+        swing_prob_dist=_parse_beta_pair(parser.get(section, "swing_prob")),
+        seed=parser.getint(section, "seed"),
     )
     return SimulationJob(voting=voting, experiment=experiment)

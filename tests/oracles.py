@@ -6,7 +6,8 @@ factor oracle works in exact rational arithmetic, and the digit tallies read
 each value's decimal string instead of dividing by powers of ten. The
 digit-keyed chi-squared and ln B01 oracles pin the float operations of the
 reports instead: they must agree with the library bit for bit, as must the
-voting model's former scalar generator and the former `--proportions` writer.
+voting model's former scalar generator and the former `--proportions` writer,
+and the former decade walk must count exactly what its closed form counts.
 """
 
 import csv
@@ -82,6 +83,52 @@ def dict_log_b01(counts: dict, probs: dict) -> float:
         loglik += counts[d] * math.log(probs[d])
     log_marginal = -math.lgamma(float(k)) - math.fsum(math.lgamma(c + 1.0) for c in counts.values() if c > 0)
     return loglik + log_marginal + math.lgamma(float(n + k))
+
+
+# RNBL2's digit cardinalities by the former decade walk, copied verbatim from
+# digitscreen.laws: one decade at a time, and the two mod-10 helpers it
+# used. laws._count_upto's closed form must give the same count.
+
+
+def _count_mod10_upto(x: int, d: int) -> int:
+    # integers in [0, x] whose last decimal digit is d
+    if x < d:
+        return 0
+    return (x - d) // 10 + 1
+
+
+def _count_mod10(a: int, b: int, d: int) -> int:
+    # integers in [a, b] whose last decimal digit is d
+    if b < a:
+        return 0
+    return _count_mod10_upto(b, d) - _count_mod10_upto(a - 1, d)
+
+
+def _count_upto(n: int, i: int, d: int) -> int:
+    """Integers in [1, n] having at least i digits with i-th significant digit d.
+
+    Walks the decades: an m-digit number's i-th digit is the last digit of its
+    leading i-digit prefix, and each prefix owns a block of 10^(m-i)
+    consecutive integers. O(log n) per call.
+    """
+    if n <= 0:
+        return 0
+    total = 0
+    m = i
+    prefix_lo = 10 ** (i - 1)  # smallest i-digit prefix (1 when i == 1)
+    prefix_hi = 10**i - 1
+    while 10 ** (m - 1) <= n:
+        decade_hi = 10**m - 1
+        block = 10 ** (m - i)
+        if n >= decade_hi:
+            total += block * _count_mod10(prefix_lo, prefix_hi, d)
+        else:
+            q, r = divmod(n, block)
+            total += block * _count_mod10(prefix_lo, q - 1, d)
+            if q >= prefix_lo and q % 10 == d:
+                total += r + 1
+        m += 1
+    return total
 
 
 # Digit tabulation read from decimal strings, one value at a time: the

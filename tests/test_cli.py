@@ -348,7 +348,7 @@ class TestIngest:
         finally:
             tracemalloc.stop()
         assert a.m == b.m == c.m == 250_000 and a.values[:2].tolist() == [5, 2]
-        assert peak <= 16 << 20
+        assert peak <= 10 << 20
 
     def test_csv_fallback_names_the_line_of_a_byte_that_is_not_utf8(self, tmp_path):
         path = tmp_path / "t.csv"

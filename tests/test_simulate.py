@@ -232,14 +232,14 @@ class TestVotingModelOracle:
         assert hmpm_unit_counts(cfg) == scalar_hmpm_unit_counts(cfg)
 
     def test_units_that_outrun_the_head_match_scalar_oracle(self, monkeypatch):
-        # a 4-uniform head holds no Beta draw, so every unit with one builds its generator again
-        calls = []
-        long_head = simulate._long_head
+        # a 4-uniform head holds no Beta draw, so every unit with one doubles its head, once to 8 uniforms
+        sizes = []
+        head_normals = simulate._head_normals
         monkeypatch.setattr(simulate, "_HEAD", 4)
-        monkeypatch.setattr(simulate, "_long_head", lambda *args: calls.append(args) or long_head(*args))
+        monkeypatch.setattr(simulate, "_head_normals", lambda head: sizes.append(head.shape) or head_normals(head))
         cfg = replace(default_voting_config(9), n_units=70, swing_prob_dist=(30.0, 2.5))
         assert hmpm_unit_counts(cfg) == scalar_hmpm_unit_counts(cfg)
-        assert len(calls) == cfg.n_units
+        assert sizes.count((8,)) == cfg.n_units
 
     def test_oracle_sees_a_dropped_head_remainder(self, monkeypatch):
         # counting turnout from fresh uniforms, past the head's unused ones, changes the units
@@ -346,6 +346,34 @@ class TestConfigFiles:
         out = tmp_path / "data.csv"
         assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
         assert not out.exists() and capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("config,message", [
+        (VOTING.replace("n_units = 20\n", ""), "No option 'n_units' in section: 'voting_model'"),
+        (MIXTURE.replace("n_samples = 50\n", ""), "No option 'n_samples' in section: 'mixture'"),
+        (VOTING.replace("turnout = 2 2\n", ""), "No option 'turnout'"),
+        (VOTING + "\n[experiment]\nreplicates = 2\n", "No option 'laws' in section: 'experiment'"),
+        ("n_units = 20\n" + VOTING, "no section headers"),
+        (VOTING + "\n[voting_model]\nseed = 2\n", "section 'voting_model' already exists"),
+        (VOTING.replace("turnout = 2 2", "turnout = 1 nan"), "Beta parameters must be finite"),
+        (VOTING.replace("turnout = 2 2", "turnout = 1 inf"), "Beta parameters must be finite"),
+        (MIXTURE.replace("lognormal weight=1 mu=0 sigma=1", "uniform-range weight=1 low=1 high=inf"), "must be finite"),
+        (MIXTURE.replace("lognormal weight=1 mu=0 sigma=1", "half-cauchy weight=1 scale=inf"), "must be finite"),
+        (MIXTURE + "component.2 = lognormal weight=nan mu=0 sigma=1\n", "weight must be finite"),
+        (MIXTURE.replace("sigma=1", "sigma=1 scale=2"), r"lognormal component takes no parameters \['scale'\]"),
+    ], ids=["no-n_units", "no-n_samples", "no-turnout", "no-laws", "no-section-header", "duplicate-section",
+            "turnout-nan", "turnout-inf", "high-inf", "scale-inf", "weight-nan", "unknown-parameter"])
+    def test_malformed_config_is_a_one_line_error(self, tmp_path, capsys, config, message):
+        from digitscreen.cli import main
+
+        path = tmp_path / "bad.ini"
+        path.write_text(config)
+        with pytest.raises(ValueError, match=message):
+            load_simulation_config(path)
+        out = tmp_path / "data.csv"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert not out.exists() and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_missing_file(self):
         with pytest.raises(ValueError, match="cannot read"):
