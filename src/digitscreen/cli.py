@@ -187,23 +187,25 @@ def _read_csv(path, selectors, delimiter: str | None) -> list[DatasetColumn]:
         first = next(lines, None)
         if first is None:
             raise ValueError(f"empty input file: {path}")
-        reader = csv.reader(itertools.chain([first], lines), delimiter=delimiter or _detect_delimiter(first))
-        rows = _csv_rows(reader, lines, path)
-        header, indices = _select(next(rows), selectors)
-        values = [array("q") for _ in indices]
-        diagnostics = [[] for _ in indices]
-        width = len(header)
-        for row in rows:
-            if len(row) != width:
-                diagnostic = f"row {lines.number}: {len(row)} cells where the header has {width}; {_RAGGED}"
-                for col_diagnostics in diagnostics:
-                    col_diagnostics.append(diagnostic)
-                continue
-            for idx, col_values, col_diagnostics in zip(indices, values, diagnostics):
-                try:
-                    col_values.append(_cell_count(row[idx]))
-                except ValueError as exc:
-                    col_diagnostics.append(f"{header[idx]}: row {lines.number}: {exc}")
+        rows = csv.reader(itertools.chain([first], lines), delimiter=delimiter or _detect_delimiter(first))
+        try:
+            header, indices = _select(next(rows), selectors)
+            values = [array("q") for _ in indices]
+            diagnostics = [[] for _ in indices]
+            width = len(header)
+            for row in rows:
+                if len(row) != width:
+                    diagnostic = f"row {lines.number}: {len(row)} cells where the header has {width}; {_RAGGED}"
+                    for col_diagnostics in diagnostics:
+                        col_diagnostics.append(diagnostic)
+                    continue
+                for idx, col_values, col_diagnostics in zip(indices, values, diagnostics):
+                    try:
+                        col_values.append(_cell_count(row[idx]))
+                    except ValueError as exc:
+                        col_diagnostics.append(f"{header[idx]}: row {lines.number}: {exc}")
+        except csv.Error as exc:  # say, a cell over csv's field size limit
+            raise ValueError(f"{path}: row {lines.number}: {exc}") from None
     # each column's array is popped, so it is freed once the column holds its int64 copy
     return [DatasetColumn(header[idx], np.frombuffer(values.pop(0), dtype=np.int64),
                           excluded_count=len(col_diagnostics), diagnostics=tuple(col_diagnostics))
@@ -239,15 +241,6 @@ class _Lines:
                                          "is not UTF-8") from None
                 return line.removesuffix("\n")
         raise StopIteration
-
-
-def _csv_rows(reader, lines: _Lines, path):
-    """The reader's rows; its error on a row (say, a cell over csv's field size limit) is a ValueError naming the
-    file line."""
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise ValueError(f"{path}: row {lines.number}: {exc}") from None
 
 
 def _read_plain(path, selectors, delimiter: str | None) -> list[DatasetColumn] | None:
@@ -439,22 +432,12 @@ def write_proportions(template: str, out_path: Path, counts: CountVector) -> Non
         fh.write((template % counts.proportions()).encode())
 
 
-def _write_csv(out_path: Path, header: tuple, rows) -> None:
+def _write_table(out_path: Path, header: str, blocks) -> None:
+    """A CSV file of the header line, then each block of whole lines; csv.writer would quote none of its cells."""
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with out_path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _write_samples(out_path: Path, samples: np.ndarray) -> None:
-    """A one-column CSV of the samples' shortest round-trip decimals, as csv.writer writes them."""
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    with out_path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write("value\n")
-        # blocks bound the joined text; a float's repr never needs csv quoting
-        for start in range(0, samples.size, _SAMPLE_BLOCK):
-            fh.write("\n".join(map(repr, samples[start:start + _SAMPLE_BLOCK].tolist())) + "\n")
+        fh.write(header + "\n")
+        fh.writelines(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +464,9 @@ def run_simulation(job: sim.SimulationJob, out_path: Path | None, fmt: str) -> s
     if job.kind == "mixture":
         samples = sim.sample_mixture(job.mixture)
         if out_path is not None:
-            _write_samples(out_path, samples)
+            # blocks bound the joined text of the samples' shortest round-trip decimals
+            _write_table(out_path, "value", ("\n".join(map(repr, samples[i:i + _SAMPLE_BLOCK].tolist())) + "\n"
+                                            for i in range(0, samples.size, _SAMPLE_BLOCK)))
         laws = job.experiment.laws if job.experiment is not None else ()
         rows = tuple(ReportRow("samples", law.kind, sim.screen_mixture(samples, law)) for law in laws)
     else:
@@ -492,7 +477,7 @@ def run_simulation(job: sim.SimulationJob, out_path: Path | None, fmt: str) -> s
         if out_path is not None:
             # the experiment's replicate 0 is this very run of the model
             units = experiment.units if experiment else sim.hmpm_unit_counts(job.voting)
-            _write_csv(out_path, ("unit", "candidate_a", "candidate_b"), ((j, a, b) for j, (a, b) in enumerate(units)))
+            _write_table(out_path, "unit,candidate_a,candidate_b", (f"{j},{a},{b}\n" for j, (a, b) in enumerate(units)))
         rows = tuple(ReportRow("pooled", res.law, res.pooled) for res in experiment.results) if experiment else ()
     return "" if job.experiment is None else render(ReportDocument(rows=rows), fmt)
 
@@ -550,11 +535,9 @@ def _cmd_screen(args) -> int:
     columns = ingest(config.input_path, config.columns, config.delimiter)
     if args.proportions:
         _check_file_names([col.name for col in columns])
-    # a ragged row's diagnostic, which every column shares, is printed with the first column's
-    for i, col in enumerate(columns):
-        for diag in col.diagnostics:
-            if i == 0 or not diag.endswith(_RAGGED):
-                print(f"diagnostic: {diag}", file=sys.stderr)
+    # a ragged row's diagnostic, which every column shares, is printed with the first column's; one write for all
+    sys.stderr.write("".join(f"diagnostic: {diag}\n" for i, col in enumerate(columns) for diag in col.diagnostics
+                             if i == 0 or not diag.endswith(_RAGGED)))
     doc = run_screening(config, columns)
     rendered = render(doc, config.output_format)
     if args.out:
@@ -590,9 +573,7 @@ def _check_file_names(names: list[str]) -> None:
 def _cmd_simulate(args) -> int:
     job = sim.load_simulation_config(args.config)
     out = resolve_out(args.out) if args.out else None
-    rendered = run_simulation(job, out, args.format)
-    if rendered:
-        sys.stdout.write(rendered)
+    sys.stdout.write(run_simulation(job, out, args.format))
     return 0
 
 

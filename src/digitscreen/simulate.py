@@ -18,6 +18,7 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import dataclass, field, replace
+from importlib import resources
 
 import numpy as np
 
@@ -25,7 +26,10 @@ from .digits import EXCLUDE_SHORT, DatasetColumn, real_digit_frequencies
 from .inference import HypothesisPrior, TestReport, report_from_counts, screen
 from .laws import DigitDistribution, law_from_name
 
-MIXTURE_FAMILIES = ("lognormal", "half-cauchy", "scaled-exponential", "uniform-range")
+# each mixture family, and the parameters it takes
+_FAMILY_PARAMS = {"lognormal": ("mu", "sigma"), "half-cauchy": ("scale",), "scaled-exponential": ("scale",),
+                  "uniform-range": ("low", "high")}
+MIXTURE_FAMILIES = tuple(_FAMILY_PARAMS)
 
 _MAX_REDRAW_ROUNDS = 100
 
@@ -38,6 +42,10 @@ _MEMBERSHIP_BLOCK = 1 << 16
 # front, which its three Beta draws nearly always fit in.
 _BLOCK = 32
 _HEAD = 64
+
+# uniforms per draw of a unit's Bernoulli counts, which bounds their memory; up to max_voters = _CHUNK / 2 (the
+# shipped 2250 included) the turnout's uniforms are one draw, and the 2 * turnout after them another
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -55,12 +63,7 @@ class MixtureComponent:
             raise ValueError(f"component weight must be nonnegative, got {self.weight}")
         p = dict(self.params)
         object.__setattr__(self, "params", p)
-        needed = {
-            "lognormal": ("mu", "sigma"),
-            "half-cauchy": ("scale",),
-            "scaled-exponential": ("scale",),
-            "uniform-range": ("low", "high"),
-        }[self.family]
+        needed = _FAMILY_PARAMS[self.family]
         missing = [k for k in needed if k not in p]
         if missing:
             raise ValueError(f"{self.family} component missing parameters {missing}")
@@ -204,14 +207,19 @@ def _unit_betas(h: list, z: list, betas) -> tuple[list, int]:
     return draws, cur
 
 
-def _uniforms(rest: np.ndarray, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The unit's next n uniforms, those left in ``rest`` first; and what ``rest`` still holds."""
-    if rest.size >= n:
-        return rest[:n], rest[n:]
-    u = np.empty(n)
-    u[:rest.size] = rest
-    rng.random(out=u[rest.size:])
-    return u, rest[:0]
+def _count_below(rest: np.ndarray, rng: np.random.Generator, n: int, p: float,
+                 ahead: int = 0) -> tuple[int, np.ndarray]:
+    """How many of the unit's next n uniforms lie below p, those left in ``rest`` first; and what ``rest`` then holds.
+
+    The generator's uniforms come in draws of at most _CHUNK, each ``ahead``
+    longer than this count needs, so that the next count reads on from them.
+    """
+    count = int(np.count_nonzero(rest[:n] < p)) if rest.size else 0
+    while n > rest.size:
+        n -= rest.size
+        rest = rng.random(min(n + ahead, _CHUNK))
+        count += int(np.count_nonzero(rest[:n] < p))
+    return count, rest[n:]
 
 
 def _draw_family(rng: np.random.Generator, comp: MixtureComponent, size: int) -> np.ndarray:
@@ -276,8 +284,8 @@ def hmpm_unit_counts(config: VotingModelConfig) -> list[tuple[int, int]]:
     head in Python, in the order and with the float operations of a unit
     generated alone; a unit whose Beta draws outrun its head doubles it with
     the next uniforms of its stream and reads it again. Each Bernoulli count
-    is one ``count_nonzero`` over the next uniforms of the unit's stream.
-    Blocks change neither a unit's stream nor the order it is read in.
+    counts the unit's next uniforms, drawn at most _CHUNK at a time. Blocks
+    and chunks change neither a unit's stream nor the order it is read in.
     """
     betas = (config.turnout_dist, config.partisan_fraction_dist, config.swing_prob_dist)
     units = []
@@ -297,14 +305,13 @@ def hmpm_unit_counts(config: VotingModelConfig) -> list[tuple[int, int]]:
                     head = np.concatenate((head, rng.random(head.size)))
                     h, z = head.tolist(), _head_normals(head).tolist()
             # each count reads on from the first uniform its predecessor left unused
-            u, rest = _uniforms(head[cur:], rng, config.max_voters)
-            turnout = int(np.count_nonzero(u < t))
-            # partisans among the turnout, then the loyal partisans and the swing voters for A
-            u, _ = _uniforms(rest, rng, 2 * turnout)
-            partisans = int(np.count_nonzero(u[:turnout] < phi))
-            a = int(np.count_nonzero(u[turnout:turnout + partisans] < config.partisan_loyalty))
-            a += int(np.count_nonzero(u[turnout + partisans:] < w))
-            units.append((a, turnout - a))
+            turnout, rest = _count_below(head[cur:], rng, config.max_voters, t)
+            # partisans among the turnout, then the loyal partisans and the swing voters for A: 2 * turnout
+            # uniforms, drawn ahead together as far as _CHUNK allows
+            partisans, rest = _count_below(rest, rng, turnout, phi, ahead=turnout)
+            a, rest = _count_below(rest, rng, partisans, config.partisan_loyalty, ahead=turnout - partisans)
+            swing_a, _ = _count_below(rest, rng, turnout - partisans, w)
+            units.append((a + swing_a, turnout - a - swing_a))
     return units
 
 
@@ -338,7 +345,6 @@ class LawResult:
 class ExperimentReport:
     """Per-law results, and replicate 0's (candidate A, candidate B) counts per unit, zeros included."""
 
-    replicates: int
     results: tuple
     units: list = field(default_factory=list, repr=False)
 
@@ -386,7 +392,7 @@ def conformance_experiment(
                 posteriors=tuple(r.posterior_h0 for r in rep_reports),
             )
         )
-    return ExperimentReport(replicates=replicates, results=tuple(results), units=rep_units[0])
+    return ExperimentReport(results=tuple(results), units=rep_units[0])
 
 
 def screen_mixture(
@@ -410,21 +416,14 @@ def _check_mixture_law(law: DigitDistribution) -> None:
 
 
 def default_voting_config(seed: int | None = None) -> VotingModelConfig:
-    """The shipped default parameterization of the voting model.
+    """The shipped default parameterization of the voting model, read from configs/hmpm_default.ini.
 
     Heavy-tailed Beta shapes spread the favored candidate's counts over all
     decades up to the bound: near-full partisan units press against
     max_voters while swing-dominated units fill the lower decades.
     """
-    cfg = VotingModelConfig(
-        n_units=999,
-        max_voters=2250,
-        turnout_dist=(0.85, 0.58),
-        partisan_fraction_dist=(0.46, 0.19),
-        partisan_loyalty=0.99,
-        swing_prob_dist=(1.05, 0.40),
-        seed=12345,
-    )
+    with resources.as_file(resources.files(__package__) / "configs" / "hmpm_default.ini") as path:
+        cfg = load_simulation_config(path).voting
     return cfg if seed is None else replace(cfg, seed=seed)
 
 
@@ -462,28 +461,48 @@ def _parse_beta_pair(raw: str) -> tuple[float, float]:
 
 
 def _parse_component(raw: str) -> MixtureComponent:
-    parts = raw.split()
-    if not parts:
-        raise ValueError("empty component line")
-    family, kv = parts[0], parts[1:]
-    params = {}
-    weight = None
-    for item in kv:
+    """A component line: the family, then its parameters and weight as key=value items."""
+    family, *items = raw.split() or [""]
+    for item in items:
         if "=" not in item:
             raise ValueError(f"component parameter {item!r} is not key=value")
-        key, value = item.split("=", 1)
-        if key == "weight":
-            weight = float(value)
-        else:
-            params[key] = float(value)
-    if weight is None:
+    params = {key: float(value) for key, value in (item.split("=", 1) for item in items)}
+    if "weight" not in params:
         raise ValueError(f"component {raw!r} has no weight")
+    weight = params.pop("weight")
     return MixtureComponent(family=family, params=params, weight=weight)
 
 
+# Every section a config may hold, and each of its keys: the config field the key sets, the parser of its value,
+# and whether it is required. Nothing else is read, so any other section or key is an error. "component.N" stands
+# for "component" and every "component.<name>", whose values make one tuple in file order.
+_SECTIONS = {
+    "voting_model": {
+        "n_units": ("n_units", int, True),
+        "max_voters": ("max_voters", int, True),
+        "turnout": ("turnout_dist", _parse_beta_pair, True),
+        "partisan_fraction": ("partisan_fraction_dist", _parse_beta_pair, True),
+        "partisan_loyalty": ("partisan_loyalty", float, True),
+        "swing_prob": ("swing_prob_dist", _parse_beta_pair, True),
+        "seed": ("seed", int, True),
+    },
+    "mixture": {
+        "n_samples": ("n_samples", int, True),
+        "seed": ("seed", int, True),
+        "component.N": ("components", _parse_component, False),
+    },
+    "experiment": {
+        "laws": ("law_names", lambda raw: tuple(name.strip() for name in raw.split(",") if name.strip()), True),
+        "replicates": ("replicates", int, False),
+    },
+}
+
+
 def load_simulation_config(path) -> SimulationJob:
-    """Parse a simulation INI file (see configs/); a malformed file, a missing key or a bad value is a ValueError."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    """Parse a simulation INI file (see configs/); a malformed file, a missing or unknown section or key, or a bad
+    value is a ValueError."""
+    # no section is special: a [DEFAULT] would lend its keys to every section, so it is unknown like any other
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), default_section="")
     try:
         if not parser.read(path):
             raise ValueError(f"cannot read config file {path}")
@@ -492,36 +511,34 @@ def load_simulation_config(path) -> SimulationJob:
         raise ValueError(" ".join(str(exc).splitlines())) from None
 
 
+def _read_section(parser: configparser.ConfigParser, name: str) -> dict:
+    """The config fields that section [name] sets, each key read through the section's table."""
+    table = _SECTIONS.get(name)
+    if table is None:
+        raise ValueError(f"unknown section [{name}] (keys: {', '.join(parser[name]) or 'none'}); a config holds "
+                         "[mixture] or [voting_model], and optionally [experiment]")
+    fields = {field: () for pattern, (field, _, _) in table.items() if pattern.endswith(".N")}
+    for option, raw in parser.items(name):
+        pattern = option if option in table else option.partition(".")[0] + ".N"
+        if pattern not in table:
+            raise ValueError(f"unknown key {option!r} in [{name}], which accepts {', '.join(table)}")
+        field, parse, _ = table[pattern]
+        fields[field] = fields[field] + (parse(raw),) if pattern.endswith(".N") else parse(raw)
+    for option, (field, _, required) in table.items():
+        if required and field not in fields:
+            raise configparser.NoOptionError(option, name)
+    return fields
+
+
 def _simulation_job(parser: configparser.ConfigParser) -> SimulationJob:
-    has_mixture = parser.has_section("mixture")
-    has_voting = parser.has_section("voting_model")
-    if has_mixture == has_voting:
+    if parser.has_section("mixture") == parser.has_section("voting_model"):
         raise ValueError("config must have exactly one of [mixture] or [voting_model]")
-    experiment = None
-    if parser.has_section("experiment"):
-        names = tuple(s.strip() for s in parser.get("experiment", "laws").split(",") if s.strip())
-        experiment = ExperimentSpec(law_names=names, replicates=parser.getint("experiment", "replicates", fallback=1))
-    if has_mixture:
-        sec = parser["mixture"]
-        comps = tuple(
-            _parse_component(value) for key, value in sec.items() if key == "component" or key.startswith("component.")
-        )
-        mixture = MixtureConfig(components=comps, n_samples=parser.getint("mixture", "n_samples"),
-                                seed=parser.getint("mixture", "seed"))
-        if experiment is not None:
-            if parser.has_option("experiment", "replicates"):
-                raise ValueError("a [mixture] experiment screens one sample; replicates applies to [voting_model]")
-            for law in experiment.laws:
-                _check_mixture_law(law)
-        return SimulationJob(mixture=mixture, experiment=experiment)
-    section = "voting_model"
-    voting = VotingModelConfig(
-        n_units=parser.getint(section, "n_units"),
-        max_voters=parser.getint(section, "max_voters"),
-        turnout_dist=_parse_beta_pair(parser.get(section, "turnout")),
-        partisan_fraction_dist=_parse_beta_pair(parser.get(section, "partisan_fraction")),
-        partisan_loyalty=parser.getfloat(section, "partisan_loyalty"),
-        swing_prob_dist=_parse_beta_pair(parser.get(section, "swing_prob")),
-        seed=parser.getint(section, "seed"),
-    )
-    return SimulationJob(voting=voting, experiment=experiment)
+    fields = {name: _read_section(parser, name) for name in parser.sections()}
+    experiment = ExperimentSpec(**fields["experiment"]) if "experiment" in fields else None
+    if "voting_model" in fields:
+        return SimulationJob(voting=VotingModelConfig(**fields["voting_model"]), experiment=experiment)
+    if "replicates" in fields.get("experiment", {}):
+        raise ValueError("a [mixture] experiment screens one sample; replicates applies to [voting_model]")
+    for law in experiment.laws if experiment else ():
+        _check_mixture_law(law)
+    return SimulationJob(mixture=MixtureConfig(**fields["mixture"]), experiment=experiment)

@@ -4,6 +4,7 @@ import importlib.resources
 import math
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from digitscreen import digits, simulate
 from digitscreen.digits import _digit_string as digit_string
 from digitscreen.inference import screen
-from digitscreen.laws import RestrictionSpec, nbl_first, nbl_second, restricted_law
+from digitscreen.laws import RestrictionSpec, law_from_name, nbl_first, nbl_second, restricted_law
 from digitscreen.simulate import (
     ExperimentSpec,
     MixtureComponent,
@@ -27,6 +28,8 @@ from digitscreen.simulate import (
     screen_mixture,
 )
 from oracles import scalar_hmpm_unit_counts
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def lognormal_mixture(n_components=50, n_samples=100_000, seed=7):
@@ -241,6 +244,26 @@ class TestVotingModelOracle:
         assert hmpm_unit_counts(cfg) == scalar_hmpm_unit_counts(cfg)
         assert sizes.count((8,)) == cfg.n_units
 
+    def test_bernoulli_counts_in_chunks_match_scalar_oracle(self, monkeypatch):
+        # 64-uniform draws split the 500 turnout uniforms, and the 2 * turnout after them, over several draws
+        sizes = []
+        unit_rng = simulate._unit_rng
+
+        class RecordingRng:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def random(self, size=None, out=None):
+                sizes.append(size if out is None else out.size)
+                return self.rng.random(size, out=out)
+
+        monkeypatch.setattr(simulate, "_CHUNK", 64)
+        monkeypatch.setattr(simulate, "_unit_rng", lambda seed, j: RecordingRng(unit_rng(seed, j)))
+        cfg = replace(default_voting_config(9), n_units=40, max_voters=500)
+        assert hmpm_unit_counts(cfg) == scalar_hmpm_unit_counts(cfg)
+        # every unit draws its head, then at least 7 chunks for the turnout's uniforms beyond the head's rest
+        assert max(sizes) == 64 and len(sizes) >= cfg.n_units * (1 + 500 // 64)
+
     def test_oracle_sees_a_dropped_head_remainder(self, monkeypatch):
         # counting turnout from fresh uniforms, past the head's unused ones, changes the units
         unit_betas = simulate._unit_betas
@@ -360,8 +383,19 @@ class TestConfigFiles:
         (MIXTURE.replace("lognormal weight=1 mu=0 sigma=1", "half-cauchy weight=1 scale=inf"), "must be finite"),
         (MIXTURE + "component.2 = lognormal weight=nan mu=0 sigma=1\n", "weight must be finite"),
         (MIXTURE.replace("sigma=1", "sigma=1 scale=2"), r"lognormal component takes no parameters \['scale'\]"),
+        (VOTING + "\n[experiment]\nlaws = nb2\nreplicate = 3\n",
+         r"unknown key 'replicate' in \[experiment\], which accepts laws, replicates$"),
+        (VOTING + "maxvoters = 10\n", r"unknown key 'maxvoters' in \[voting_model\], which accepts n_units, "
+                                     "max_voters, turnout, partisan_fraction, partisan_loyalty, swing_prob, seed$"),
+        (MIXTURE + "n_sample = 5\n",
+         r"unknown key 'n_sample' in \[mixture\], which accepts n_samples, seed, component.N$"),
+        (MIXTURE + "\n[mixture_extra]\nn_samples = 5\n", r"unknown section \[mixture_extra\] \(keys: n_samples\); a "
+                                                        r"config holds \[mixture\] or \[voting_model\], and optionally "
+                                                        r"\[experiment\]$"),
+        ("[DEFAULT]\nseed = 3\n\n" + VOTING, r"unknown section \[DEFAULT\] \(keys: seed\); a config holds "),
     ], ids=["no-n_units", "no-n_samples", "no-turnout", "no-laws", "no-section-header", "duplicate-section",
-            "turnout-nan", "turnout-inf", "high-inf", "scale-inf", "weight-nan", "unknown-parameter"])
+            "turnout-nan", "turnout-inf", "high-inf", "scale-inf", "weight-nan", "unknown-parameter",
+            "experiment-replicate", "voting-maxvoters", "mixture-n_sample", "mixture_extra-section", "default-key"])
     def test_malformed_config_is_a_one_line_error(self, tmp_path, capsys, config, message):
         from digitscreen.cli import main
 
@@ -374,6 +408,18 @@ class TestConfigFiles:
         captured = capsys.readouterr()
         assert not out.exists() and captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("workload", ["sim-voting", "sim-mixture"])
+    def test_benchmark_configs_load(self, tmp_path, monkeypatch, workload):
+        # the benchmark generates its simulate configs itself; a stricter loader must not refuse them
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        workloads = importlib.import_module("workloads")
+        cache, plan = workloads.plan(tmp_path, workload, 0)
+        (config,) = plan["inputs"]
+        job = load_simulation_config(cache / config)
+        assert job.kind == plan["expect"]["kind"]
+        assert [law.kind for law in job.experiment.laws] == [
+            law_from_name(name).kind for name in plan["expect"]["laws"]]
 
     def test_missing_file(self):
         with pytest.raises(ValueError, match="cannot read"):
