@@ -3,14 +3,14 @@
 Counts are analyzed through exact integer arithmetic, never through
 floating-point logarithms, so values at decade boundaries (10, 100, ...)
 can never be misclassified. A column's counts are held as one read-only
-int64 array, so they lie in [1, 2^63 - 1]. Their decimal digit counts ``nd``
-come from a binary search against the powers 10^0..10^18, once per column.
-``DatasetColumn.prefixes(k, policy)`` is the one place an exclusion policy
-applies: the k-digit prefix of a value with at least k digits is
-``v // 10^(nd - k)``, and a shorter value is dropped (exclude-short) or
-padded with trailing zeros (trailing-zero). The k-th significant digit is
-``prefix % 10``, and frequencies are ``np.bincount`` tallies of those digits
-or prefixes, all in exact int64 arithmetic.
+int64 array in increasing order, so they lie in [1, 2^63 - 1] and the values
+of each decimal length n form one slice of it, cut by a binary search for
+the powers 10^1..10^18, once per column. The k-digit prefixes of the n-digit
+slice are ``slice // 10^(n - k)`` for n >= k, and its k-th significant digits
+those prefixes modulo 10. A shorter value is dropped (exclude-short) or read
+with trailing zeros (trailing-zero): its k-th digit is 0, and its k-digit
+prefix ``slice * 10^(k - n)``. Frequencies are ``np.bincount`` tallies of
+the digits or prefixes of each slice, all in exact int64 arithmetic.
 
 Floats (simulated samples) are read as their shortest round-trip decimal
 representation (0.154 -> "154"), under trailing-zero semantics, mostly
@@ -102,12 +102,12 @@ def significant_digit(x, i: int) -> int:
     return int(digits[i - 1]) if i <= len(digits) else 0
 
 
-# 10^0 .. 10^18: every power of ten that fits in int64
-_POWERS_OF_TEN = 10 ** np.arange(19, dtype=np.int64)
+# 10^1 .. 10^18: the least value of each decimal length from 2 to 19 (all of int64)
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
 
 
 def _count_array(name: str, values) -> np.ndarray:
-    """``values`` as a fresh read-only 1-D int64 array of counts >= 1.
+    """``values`` as a fresh read-only 1-D int64 array of counts >= 1, in increasing order.
 
     A sequence must hold Python ints (bools and floats are rejected one by
     one); an array must have an integer dtype that converts to int64 exactly.
@@ -126,8 +126,9 @@ def _count_array(name: str, values) -> np.ndarray:
             arr = np.array(values, dtype=np.int64)
         except OverflowError:
             raise ValueError(f"column {name!r}: values must lie below 2^63") from None
-    if arr.size and arr.min() < 1:
-        raise ValueError(f"column {name!r}: retained values must be integers >= 1, got {arr.min().item()!r}")
+    arr.sort()
+    if arr.size and arr[0] < 1:
+        raise ValueError(f"column {name!r}: retained values must be integers >= 1, got {arr[0].item()!r}")
     arr.flags.writeable = False
     return arr
 
@@ -136,17 +137,18 @@ def _count_array(name: str, values) -> np.ndarray:
 class DatasetColumn:
     """A named column of positive integer counts, one per reporting unit.
 
-    ``values`` is a read-only int64 array. ``excluded_count`` tallies units
-    dropped on the way in (zeros, negatives, unparseable cells), so
-    m + excluded_count equals the original row count.
+    ``values`` is a read-only int64 array of the counts in increasing order:
+    nothing the screens compute depends on the order of the units, and in
+    this order the values of each decimal length form one slice. Its
+    ``excluded_count`` tallies units dropped on the way in (zeros,
+    negatives, unparseable cells), so m + excluded_count equals the original
+    row count.
     """
 
     name: str
     values: np.ndarray
     excluded_count: int = 0
     diagnostics: tuple[str, ...] = field(default=(), repr=False)
-    # the tallies of digit_frequencies and joint_frequencies, which the read-only values never invalidate
-    _tallies: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "values", _count_array(self.name, self.values))
@@ -160,33 +162,9 @@ class DatasetColumn:
         return self.values.size
 
     @cached_property
-    def digit_counts(self) -> np.ndarray:
-        """Number of decimal digits of each value (1 for 1..9, at most 19), as uint8."""
-        return np.searchsorted(_POWERS_OF_TEN, self.values, side="right").astype(np.uint8)
-
-    def _kept(self, k: int, policy: str):
-        """Index of the values that carry a k-th digit: all under trailing-zero, else those with >= k digits."""
-        if policy not in POLICIES:
-            raise ValueError(f"unknown exclusion policy {policy!r}; expected one of {POLICIES}")
-        return slice(None) if policy == TRAILING_ZERO else self.digit_counts >= k
-
-    def prefixes(self, k: int, policy: str = EXCLUDE_SHORT) -> np.ndarray:
-        """The k-digit prefix of each value kept under ``policy``, in column order.
-
-        A value with fewer than k digits is dropped (exclude-short) or padded
-        with zeros (trailing-zero: 7 -> 70 at k = 2); a padded prefix is kept
-        modulo 10^18 so that it stays in int64, which leaves its last digit 0.
-        """
-        kept = self._kept(k, policy)
-        values, nd = self.values[kept], self.digit_counts[kept]
-        # nd - k would wrap in uint8; no value has more than 19 digits, so any k above 19 divides by 10^0
-        top = min(k, 19)
-        prefixes = _POWERS_OF_TEN[np.maximum(nd, top) - top]
-        np.floor_divide(values, prefixes, out=prefixes)
-        short = nd < k
-        zeros = np.minimum(k - nd[short].astype(np.int64), 18)
-        prefixes[short] = values[short] % _POWERS_OF_TEN[18 - zeros] * _POWERS_OF_TEN[zeros]
-        return prefixes
+    def _cuts(self) -> tuple[int, ...]:
+        """``cuts[n]`` values have at most n digits (n = 0..19): the n-digit values are ``values[cuts[n - 1]:cuts[n]]``."""
+        return (0, *np.searchsorted(self.values, _POWERS_OF_TEN).tolist(), self.m)
 
 
 @dataclass(frozen=True)
@@ -227,9 +205,22 @@ class CountVector:
         return tuple(c / self.n for c in self.counts)
 
 
+def _dropped(column: DatasetColumn, k: int, policy: str) -> int:
+    """How many values lack a k-th digit and are dropped under ``policy``: the first ones, or none under trailing-zero."""
+    if policy not in POLICIES:
+        raise ValueError(f"unknown exclusion policy {policy!r}; expected one of {POLICIES}")
+    return column._cuts[min(k, 20) - 1] if policy == EXCLUDE_SHORT else 0
+
+
+def _slices(column: DatasetColumn, shortest: int):
+    """(n, the n-digit values) for each decimal length n >= ``shortest`` that the column holds."""
+    cuts = column._cuts
+    return [(n, column.values[cuts[n - 1]:cuts[n]]) for n in range(shortest, 20) if cuts[n - 1] < cuts[n]]
+
+
 def analyzable_values(column: DatasetColumn, width: int, policy: str = EXCLUDE_SHORT) -> np.ndarray:
-    """Retained values that contribute a digit at position/prefix width ``width``."""
-    return column.values[column._kept(width, policy)]
+    """Retained values that contribute a digit at position/prefix width ``width``, in increasing order (a view)."""
+    return column.values[_dropped(column, width, policy):]
 
 
 def digit_frequencies(column: DatasetColumn, i: int, policy: str = EXCLUDE_SHORT) -> CountVector:
@@ -239,19 +230,15 @@ def digit_frequencies(column: DatasetColumn, i: int, policy: str = EXCLUDE_SHORT
     digits are dropped and tallied in the result's ``excluded`` field;
     counting them as trailing zeros would spuriously inflate digit 0.
     ``trailing-zero`` applies significant_digit literally instead.
-
-    The tally is kept on the column, so a later call for the same (i,
-    policy), say rnb1 after nb1, returns the same CountVector without
-    reading the values again. A column without analyzable values raises on
-    every call.
+    A column without analyzable values raises.
     """
     domain = digit_domain(i)
-    key = ("digit", i, policy)
-    if key not in column._tallies:
-        prefixes = column.prefixes(i, policy)
-        counts = np.bincount(prefixes % 10, minlength=10)
-        column._tallies[key] = _count_vector(domain, counts[list(domain)], column.m - prefixes.size)
-    return column._tallies[key]
+    dropped = _dropped(column, i, policy)
+    counts = np.zeros(10, dtype=np.int64)
+    counts[0] = column._cuts[min(i, 20) - 1] - dropped  # the shorter values kept, whose i-th digit is 0
+    for n, values in _slices(column, i):
+        counts += np.bincount((values // 10 ** (n - i) if n > i else values) % 10, minlength=10)
+    return _count_vector(domain, counts[list(domain)], dropped)
 
 
 def real_digit_frequencies(values, i: int) -> CountVector:
@@ -273,7 +260,8 @@ def real_digit_frequencies(values, i: int) -> CountVector:
         prefixes, risky = _float_prefixes(floats[start:start + _BLOCK], i)
         counts += np.bincount(prefixes % 10, minlength=10)
         exact.extend(int(_digit_string(x)) for x in risky.tolist())
-    counts += np.bincount(DatasetColumn("values", exact).prefixes(i, TRAILING_ZERO) % 10, minlength=10)
+    if exact:
+        counts[list(domain)] += digit_frequencies(DatasetColumn("values", exact), i, TRAILING_ZERO).counts
     return _count_vector(domain, counts[list(domain)], 0)
 
 
@@ -325,22 +313,17 @@ def _float_prefixes(x: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def joint_frequencies(column: DatasetColumn, k: int = 2, policy: str = EXCLUDE_SHORT) -> CountVector:
-    """Tabulate ordered k-digit prefixes (d1, ..., dk) of every retained value.
-
-    As in ``digit_frequencies``, the tally is kept on the column for later
-    calls with the same (k, policy), and a failed one is not.
-    """
-    _check_digit_index(k)  # an integral float would otherwise find the int's tally
+    """Tabulate ordered k-digit prefixes (d1, ..., dk) of every retained value, as ``digit_frequencies`` does digits."""
+    _check_digit_index(k)
     if k < 2:
         raise ValueError("joint tabulation needs k >= 2; use digit_frequencies for a single digit")
-    key = ("joint", k, policy)
-    if key not in column._tallies:
-        prefixes = column.prefixes(k, policy)
-        # joint_domain(k) lists the prefixes 10^(k-1) .. 10^k - 1 in increasing order
-        first = 10 ** (k - 1)
-        counts = np.bincount(prefixes - first, minlength=9 * first)
-        column._tallies[key] = _count_vector(joint_domain(k), counts, column.m - prefixes.size)
-    return column._tallies[key]
+    dropped = _dropped(column, k, policy)
+    # bincount cell p is the prefix p; joint_domain(k) lists the prefixes 10^(k-1) .. 10^k - 1 in increasing order
+    first = 10 ** (k - 1)
+    counts = np.zeros(10 * first, dtype=np.int64)
+    for n, values in _slices(column, k if policy == EXCLUDE_SHORT else 1):
+        counts += np.bincount(values // 10 ** (n - k) if n >= k else values * 10 ** (k - n), minlength=10 * first)
+    return _count_vector(joint_domain(k), counts[first:], dropped)
 
 
 def _count_vector(domain: tuple, counts: np.ndarray, excluded: int) -> CountVector:

@@ -10,6 +10,7 @@ thousands and the factorials involved overflow doubles long before that.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,11 +178,12 @@ def report_from_counts(
 
 def _check_restriction(column: DatasetColumn, law: DigitDistribution) -> None:
     spec = law.restriction
-    if spec is None:
+    if spec is None or not column.m:
         return
-    v = column.values
-    outside = np.count_nonzero((v < (spec.lower or 1)) | (v > spec.upper))
-    if outside:
+    # the values are in increasing order, so those outside the bounds lie at its two ends; bisect compares Python ints
+    v, lower = column.values, spec.lower or 1
+    if v[0].item() < lower or v[-1].item() > spec.upper:
+        outside = bisect_left(v, lower, key=int) + v.size - bisect_right(v, spec.upper, key=int)
         raise ValueError(f"{outside} of {column.m} units lie outside the restriction {spec}")
 
 

@@ -463,10 +463,14 @@ def _parse_beta_pair(raw: str) -> tuple[float, float]:
 def _parse_component(raw: str) -> MixtureComponent:
     """A component line: the family, then its parameters and weight as key=value items."""
     family, *items = raw.split() or [""]
+    params = {}
     for item in items:
-        if "=" not in item:
+        key, eq, value = item.partition("=")
+        if not eq:
             raise ValueError(f"component parameter {item!r} is not key=value")
-    params = {key: float(value) for key, value in (item.split("=", 1) for item in items)}
+        if key in params:
+            raise ValueError(f"component {raw!r} gives {key!r} twice")
+        params[key] = float(value)
     if "weight" not in params:
         raise ValueError(f"component {raw!r} has no weight")
     weight = params.pop("weight")

@@ -28,6 +28,7 @@ from digitscreen.cli import (
     render_law_table,
     run_screening,
 )
+from digitscreen import inference
 from digitscreen.inference import tabulate
 from digitscreen.laws import RestrictionSpec, law_from_name, nbl_first, nbl_joint, nbl_second, restricted_law
 from digitscreen.report import COLUMNS, render
@@ -227,7 +228,7 @@ class TestIngest:
         path = tmp_path / "d.csv"
         path.write_text("a,b\n5,7\n\nx,3\n  \n12,0\n")
         col_a, col_b = ingest(path, ["a", "b"])
-        assert col_a.values.tolist() == [5, 12] and col_b.values.tolist() == [7, 3]
+        assert col_a.values.tolist() == [5, 12] and col_b.values.tolist() == [3, 7]
         assert col_a.diagnostics == ("a: row 4: not an integer: 'x'",)
         assert col_b.diagnostics == ("b: row 6: zero count excluded",)
 
@@ -326,7 +327,7 @@ class TestIngest:
         path.write_bytes(f"a,b{end}12,{10**17}{end}987654321012345678,3{end}".encode())
         with mock.patch.object(cli, "_cell_count", side_effect=AssertionError("a clean cell left the bulk path")):
             a, b = cli._read_plain(path, ["a", "b"], None)
-        assert a.values.tolist() == [12, 987654321012345678] and b.values.tolist() == [10**17, 3]
+        assert a.values.tolist() == [12, 987654321012345678] and b.values.tolist() == [3, 10**17]
 
     @pytest.mark.parametrize("text", ["a,b\n\n12,3\n", "a,b\n \x0c\n12,3\n", "a,b\n12,3\r4,5\n", 'a,b\n"12",3\n',
                                       "a,b\n12,3,4\n", "a,b\n12,\u00e9\n", "\n\na,b\n12,3\n"])
@@ -347,8 +348,9 @@ class TestIngest:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert a.m == b.m == c.m == 250_000 and a.values[:2].tolist() == [5, 2]
         assert peak <= 10 << 20
+        assert a.values.tolist() == sorted([5] + [i % 9973 + 1 for i in range(1, 250_000)])
+        assert b.m == c.m == 250_000
 
     def test_csv_fallback_names_the_line_of_a_byte_that_is_not_utf8(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -363,6 +365,21 @@ class TestRunScreening:
         doc = run_screening(config)
         labels = [row.label for row in doc.rows]
         assert labels == ["NB1 north", "NB1 south", "NB2 north", "NB2 south"]
+
+    def test_screening_holds_no_copy_of_a_column(self):
+        # three log-uniform columns of 250 000 counts on [1, 2250] take 6 MB; screening them may add 3 MiB at most
+        rng = np.random.default_rng(12)
+        columns = [DatasetColumn(name, np.exp(rng.uniform(0.0, math.log(2251.0), 250_000)).astype(np.int64))
+                   for name in "abc"]
+        config = ScreenConfig("unused.csv", ("a", "b", "c"), ("nb1", "nb2", "joint2", "rnb2"), upper_bound=2250)
+        tracemalloc.start()
+        try:
+            doc = run_screening(config, columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(doc.rows) == 12 and not doc.errors
+        assert peak <= 3 << 20
 
     def test_per_column_error_keeps_going(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -574,10 +591,21 @@ class TestMainEntry:
         assert "benford-second pooled" in capsys.readouterr().out
 
     def test_output_dir_env(self, small_csv, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("DIGITSCREEN_OUT", str(tmp_path / "outputs"))
+        outputs, cwd = tmp_path / "outputs", tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        monkeypatch.setenv("DIGITSCREEN_OUT", str(outputs))
+        cfg = tmp_path / "model.ini"
+        cfg.write_text("[mixture]\nn_samples = 20\nseed = 3\ncomponent.1 = lognormal weight=1 mu=0 sigma=1\n")
         main(["screen", str(small_csv), "--columns", "north", "--tests", "nb1",
-              "--out", "report.txt"])
-        assert (tmp_path / "outputs" / "report.txt").exists()
+              "--out", "report.txt", "--proportions", "props"])
+        assert main(["simulate", "--config", str(cfg), "--out", "sim/data.csv"]) == 0
+        assert sorted(p.relative_to(outputs).as_posix() for p in outputs.rglob("*")) == [
+            "props", "props/north_nb1.csv", "report.txt", "sim", "sim/data.csv"]
+        # an absolute path is taken as it is
+        main(["screen", str(small_csv), "--columns", "north", "--tests", "nb1", "--out", str(tmp_path / "abs.txt")])
+        assert (tmp_path / "abs.txt").exists() and not (outputs / "abs.txt").exists()
+        assert not any(cwd.iterdir())
 
     def test_two_sided_restriction(self, small_csv, capsys):
         # north holds 2, 1472 and 6033, all inside [2, 8000]
@@ -683,32 +711,50 @@ class TestMainEntry:
             "north_nb1.csv", "north_rnb2.csv", "south_nb1.csv", "south_rnb2.csv"]
 
     def test_proportions_reuse_the_screen_tally(self, small_csv, tmp_path, monkeypatch, capsys):
+        # one tally per screening, laws at one digit position each tallying their own, and none for the files
         calls = []
-        prefixes = DatasetColumn.prefixes
 
-        def counting(self, *args, **kwargs):
-            calls.append(args)
-            return prefixes(self, *args, **kwargs)
+        def spy(name):
+            tally = getattr(inference, name)
 
-        monkeypatch.setattr(DatasetColumn, "prefixes", counting)
-        main(["screen", str(small_csv), "--columns", "north,south", "--tests", "nb1,nb2,joint2",
-              "--proportions", str(tmp_path / "props")])
-        assert len(calls) == 6 and len(list((tmp_path / "props").iterdir())) == 6
+            def counting(column, *args):
+                calls.append((column.name, name, *args))
+                return tally(column, *args)
+
+            return counting
+
+        for name in ("digit_frequencies", "joint_frequencies"):
+            monkeypatch.setattr(inference, name, spy(name))
+        main(["screen", str(small_csv), "--columns", "north,south", "--tests", "nb1,rnb1,nb2,rnb2,joint2",
+              "--bound", "8000", "--proportions", str(tmp_path / "props")])
+        assert sorted(calls) == [(col, name, i, "exclude-short") for col in ("north", "south")
+                                 for name, i in [("digit_frequencies", 1)] * 2 + [("digit_frequencies", 2)] * 2
+                                 + [("joint_frequencies", 2)]]
+        assert len(list((tmp_path / "props").iterdir())) == 10
 
     def test_laws_at_one_digit_position_share_its_tally(self, small_csv, tmp_path, monkeypatch, capsys):
-        calls = []
-        prefixes = DatasetColumn.prefixes
+        # nb1 and rnb1 (nb2 and rnb2) read one digit position, so they report the same observed proportions
+        positions = []
+        tally = inference.digit_frequencies
 
-        def counting(self, *args, **kwargs):
-            calls.append((self.name, *args))
-            return prefixes(self, *args, **kwargs)
+        def counting(column, *args):
+            positions.append((column.name, *args))
+            return tally(column, *args)
 
-        monkeypatch.setattr(DatasetColumn, "prefixes", counting)
+        monkeypatch.setattr(inference, "digit_frequencies", counting)
+        props = tmp_path / "props"
         main(["screen", str(small_csv), "--columns", "north,south", "--tests", "nb1,rnb1,nb2,rnb2", "--bound", "8000",
-              "--proportions", str(tmp_path / "props")])
-        assert sorted(calls) == [("north", 1, "exclude-short"), ("north", 2, "exclude-short"),
-                                 ("south", 1, "exclude-short"), ("south", 2, "exclude-short")]
-        assert len(list((tmp_path / "props").iterdir())) == 8
+              "--proportions", str(props)])
+        assert sorted(set(positions)) == [("north", 1, "exclude-short"), ("north", 2, "exclude-short"),
+                                          ("south", 1, "exclude-short"), ("south", 2, "exclude-short")]
+        assert len(list(props.iterdir())) == 8
+
+        def observed(name):
+            return [row[:2] for row in csv.reader((props / name).read_text().splitlines())]
+
+        for col in ("north", "south"):
+            assert observed(f"{col}_nb1.csv") == observed(f"{col}_rnb1.csv")
+            assert observed(f"{col}_nb2.csv") == observed(f"{col}_rnb2.csv")
 
     def test_simulate_generates_each_replicate_once(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "model.ini"

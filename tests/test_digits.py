@@ -22,7 +22,8 @@ from digitscreen.digits import (
     real_digit_frequencies,
     significant_digit,
 )
-from digitscreen.inference import _lower_median
+from digitscreen.inference import HypothesisPrior, _lower_median, screen
+from digitscreen.laws import nbl_first, nbl_joint, nbl_second
 from oracles import sorted_lower_median, str_analyzable, str_digit_tally, str_joint_tally
 
 
@@ -148,10 +149,11 @@ class TestDigitFrequencies:
                 joint_frequencies(col, 2)
         assert digit_frequencies(col, 2, TRAILING_ZERO).counts == (3,) + (0,) * 9
 
-    def test_each_tally_is_kept_on_its_column(self):
+    def test_each_call_tallies_the_column_afresh(self):
         col = DatasetColumn("x", (154, 23, 9))
-        assert digit_frequencies(col, 2) is digit_frequencies(col, 2)
-        assert joint_frequencies(col, 2) is joint_frequencies(col, 2)
+        first, joint = digit_frequencies(col, 2), joint_frequencies(col, 2)
+        assert digit_frequencies(col, 2) == first and digit_frequencies(col, 2) is not first
+        assert joint_frequencies(col, 2) == joint and joint_frequencies(col, 2) is not joint
         assert digit_frequencies(col, 2, TRAILING_ZERO).n == 3 and digit_frequencies(col, 2).n == 2
         assert by_digit(joint_frequencies(col, 2, TRAILING_ZERO))[(9, 0)] == 1
         assert (9, 0) not in {d for d, c in by_digit(joint_frequencies(col, 2)).items() if c}
@@ -234,12 +236,13 @@ class TestCountVector:
 
 
 @pytest.mark.parametrize("policy", POLICIES)
-def test_digit_counts_are_uint8_at_any_position(policy):
-    values = [1, 9, 10, 99, 1234, 10**18, 2**63 - 1]
+def test_tallies_at_any_position(policy):
+    values = [1234, 9, 2**63 - 1, 10, 1, 10**18, 99]
     col = DatasetColumn("x", values)
-    assert col.digit_counts.dtype == np.uint8 and col.digit_counts.tolist() == [len(str(v)) for v in values]
-    # positions past the 19 digits of int64 and past the uint8 range
+    assert col.values.tolist() == sorted(values)
+    # positions past the 19 digits of int64 and past the range of a byte
     for i in (20, 255, 256, 300):
+        assert analyzable_values(col, i, policy).tolist() == sorted(str_analyzable(values, i, policy))
         counts, excluded = str_digit_tally(values, i, policy)
         if not counts:
             with pytest.raises(ValueError, match="no analyzable values"):
@@ -256,8 +259,10 @@ def test_real_digit_frequencies():
 
 def test_analyzable_values_matches_policy():
     col = DatasetColumn("x", (154, 23, 9))
-    assert analyzable_values(col, 2, EXCLUDE_SHORT).tolist() == [154, 23]
-    assert analyzable_values(col, 2, TRAILING_ZERO).tolist() == [154, 23, 9]
+    assert analyzable_values(col, 2, EXCLUDE_SHORT).tolist() == [23, 154]
+    assert analyzable_values(col, 2, TRAILING_ZERO).tolist() == [9, 23, 154]
+    # a view of the values, not a copy
+    assert np.shares_memory(analyzable_values(col, 2, EXCLUDE_SHORT), col.values)
 
 
 # Draws weighted toward the decade edges 10^e - 1, 10^e and 10^e + 1, where a
@@ -299,12 +304,39 @@ class TestKernelMatchesStringOracle:
     def test_analyzable_values_and_median(self, policy, values):
         col = DatasetColumn("x", values)
         for width in (1, 2, 3, 4):
-            expected = str_analyzable(values, width, policy)
+            expected = sorted(str_analyzable(values, width, policy))
             analyzed = analyzable_values(col, width, policy)
             assert analyzed.tolist() == expected
             if expected:
                 median = _lower_median(analyzed)
                 assert type(median) is int and median == sorted_lower_median(expected)
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(st.data(), st.lists(COUNTS, max_size=40))
+def test_column_order_changes_nothing(data, values):
+    shuffled = data.draw(st.permutations(values))
+    inputs = (values, shuffled, np.array(shuffled, dtype=np.int64))
+    columns = [DatasetColumn("x", v) for v in inputs]
+    for col, given_values in zip(columns, inputs):
+        assert col.values.tolist() == sorted(values) and not col.values.flags.writeable
+        if isinstance(given_values, np.ndarray):
+            assert not np.shares_memory(col.values, given_values)
+    for policy in POLICIES:
+        tallies = [[_outcome(digit_frequencies, col, i, policy) for i in (1, 2, 3)]
+                   + [_outcome(joint_frequencies, col, 2, policy)] for col in columns]
+        assert tallies[0] == tallies[1] == tallies[2]
+        reports = [[_outcome(screen, col, law, HypothesisPrior(), policy) for law in (nbl_first(), nbl_second(),
+                                                                                     nbl_joint(2))]
+                   for col in columns]
+        assert reports[0] == reports[1] == reports[2]
 
 
 @given(st.lists(st.floats(min_value=1e-300, max_value=1e300), min_size=1, max_size=40))

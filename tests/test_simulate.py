@@ -176,7 +176,7 @@ class TestVotingModel:
         assert all(b == 0 for _, b in units)
         col_a, col_b = sample_hmpm(cfg)
         assert col_b.m == 0 and col_b.excluded_count == 50
-        assert [a for a, _ in units if a >= 1] == col_a.values.tolist()
+        assert sorted(a for a, _ in units if a >= 1) == col_a.values.tolist()
 
     def test_tiny_turnout_gives_no_second_digits(self):
         cfg = VotingModelConfig(
@@ -393,9 +393,12 @@ class TestConfigFiles:
                                                         r"config holds \[mixture\] or \[voting_model\], and optionally "
                                                         r"\[experiment\]$"),
         ("[DEFAULT]\nseed = 3\n\n" + VOTING, r"unknown section \[DEFAULT\] \(keys: seed\); a config holds "),
+        (MIXTURE.replace("mu=0", "mu=0 mu=3"), r"component 'lognormal weight=1 mu=0 mu=3 sigma=1' gives 'mu' twice$"),
+        (MIXTURE.replace("weight=1", "weight=0.2 weight=1"), r"gives 'weight' twice$"),
     ], ids=["no-n_units", "no-n_samples", "no-turnout", "no-laws", "no-section-header", "duplicate-section",
             "turnout-nan", "turnout-inf", "high-inf", "scale-inf", "weight-nan", "unknown-parameter",
-            "experiment-replicate", "voting-maxvoters", "mixture-n_sample", "mixture_extra-section", "default-key"])
+            "experiment-replicate", "voting-maxvoters", "mixture-n_sample", "mixture_extra-section", "default-key",
+            "repeated-parameter", "repeated-weight"])
     def test_malformed_config_is_a_one_line_error(self, tmp_path, capsys, config, message):
         from digitscreen.cli import main
 
