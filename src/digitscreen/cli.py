@@ -426,10 +426,19 @@ def proportions_template(law: DigitDistribution, fmt: str) -> str:
                                                                   for label, p in zip(labels, law.probs))
 
 
+# the flags of a proportions file: created or truncated, and never given Windows newline translation
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
+
+
 def write_proportions(template: str, out_path: Path, counts: CountVector) -> None:
     """Write the proportions file of ``counts`` from its law's ``proportions_template``; the directory exists."""
-    with open(out_path, "wb") as fh:
-        fh.write((template % counts.proportions()).encode())
+    data = (template % counts.proportions()).encode()
+    fd = os.open(out_path, _WRITE_FLAGS, 0o666)
+    try:
+        while data:  # a regular file takes it all in one write
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
 
 
 def _write_table(out_path: Path, header: str, blocks) -> None:
@@ -558,7 +567,7 @@ def _cmd_screen(args) -> int:
 
 
 def _check_file_names(names: list[str]) -> None:
-    """Refuse column names that cannot name --proportions files: shared, or holding a path separator."""
+    """Refuse column names that cannot name --proportions files: shared, or holding a path separator or a null byte."""
     if len(set(names)) < len(names):
         shared = next(name for name in names if names.count(name) > 1)
         raise ValueError(f"--proportions names its files by column, and {shared!r} names more than one "
@@ -568,6 +577,9 @@ def _check_file_names(names: list[str]) -> None:
         if separators.intersection(name):
             raise ValueError(f"--proportions names its files by column, and the column name {name!r} holds a "
                              "path separator")
+        if "\0" in name:
+            raise ValueError(f"--proportions names its files by column, and the column name {name!r} holds a "
+                             "null byte")
 
 
 def _cmd_simulate(args) -> int:

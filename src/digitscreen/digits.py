@@ -10,7 +10,10 @@ slice are ``slice // 10^(n - k)`` for n >= k, and its k-th significant digits
 those prefixes modulo 10. A shorter value is dropped (exclude-short) or read
 with trailing zeros (trailing-zero): its k-th digit is 0, and its k-digit
 prefix ``slice * 10^(k - n)``. Frequencies are ``np.bincount`` tallies of
-the digits or prefixes of each slice, all in exact int64 arithmetic.
+the digits or prefixes of each slice, all in exact int64 arithmetic. Every
+tally of width 1 or 2 is a sum over one table per column, built once: the
+count of each one-digit value and of each two-digit prefix of the longer
+values.
 
 Floats (simulated samples) are read as their shortest round-trip decimal
 representation (0.154 -> "154"), under trailing-zero semantics, mostly
@@ -166,6 +169,14 @@ class DatasetColumn:
         """``cuts[n]`` values have at most n digits (n = 0..19): the n-digit values are ``values[cuts[n - 1]:cuts[n]]``."""
         return (0, *np.searchsorted(self.values, _POWERS_OF_TEN).tolist(), self.m)
 
+    @cached_property
+    def _prefix_table(self) -> np.ndarray:
+        """10 x 10 tally: cell [0, d] counts the one-digit values d, cell [a, b] the longer values with prefix ab."""
+        table = np.zeros(100, dtype=np.int64)
+        for n, values in _slices(self, 1):
+            table += np.bincount(values // 10 ** (n - 2) if n > 2 else values, minlength=100)
+        return table.reshape(10, 10)
+
 
 @dataclass(frozen=True)
 class CountVector:
@@ -234,11 +245,17 @@ def digit_frequencies(column: DatasetColumn, i: int, policy: str = EXCLUDE_SHORT
     """
     domain = digit_domain(i)
     dropped = _dropped(column, i, policy)
+    if i == 1:  # each one-digit value d, plus the longer values of prefixes d0..d9
+        table = column._prefix_table
+        return _count_vector(domain, table[0, 1:] + table[1:].sum(axis=1), dropped)
     counts = np.zeros(10, dtype=np.int64)
     counts[0] = column._cuts[min(i, 20) - 1] - dropped  # the shorter values kept, whose i-th digit is 0
-    for n, values in _slices(column, i):
-        counts += np.bincount((values // 10 ** (n - i) if n > i else values) % 10, minlength=10)
-    return _count_vector(domain, counts[list(domain)], dropped)
+    if i == 2:
+        counts += column._prefix_table[1:].sum(axis=0)
+    else:
+        for n, values in _slices(column, i):
+            counts += np.bincount((values // 10 ** (n - i) if n > i else values) % 10, minlength=10)
+    return _count_vector(domain, counts, dropped)
 
 
 def real_digit_frequencies(values, i: int) -> CountVector:
@@ -318,6 +335,11 @@ def joint_frequencies(column: DatasetColumn, k: int = 2, policy: str = EXCLUDE_S
     if k < 2:
         raise ValueError("joint tabulation needs k >= 2; use digit_frequencies for a single digit")
     dropped = _dropped(column, k, policy)
+    if k == 2:
+        counts = column._prefix_table[1:].copy()
+        if policy == TRAILING_ZERO:
+            counts[:, 0] += column._prefix_table[0, 1:]  # the one-digit value d reads as the prefix d0
+        return _count_vector(joint_domain(2), counts.ravel(), dropped)
     # bincount cell p is the prefix p; joint_domain(k) lists the prefixes 10^(k-1) .. 10^k - 1 in increasing order
     first = 10 ** (k - 1)
     counts = np.zeros(10 * first, dtype=np.int64)
@@ -328,6 +350,7 @@ def joint_frequencies(column: DatasetColumn, k: int = 2, policy: str = EXCLUDE_S
 
 def _count_vector(domain: tuple, counts: np.ndarray, excluded: int) -> CountVector:
     """A CountVector from tallies aligned with ``domain``."""
-    if not counts.any():
+    counts = counts.tolist()
+    if not any(counts):
         raise ValueError("no analyzable values")
-    return CountVector(domain, counts.tolist(), excluded)
+    return CountVector(domain, counts, excluded)

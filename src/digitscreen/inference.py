@@ -141,22 +141,20 @@ def posterior_h0(log_b01: float, prior: HypothesisPrior = HypothesisPrior()) -> 
     return e / (1.0 + e)
 
 
-def _lower_median(values) -> float:
-    """The lower of the two middle values (the middle one for odd sizes), as a Python scalar."""
-    values = np.asarray(values)
-    if values.size == 0:
-        raise ValueError("no analyzable values")
-    mid = (values.size - 1) // 2
-    return np.partition(values, mid)[mid].item()
-
-
 def report_from_counts(
     cv: CountVector,
     analyzed: np.ndarray,
     law: DigitDistribution,
     prior: HypothesisPrior = HypothesisPrior(),
 ) -> TestReport:
-    """Assemble a TestReport from an already-tabulated count vector."""
+    """Assemble a TestReport from an already-tabulated count vector.
+
+    ``analyzed`` holds the values the tally counted, in increasing order: its
+    lower middle value is the report's median count.
+    """
+    analyzed = np.asarray(analyzed)
+    if analyzed.size == 0:
+        raise ValueError("no analyzable values")
     chi2, df = chi_squared_stat(cv, law)
     p = chi_squared_pvalue(chi2, df)
     small = tuple(d for d, prob in zip(cv.domain, law.probs) if cv.n * prob < SMALL_EXPECTED_COUNT)
@@ -164,7 +162,7 @@ def report_from_counts(
     return TestReport(
         law=law.kind,
         m=cv.n,
-        median_count=_lower_median(analyzed),
+        median_count=analyzed[(analyzed.size - 1) // 2].item(),
         chi2=chi2,
         df=df,
         p_value=p,

@@ -403,7 +403,7 @@ def screen_mixture(
     """Screen the significant digits of real-valued samples against a marginal law."""
     _check_mixture_law(law)
     cv = real_digit_frequencies(samples, law.digit_index)
-    return report_from_counts(cv, samples, law, prior)
+    return report_from_counts(cv, np.sort(samples), law, prior)
 
 
 def _check_mixture_law(law: DigitDistribution) -> None:

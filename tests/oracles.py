@@ -7,7 +7,8 @@ each value's decimal string instead of dividing by powers of ten. The
 digit-keyed chi-squared and ln B01 oracles pin the float operations of the
 reports instead: they must agree with the library bit for bit, as must the
 voting model's former scalar generator and the former `--proportions` writer,
-and the former decade walk must count exactly what its closed form counts.
+the former decade walk must count exactly what its closed form counts, and
+the former per-slice digit kernel what the prefix table counts.
 """
 
 import csv
@@ -19,6 +20,8 @@ from pathlib import Path
 
 import mpmath
 import numpy as np
+
+from digitscreen import digits
 
 
 def mp_gamma_q(a: float, x: float, dps: int = 40) -> float:
@@ -170,6 +173,32 @@ def str_joint_tally(values, k: int, policy: str) -> tuple[dict, int]:
 def str_analyzable(values, width: int, policy: str) -> list:
     """The values that carry a digit at position ``width`` under ``policy``."""
     return [v for v in values if policy == "trailing-zero" or len(str(v)) >= width]
+
+
+# The former tally of every position and prefix width, copied from
+# digitscreen.digits: one np.bincount per decimal length of a column. The
+# tallies of width 1 and 2, now sums over one prefix table per column, must
+# equal it.
+
+
+def former_digit_frequencies(column, i: int, policy: str):
+    domain = digits.digit_domain(i)
+    dropped = digits._dropped(column, i, policy)
+    counts = np.zeros(10, dtype=np.int64)
+    counts[0] = column._cuts[min(i, 20) - 1] - dropped  # the shorter values kept, whose i-th digit is 0
+    for n, values in digits._slices(column, i):
+        counts += np.bincount((values // 10 ** (n - i) if n > i else values) % 10, minlength=10)
+    return digits._count_vector(domain, counts[list(domain)], dropped)
+
+
+def former_joint_frequencies(column, k: int, policy: str):
+    dropped = digits._dropped(column, k, policy)
+    # bincount cell p is the prefix p; joint_domain(k) lists the prefixes 10^(k-1) .. 10^k - 1 in increasing order
+    first = 10 ** (k - 1)
+    counts = np.zeros(10 * first, dtype=np.int64)
+    for n, values in digits._slices(column, k if policy == digits.EXCLUDE_SHORT else 1):
+        counts += np.bincount(values // 10 ** (n - k) if n >= k else values * 10 ** (k - n), minlength=10 * first)
+    return digits._count_vector(digits.joint_domain(k), counts[first:], dropped)
 
 
 def sorted_lower_median(values):

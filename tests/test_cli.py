@@ -1,6 +1,7 @@
 """CLI surface: ingestion, screening reports, exit codes, file outputs."""
 
 import csv
+import errno
 import hashlib
 import importlib.resources
 import io
@@ -26,6 +27,7 @@ from digitscreen.cli import (
     main,
     proportions_table,
     render_law_table,
+    resolve_out,
     run_screening,
 )
 from digitscreen import inference
@@ -367,7 +369,7 @@ class TestRunScreening:
         assert labels == ["NB1 north", "NB1 south", "NB2 north", "NB2 south"]
 
     def test_screening_holds_no_copy_of_a_column(self):
-        # three log-uniform columns of 250 000 counts on [1, 2250] take 6 MB; screening them may add 3 MiB at most
+        # three log-uniform columns of 250 000 counts on [1, 2250] take 6 MB; screening them may add 1.5 MiB at most
         rng = np.random.default_rng(12)
         columns = [DatasetColumn(name, np.exp(rng.uniform(0.0, math.log(2251.0), 250_000)).astype(np.int64))
                    for name in "abc"]
@@ -379,7 +381,7 @@ class TestRunScreening:
         finally:
             tracemalloc.stop()
         assert len(doc.rows) == 12 and not doc.errors
-        assert peak <= 3 << 20
+        assert peak <= 3 << 19
 
     def test_per_column_error_keeps_going(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -683,6 +685,51 @@ class TestMainEntry:
         assert captured.err == (f"error: --proportions names its files by column, and the column name {name!r} "
                                 "holds a path separator\n")
         assert not (tmp_path / "run").exists()
+
+    def test_proportions_refuse_a_null_byte_in_a_column_name(self, tmp_path, capsys):
+        path = tmp_path / "nul.csv"
+        path.write_text("a\x00b,c\n" + "".join(f"{n},{n}\n" for n in range(10, 60)))
+        propdir = tmp_path / "props"
+        assert main(["screen", str(path), "--columns", "0,1", "--tests", "nb1", "--proportions", str(propdir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: --proportions names its files by column, and the column name 'a\\x00b' "
+                                "holds a null byte\n")
+        assert not propdir.exists()
+
+    def _proportions(self, small_csv, propdir, *options) -> dict:
+        """The files ``screen --proportions propdir`` writes, by name; the exit code must be 0 or 2."""
+        assert main(["screen", str(small_csv), "--columns", "north,south", "--tests", "nb1,joint2", *options,
+                     "--proportions", str(propdir)]) in (0, 2)
+        return {p.name: p.read_bytes() for p in resolve_out(propdir).iterdir()}
+
+    def test_proportions_truncate_a_longer_file(self, small_csv, tmp_path, capsys):
+        fresh = self._proportions(small_csv, tmp_path / "fresh")
+        (tmp_path / "old").mkdir()
+        (tmp_path / "old" / "north_nb1.csv").write_bytes(b"x" * 5000)
+        assert self._proportions(small_csv, tmp_path / "old") == fresh
+
+    def test_relative_proportions_dir_lands_under_the_output_dir(self, small_csv, tmp_path, monkeypatch, capsys):
+        fresh = self._proportions(small_csv, tmp_path / "fresh", "--format", "json")
+        (tmp_path / "cwd").mkdir()
+        monkeypatch.chdir(tmp_path / "cwd")
+        monkeypatch.setenv("DIGITSCREEN_OUT", str(tmp_path / "outputs"))
+        assert self._proportions(small_csv, Path("props"), "--format", "json") == fresh
+        assert (tmp_path / "outputs" / "props").is_dir() and not any((tmp_path / "cwd").iterdir())
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd to count open descriptors")
+    def test_a_failing_proportions_write_leaves_no_descriptor_open(self, small_csv, tmp_path, monkeypatch, capsys):
+        def failing(fd, data):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        before = len(os.listdir("/proc/self/fd"))
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "write", failing)
+            code = main(["screen", str(small_csv), "--columns", "north", "--tests", "nb1",
+                         "--proportions", str(tmp_path / "props")])
+        assert code == 1 and capsys.readouterr().err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+        assert len(os.listdir("/proc/self/fd")) == before
+        assert [p.name for p in (tmp_path / "props").iterdir()] == ["north_nb1.csv"]
 
     def test_restricted_law_outside_its_bound(self, tmp_path, capsys):
         path = tmp_path / "v.csv"

@@ -22,9 +22,17 @@ from digitscreen.digits import (
     real_digit_frequencies,
     significant_digit,
 )
-from digitscreen.inference import HypothesisPrior, _lower_median, screen
-from digitscreen.laws import nbl_first, nbl_joint, nbl_second
-from oracles import sorted_lower_median, str_analyzable, str_digit_tally, str_joint_tally
+from digitscreen.inference import HypothesisPrior, screen
+from digitscreen.laws import nbl_first, nbl_joint, nbl_second, uniform_law
+from digitscreen.simulate import screen_mixture
+from oracles import (
+    former_digit_frequencies,
+    former_joint_frequencies,
+    sorted_lower_median,
+    str_analyzable,
+    str_digit_tally,
+    str_joint_tally,
+)
 
 
 def by_digit(cv: CountVector) -> dict:
@@ -308,7 +316,7 @@ class TestKernelMatchesStringOracle:
             analyzed = analyzable_values(col, width, policy)
             assert analyzed.tolist() == expected
             if expected:
-                median = _lower_median(analyzed)
+                median = screen(col, uniform_law(width), HypothesisPrior(), policy).median_count
                 assert type(median) is int and median == sorted_lower_median(expected)
 
 
@@ -318,6 +326,18 @@ def _outcome(fn, *args):
         return fn(*args)
     except ValueError as exc:
         return str(exc)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@given(st.one_of(st.lists(COUNTS, max_size=40), st.lists(st.integers(1, 9), max_size=12)))
+def test_prefix_table_tallies_match_the_slice_kernel(policy, values):
+    # widths 1 and 2 are sums over the column's prefix table; the former per-slice kernel is the reference,
+    # down to the excluded count and the error of a column of one-digit values under exclude-short
+    col = DatasetColumn("x", values)
+    for tally, former, width in ((digit_frequencies, former_digit_frequencies, 1),
+                                 (digit_frequencies, former_digit_frequencies, 2),
+                                 (joint_frequencies, former_joint_frequencies, 2)):
+        assert _outcome(tally, col, width, policy) == _outcome(former, DatasetColumn("x", values), width, policy)
 
 
 @given(st.data(), st.lists(COUNTS, max_size=40))
@@ -341,8 +361,10 @@ def test_column_order_changes_nothing(data, values):
 
 @given(st.lists(st.floats(min_value=1e-300, max_value=1e300), min_size=1, max_size=40))
 def test_lower_median_of_floats_matches_sort(values):
-    median = _lower_median(np.array(values))
+    samples = np.array(values)
+    median = screen_mixture(samples, nbl_first()).median_count
     assert type(median) is float and median == sorted_lower_median(values)
+    assert samples.tolist() == values  # sorted in a copy
 
 
 # Floats where `repr` switches notation (1e-5, 1e16), the largest 17-digit

@@ -17,6 +17,7 @@ from digitscreen.inference import (
     chi_squared_stat,
     log_bayes_factor_uniform,
     posterior_h0,
+    report_from_counts,
     screen,
     universal_lower_bound,
 )
@@ -321,6 +322,14 @@ class TestScreen:
         col = DatasetColumn("x", (10, 20, 30, 40))
         rep = screen(col, nbl_first())
         assert rep.median_count == 20
+
+    def test_report_from_counts_takes_any_sorted_sequence(self):
+        cv = CountVector(tuple(range(1, 10)), (1, 1, 1, 1, 0, 0, 0, 0, 0))
+        assert report_from_counts(cv, [10, 20, 30, 40], nbl_first()).median_count == 20
+
+    def test_report_from_counts_refuses_no_values(self):
+        with pytest.raises(ValueError, match="^no analyzable values$"):
+            report_from_counts(CountVector(tuple(range(1, 10)), (0,) * 9), [], nbl_first())
 
     def test_m_tracks_exclusions(self):
         col = DatasetColumn("x", (5, 7, 23, 154))

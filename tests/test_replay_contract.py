@@ -54,6 +54,14 @@ CASES = {
                                             "--bound", "2250", "--format", "csv", "--proportions", "{out}/props"],
                ("cli.ingest", "digits.tabulate", "digits.analyzable", "inference.report", "cli.proportions"),
                {"cli.proportions.files": 8, "cli.ingest.excluded": 2}),
+    # one-digit counts read with trailing zeros, and the json proportions files
+    "screen-trailing-zero": (_screen_input, "counts.csv",
+                             ["screen", "{input}", "--columns", "a,b", "--policy", "trailing-zero", "--tests",
+                              "nb1,nb2,joint2,rnb1", "--bound", "2250", "--format", "json", "--proportions",
+                              "{out}/props"],
+                             ("cli.ingest", "digits.tabulate", "digits.analyzable", "inference.report",
+                              "cli.proportions"),
+                             {"cli.proportions.files": 8, "cli.ingest.excluded": 2}),
     "voting": (lambda p: p.write_text(VOTING), "voting.ini",
                ["simulate", "--config", "{input}", "--out", "{out}/v.csv"],
                ("simulate.experiment", "simulate.hmpm", "simulate.write", "digits.tabulate"),
