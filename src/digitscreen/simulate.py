@@ -11,6 +11,8 @@ under AVX512 than under SSE4.2. Unit j of a voting run uses the stream
 PCG64(SeedSequence(seed, spawn_key=(j,))), which makes per-unit generation
 order-independent and safe to parallelize. Units are generated in blocks,
 but each unit reads its own stream in the order of a unit generated alone.
+A block's generators are seeded in one numpy pass that repeats numpy's
+SeedSequence hash, so j is one uint32 word and n_units is at most 2^32.
 """
 
 from __future__ import annotations
@@ -46,6 +48,16 @@ _HEAD = 64
 # uniforms per draw of a unit's Bernoulli counts, which bounds their memory; up to max_voters = _CHUNK / 2 (the
 # shipped 2250 included) the turnout's uniforms are one draw, and the 2 * turnout after them another
 _CHUNK = 1 << 16
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx). The pool of SeedSequence(seed) is each unit's pool
+# before its spawn key word j is mixed in: a zero word pads the seed the same as a missing one, and mixing the 4
+# pool words took the hash constant from _INIT_A to _INIT_A * _MULT_A^16, where mixing in j goes on (_HASH_J).
+# generate_state(4, uint64) then hashes pool word i % 4 into 32-bit state word i, for i = 0..7 (_HASH_STATE);
+# each hash xors a word with one constant and multiplies it by the next.
+_INIT_A, _MULT_A, _MIX_L, _MIX_R = 0x43B0D7E5, 0x931E8875, 0xCA01F9DD, 0x4973F715
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_HASH_J = np.array([_INIT_A * pow(_MULT_A, k, 1 << 32) % (1 << 32) for k in range(16, 21)], np.uint32)[:, None]
+_HASH_STATE = np.array([_INIT_B * pow(_MULT_B, i, 1 << 32) % (1 << 32) for i in range(9)], np.uint32)[:, None]
 
 
 @dataclass(frozen=True)
@@ -121,6 +133,9 @@ class VotingModelConfig:
     def __post_init__(self):
         if self.n_units < 1:
             raise ValueError("n_units must be at least 1")
+        # a unit's spawn key is one uint32 word in _unit_rngs
+        if self.n_units > 1 << 32:
+            raise ValueError("n_units must be at most 2^32")
         if self.max_voters < 10:
             raise ValueError("max_voters must be at least 10")
         if not 0.0 <= self.partisan_loyalty <= 1.0:
@@ -141,9 +156,36 @@ def _root_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
-def _unit_rng(seed: int, unit_index: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(unit_index,))
-    return np.random.Generator(np.random.PCG64(ss))
+class _StateWords:
+    """A seed sequence whose PCG64 state words are already hashed: PCG64 seeds itself from generate_state(4, uint64)."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _unit_rngs(seed: int, start: int, stop: int) -> list[np.random.Generator]:
+    """The generators PCG64(SeedSequence(seed, spawn_key=(j,))) of units start <= j < stop, with their pools and
+    state words hashed for all of them at once."""
+    # imported here, not at module top, so that numpy.random stays out of the CLI's start-up
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_StateWords)  # a no-op after the first call
+    j = np.arange(start, stop).astype(np.uint32)
+    key = (j ^ _HASH_J[:4]) * _HASH_J[1:]
+    key ^= key >> np.uint32(16)
+    pool = np.random.SeedSequence(seed).pool[:, None] * np.uint32(_MIX_L) - key * np.uint32(_MIX_R)
+    pool ^= pool >> np.uint32(16)
+    state = (np.tile(pool, (2, 1)) ^ _HASH_STATE[:8]) * _HASH_STATE[1:]
+    state ^= state >> np.uint32(16)
+    state = state.astype(np.uint64)
+    # 32-bit words 2k and 2k + 1 make 64-bit word k, low half first; one C-contiguous row per unit
+    words = np.ascontiguousarray((state[0::2] | state[1::2] << np.uint64(32)).T)
+    return [np.random.Generator(np.random.PCG64(_StateWords(row))) for row in words]
 
 
 def _box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
@@ -286,11 +328,12 @@ def hmpm_unit_counts(config: VotingModelConfig) -> list[tuple[int, int]]:
     the next uniforms of its stream and reads it again. Each Bernoulli count
     counts the unit's next uniforms, drawn at most _CHUNK at a time. Blocks
     and chunks change neither a unit's stream nor the order it is read in.
+    A block's generators are seeded together, by _unit_rngs.
     """
     betas = (config.turnout_dist, config.partisan_fraction_dist, config.swing_prob_dist)
     units = []
     for start in range(0, config.n_units, _BLOCK):
-        rngs = [_unit_rng(config.seed, j) for j in range(start, min(start + _BLOCK, config.n_units))]
+        rngs = _unit_rngs(config.seed, start, min(start + _BLOCK, config.n_units))
         heads = np.empty((len(rngs), _HEAD))
         for rng, head in zip(rngs, heads):
             rng.random(out=head)

@@ -964,3 +964,12 @@ def test_simulate_digests_under_baseline_dispatch(config, tmp_path):
     assert run.stderr == b""
     assert (run.returncode, hashlib.sha256(run.stdout).hexdigest(),
             hashlib.sha256((tmp_path / "data.csv").read_bytes()).hexdigest()) == SIMULATE_DIGESTS[config]
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # numpy loads numpy.random on first use; the CLI's start-up (setup_s, and the screen wall times) does not pay it
+    probe = ("import sys, numpy; before = set(sys.modules); import digitscreen.cli; "
+             "print(sorted(m for m in set(sys.modules) - before if m.startswith('numpy.random')))")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")

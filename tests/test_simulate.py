@@ -203,6 +203,12 @@ class TestVotingModel:
         with pytest.raises(ValueError, match="seed"):
             default_voting_config(seed=-3)
 
+    def test_n_units_fits_one_spawn_key_word(self):
+        # unit j's spawn key is one uint32 word, so j = 2^32 would wrap to unit 0's stream
+        assert replace(default_voting_config(), n_units=2**32).n_units == 2**32
+        with pytest.raises(ValueError, match=r"^n_units must be at most 2\^32$"):
+            replace(default_voting_config(), n_units=2**32 + 1)
+
 
 BETA_SHAPES = st.sampled_from([0.0, 0.19, 0.58, 0.85, 1.0, 1.05, 2.5, 30.0])
 BETA_PAIRS = st.tuples(BETA_SHAPES, BETA_SHAPES).filter(lambda ab: ab[0] + ab[1] > 0.0)
@@ -219,6 +225,20 @@ def voting_configs(draw):
         swing_prob_dist=draw(BETA_PAIRS),
         seed=draw(st.integers(0, 2**64 - 1)),
     )
+
+
+class TestUnitGenerators:
+    """A block's generators against numpy's per-unit SeedSequence, state for state."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1])
+    @pytest.mark.parametrize("start,stop", [(0, 40), (simulate._BLOCK - 3, simulate._BLOCK + 3),
+                                            (2**32 - 40, 2**32)])
+    def test_states_match_numpy_seeding(self, seed, start, stop):
+        rngs = simulate._unit_rngs(seed, start, stop)
+        assert len(rngs) == stop - start
+        for j, rng in enumerate(rngs, start):
+            expected = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(j,)))
+            assert rng.bit_generator.state == expected.state, j
 
 
 class TestVotingModelOracle:
@@ -247,7 +267,7 @@ class TestVotingModelOracle:
     def test_bernoulli_counts_in_chunks_match_scalar_oracle(self, monkeypatch):
         # 64-uniform draws split the 500 turnout uniforms, and the 2 * turnout after them, over several draws
         sizes = []
-        unit_rng = simulate._unit_rng
+        unit_rngs = simulate._unit_rngs
 
         class RecordingRng:
             def __init__(self, rng):
@@ -258,7 +278,8 @@ class TestVotingModelOracle:
                 return self.rng.random(size, out=out)
 
         monkeypatch.setattr(simulate, "_CHUNK", 64)
-        monkeypatch.setattr(simulate, "_unit_rng", lambda seed, j: RecordingRng(unit_rng(seed, j)))
+        monkeypatch.setattr(simulate, "_unit_rngs",
+                            lambda seed, start, stop: [RecordingRng(rng) for rng in unit_rngs(seed, start, stop)])
         cfg = replace(default_voting_config(9), n_units=40, max_voters=500)
         assert hmpm_unit_counts(cfg) == scalar_hmpm_unit_counts(cfg)
         # every unit draws its head, then at least 7 chunks for the turnout's uniforms beyond the head's rest
@@ -395,10 +416,11 @@ class TestConfigFiles:
         ("[DEFAULT]\nseed = 3\n\n" + VOTING, r"unknown section \[DEFAULT\] \(keys: seed\); a config holds "),
         (MIXTURE.replace("mu=0", "mu=0 mu=3"), r"component 'lognormal weight=1 mu=0 mu=3 sigma=1' gives 'mu' twice$"),
         (MIXTURE.replace("weight=1", "weight=0.2 weight=1"), r"gives 'weight' twice$"),
+        (VOTING.replace("n_units = 20", "n_units = 5000000000"), r"^n_units must be at most 2\^32$"),
     ], ids=["no-n_units", "no-n_samples", "no-turnout", "no-laws", "no-section-header", "duplicate-section",
             "turnout-nan", "turnout-inf", "high-inf", "scale-inf", "weight-nan", "unknown-parameter",
             "experiment-replicate", "voting-maxvoters", "mixture-n_sample", "mixture_extra-section", "default-key",
-            "repeated-parameter", "repeated-weight"])
+            "repeated-parameter", "repeated-weight", "n_units-5e9"])
     def test_malformed_config_is_a_one_line_error(self, tmp_path, capsys, config, message):
         from digitscreen.cli import main
 
