@@ -38,15 +38,25 @@ from .laws import (
     restricted_law,
     uniform_law,
 )
-from .simulate import (
-    MixtureComponent,
-    MixtureConfig,
-    VotingModelConfig,
-    conformance_experiment,
-    default_voting_config,
-    sample_hmpm,
-    sample_mixture,
-)
+# `simulate` (and configparser with it) loads on first use of one of its names, so `screen` never pays its import
+_SIMULATE_NAMES = frozenset({
+    "MixtureComponent",
+    "MixtureConfig",
+    "VotingModelConfig",
+    "conformance_experiment",
+    "default_voting_config",
+    "sample_hmpm",
+    "sample_mixture",
+})
+
+
+def __getattr__(name: str):
+    if name in _SIMULATE_NAMES:
+        from . import simulate
+
+        return getattr(simulate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

@@ -10,21 +10,24 @@ from __future__ import annotations
 
 import argparse
 import codecs
-import csv
 import itertools
 import os
 import sys
 from array import array
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .digits import EXCLUDE_SHORT, POLICIES, CountVector, DatasetColumn
 from .inference import HypothesisPrior, screen
-from .laws import DigitDistribution, law_from_name
+from .laws import DigitDistribution, canonical_law_name, law_from_name
 from .report import FORMATS, ReportDocument, ReportError, ReportRow, render
-from . import simulate as sim
+
+if TYPE_CHECKING:
+    from .simulate import SimulationJob
 
 OUTPUT_DIR_ENV = "DIGITSCREEN_OUT"
 
@@ -72,6 +75,12 @@ class ScreenConfig:
             raise ValueError("select at least one column")
         if not self.tests:
             raise ValueError("select at least one test")
+        selected = set()
+        for test in self.tests:
+            key = canonical_law_name(test)
+            if key in selected:
+                raise ValueError(f"test {test!r} selects the test {key} a second time")
+            selected.add(key)
         laws = tuple(law_for_test(t, self.upper_bound, self.lower_bound) for t in self.tests)
         if (self.upper_bound, self.lower_bound) != (None, None) and all(law.restriction is None for law in laws):
             raise ValueError("--bound and --lower apply only to the restricted tests rnb1 and rnb2")
@@ -180,6 +189,8 @@ def _read_csv(path, selectors, delimiter: str | None) -> list[DatasetColumn]:
     The file is read one line at a time and its counts are kept in int64
     arrays, so no more than one row's text is held at once.
     """
+    import csv  # only a file that is not a plain table pays its import
+
     # universal newlines turn \r\n and \r into \n, the only line end split on; a byte that is not UTF-8 is
     # read as a lone surrogate, so that _Lines can name its line
     with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
@@ -410,19 +421,19 @@ def digit_label(d) -> str:
 
 
 def proportions_template(law: DigitDistribution, fmt: str) -> str:
-    """The text of one ``proportions_table`` file of ``law``, with a ``%r`` slot for each observed proportion.
+    """The text of one ``proportions_table`` file of ``law``, with a ``%s`` slot for each observed proportion.
 
-    ``fmt`` is "csv" or "json". Filled with ``CountVector.proportions()``, it
-    gives the bytes that ``csv.writer`` (``repr`` of each float; no digit
-    label needs quoting) or ``json.dumps(rows, indent=2)`` write from the
-    table's rows.
+    ``fmt`` is "csv" or "json". Filled with the ``repr`` of each of
+    ``CountVector.proportions()``, it gives the bytes that ``csv.writer``
+    (``repr`` of each float; no digit label needs quoting) or
+    ``json.dumps(rows, indent=2)`` write from the table's rows.
     """
     labels = map(digit_label, law.domain)
     if fmt == "json":
-        rows = ",\n".join(f'  {{\n    "digit": "{label}",\n    "observed": %r,\n    "law": {p!r}\n  }}'
+        rows = ",\n".join(f'  {{\n    "digit": "{label}",\n    "observed": %s,\n    "law": {p!r}\n  }}'
                           for label, p in zip(labels, law.probs))
         return f"[\n{rows}\n]\n"
-    return "digit,observed_proportion,law_probability\n" + "".join(f"{label},%r,{p!r}\n"
+    return "digit,observed_proportion,law_probability\n" + "".join(f"{label},%s,{p!r}\n"
                                                                   for label, p in zip(labels, law.probs))
 
 
@@ -430,9 +441,15 @@ def proportions_template(law: DigitDistribution, fmt: str) -> str:
 _WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
 
 
-def write_proportions(template: str, out_path: Path, counts: CountVector) -> None:
+@lru_cache(maxsize=1 << 12)
+def _proportion_text(count: int, total: int) -> str:
+    """``repr(count / total)``; a screen's files share few distinct (count, total) pairs."""
+    return repr(count / total)
+
+
+def write_proportions(template: str, out_path: str, counts: CountVector) -> None:
     """Write the proportions file of ``counts`` from its law's ``proportions_template``; the directory exists."""
-    data = (template % counts.proportions()).encode()
+    data = (template % tuple(map(_proportion_text, counts.counts, itertools.repeat(counts.n)))).encode()
     fd = os.open(out_path, _WRITE_FLAGS, 0o666)
     try:
         while data:  # a regular file takes it all in one write
@@ -468,8 +485,10 @@ def render_law_table(name: str) -> str:
 # ---------------------------------------------------------------------------
 # simulate subcommand
 
-def run_simulation(job: sim.SimulationJob, out_path: Path | None, fmt: str) -> str:
+def run_simulation(job: SimulationJob, out_path: Path | None, fmt: str) -> str:
     """Write generated data (if requested) and render any experiment report."""
+    from . import simulate as sim
+
     if job.kind == "mixture":
         samples = sim.sample_mixture(job.mixture)
         if out_path is not None:
@@ -560,8 +579,9 @@ def _cmd_screen(args) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         fmt = "json" if config.output_format == "json" else "csv"
         templates = {test: proportions_template(law, fmt) for test, law in zip(config.tests, config.laws)}
+        prefix = os.path.join(outdir, "")  # the directory and one separator, to which each file name is appended
         for row in doc.rows:
-            write_proportions(templates[row.test_name], outdir / f"{row.column}_{row.test_name}.{fmt}",
+            write_proportions(templates[row.test_name], f"{prefix}{row.column}_{row.test_name}.{fmt}",
                               row.report.counts)
     return doc.exit_code(config.threshold)
 
@@ -583,6 +603,8 @@ def _check_file_names(names: list[str]) -> None:
 
 
 def _cmd_simulate(args) -> int:
+    from . import simulate as sim  # only `simulate` pays its import and configparser's
+
     job = sim.load_simulation_config(args.config)
     out = resolve_out(args.out) if args.out else None
     sys.stdout.write(run_simulation(job, out, args.format))

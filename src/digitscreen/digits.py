@@ -349,8 +349,11 @@ def joint_frequencies(column: DatasetColumn, k: int = 2, policy: str = EXCLUDE_S
 
 
 def _count_vector(domain: tuple, counts: np.ndarray, excluded: int) -> CountVector:
-    """A CountVector from tallies aligned with ``domain``."""
-    counts = counts.tolist()
-    if not any(counts):
+    """A CountVector from nonnegative int64 tallies aligned with the tuple ``domain``, built without its checks."""
+    counts = tuple(counts.tolist())
+    n = sum(counts)
+    if not n:
         raise ValueError("no analyzable values")
-    return CountVector(domain, counts, excluded)
+    cv = object.__new__(CountVector)
+    cv.__dict__.update(domain=domain, counts=counts, excluded=excluded, n=n)
+    return cv

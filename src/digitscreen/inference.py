@@ -12,6 +12,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import compress, repeat
+from operator import add, mul, sub, truediv
 
 import numpy as np
 
@@ -79,7 +82,10 @@ def chi_squared_stat(obs: CountVector, ref: DigitDistribution) -> tuple[float, i
         raise ValueError("no analyzable values")
     if min(ref.probs) <= 0.0:
         raise ValueError(f"reference law {ref.kind!r} has zero-probability cells; chi-squared undefined")
-    chi2 = n * math.fsum((p - f) ** 2 / p for p, f in zip(ref.probs, obs.proportions()))
+    # (p - f) ** 2 / p per cell, with f = n_d / n in int division and the square a libm pow, as x ** 2 is
+    # (x * x differs from it on some doubles)
+    deviations = map(sub, ref.probs, map(truediv, obs.counts, repeat(n)))
+    chi2 = n * math.fsum(map(truediv, map(pow, deviations, repeat(2.0)), ref.probs))
     return chi2, len(ref.domain) - 1
 
 
@@ -120,15 +126,13 @@ def log_bayes_factor_uniform(obs: CountVector, ref: DigitDistribution) -> float:
     n = obs.n
     if n == 0:
         return 0.0  # Gamma(k) * 1 / Gamma(k): no data, no evidence
-    loglik = 0.0
-    for c, p in zip(obs.counts, ref.probs):
-        if c == 0:
-            continue
-        if p == 0.0:
-            return -math.inf
-        loglik += c * math.log(p)
-    # zero-count cells contribute ln Gamma(1) = 0 and are skipped
-    log_marginal = -math.lgamma(float(k)) - math.fsum(math.lgamma(c + 1.0) for c in obs.counts if c > 0)
+    # zero-count cells contribute nothing to the likelihood and ln Gamma(1) = 0 to the marginal, and are skipped;
+    # the log-likelihood is summed from left to right, uncompensated (sum() compensates from Python 3.12 on)
+    nonzero = tuple(filter(None, obs.counts))
+    loglik = reduce(add, map(mul, nonzero, compress(ref.log_probs, obs.counts)), 0.0)
+    if loglik == -math.inf:  # a count on a zero-probability cell makes the null impossible
+        return -math.inf
+    log_marginal = -math.lgamma(float(k)) - math.fsum(map(math.lgamma, map(add, nonzero, repeat(1.0))))
     return loglik + log_marginal + math.lgamma(float(n + k))
 
 
@@ -139,6 +143,11 @@ def posterior_h0(log_b01: float, prior: HypothesisPrior = HypothesisPrior()) -> 
         return 1.0 / (1.0 + math.exp(-t))
     e = math.exp(t)
     return e / (1.0 + e)
+
+
+def _small_expected_cells(cv: CountVector, law: DigitDistribution) -> tuple:
+    """The cells of ``cv.domain`` whose expected count n * p_d lies below SMALL_EXPECTED_COUNT."""
+    return tuple(compress(cv.domain, map(SMALL_EXPECTED_COUNT.__gt__, map(mul, repeat(cv.n), law.probs))))
 
 
 def report_from_counts(
@@ -157,7 +166,7 @@ def report_from_counts(
         raise ValueError("no analyzable values")
     chi2, df = chi_squared_stat(cv, law)
     p = chi_squared_pvalue(chi2, df)
-    small = tuple(d for d, prob in zip(cv.domain, law.probs) if cv.n * prob < SMALL_EXPECTED_COUNT)
+    small = _small_expected_cells(cv, law)
     log_b01 = log_bayes_factor_uniform(cv, law)
     return TestReport(
         law=law.kind,

@@ -47,7 +47,8 @@ class RestrictionSpec:
 class DigitDistribution:
     """A reference probability vector over a digit (or digit-prefix) domain.
 
-    ``probs`` is a tuple of floats aligned with ``domain``.
+    ``probs`` is a tuple of floats aligned with ``domain``, and
+    ``log_probs`` their ``math.log``, with -inf for a zero probability.
     """
 
     kind: str
@@ -56,6 +57,7 @@ class DigitDistribution:
     digit_index: int | None = None
     joint_k: int | None = None
     restriction: RestrictionSpec | None = field(default=None, compare=False)
+    log_probs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         probs = tuple(map(float, self.probs))
@@ -68,6 +70,7 @@ class DigitDistribution:
             raise ValueError(f"probabilities of {self.kind!r} sum to {total!r}, not 1")
         object.__setattr__(self, "domain", tuple(self.domain))
         object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "log_probs", tuple(math.log(p) if p > 0.0 else -math.inf for p in probs))
 
 
 @lru_cache(maxsize=None)
@@ -159,7 +162,13 @@ def restricted_law(base: DigitDistribution, spec: RestrictionSpec) -> DigitDistr
     return DigitDistribution(kind, base.domain, probs, digit_index=base.digit_index, restriction=spec)
 
 
-_LAW_NAME_RE = re.compile(r"(?:([rc]?)nb([12])|joint2)(?::([0-9]+))?")
+_LAW_NAME_RE = re.compile(r"(?:(r?)nb([12])|joint2)(?::([0-9]+))?")
+
+
+def canonical_law_name(name: str) -> str:
+    """The name as ``law_from_name`` reads it: stripped, lowercase, with the alias cnb written rnb."""
+    key = name.strip().lower()
+    return "r" + key[1:] if key.startswith("cnb") else key
 
 
 def law_from_name(name: str, upper: int | None = None, lower: int | None = None) -> DigitDistribution:
@@ -170,7 +179,7 @@ def law_from_name(name: str, upper: int | None = None, lower: int | None = None)
     laws ignore `upper` and `lower`, so one pair of bounds can serve a list of
     names, but a bound written into their name is an error.
     """
-    m = _LAW_NAME_RE.fullmatch(name.strip().lower())
+    m = _LAW_NAME_RE.fullmatch(canonical_law_name(name))
     if not m:
         raise ValueError(f"unknown law name {name!r}; expected nb1, nb2, joint2, rnb1:K or rnb2:K")
     restricted, digit, bound = m.groups()

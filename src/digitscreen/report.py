@@ -7,9 +7,7 @@ produce byte-identical output.
 
 from __future__ import annotations
 
-import csv
 import io
-import json
 import math
 from dataclasses import dataclass
 
@@ -96,6 +94,8 @@ def render_text(doc: ReportDocument) -> str:
 
 
 def render_csv(doc: ReportDocument) -> str:
+    import csv  # csv and json load only for the format that uses them
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(("test",) + COLUMNS)
@@ -107,6 +107,8 @@ def render_csv(doc: ReportDocument) -> str:
 
 
 def render_json(doc: ReportDocument) -> str:
+    import json
+
     rows = []
     for row in doc.rows:
         r = row.report

@@ -360,17 +360,14 @@ def hmpm_unit_counts(config: VotingModelConfig) -> list[tuple[int, int]]:
 
 def sample_hmpm(config: VotingModelConfig) -> tuple[DatasetColumn, DatasetColumn]:
     """Generate the two per-unit count columns of the voting model."""
-    return _count_columns(hmpm_unit_counts(config))
+    units = hmpm_unit_counts(config)
+    return _count_column("candidate_a", [a for a, _ in units]), _count_column("candidate_b", [b for _, b in units])
 
 
-def _count_columns(units: list[tuple[int, int]]) -> tuple[DatasetColumn, DatasetColumn]:
-    """Each candidate's column of unit counts; a zero count has no digits, so it is excluded and tallied."""
-    a_values = [a for a, _ in units if a >= 1]
-    b_values = [b for _, b in units if b >= 1]
-    return (
-        DatasetColumn("candidate_a", a_values, excluded_count=len(units) - len(a_values)),
-        DatasetColumn("candidate_b", b_values, excluded_count=len(units) - len(b_values)),
-    )
+def _count_column(name: str, counts: list[int]) -> DatasetColumn:
+    """The column of one candidate's unit counts; a zero count has no digits, so it is excluded and tallied."""
+    values = [c for c in counts if c >= 1]
+    return DatasetColumn(name, values, excluded_count=len(counts) - len(values))
 
 
 @dataclass(frozen=True)
@@ -418,7 +415,7 @@ def conformance_experiment(
     if replicates < 1:
         raise ValueError("replicates must be at least 1")
     rep_units = [hmpm_unit_counts(replace(config, seed=_replicate_seed(config.seed, r))) for r in range(replicates)]
-    rep_columns = [_count_columns(units)[0] for units in rep_units]
+    rep_columns = [_count_column("candidate_a", [a for a, _ in units]) for units in rep_units]
     pooled = DatasetColumn(
         "pooled",
         np.concatenate([col.values for col in rep_columns]),

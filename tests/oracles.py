@@ -6,9 +6,10 @@ factor oracle works in exact rational arithmetic, and the digit tallies read
 each value's decimal string instead of dividing by powers of ten. The
 digit-keyed chi-squared and ln B01 oracles pin the float operations of the
 reports instead: they must agree with the library bit for bit, as must the
-voting model's former scalar generator and the former `--proportions` writer,
-the former decade walk must count exactly what its closed form counts, and
-the former per-slice digit kernel what the prefix table counts.
+former per-cell chi-squared, ln B01 and proportions fill, the voting model's
+former scalar generator and the former `--proportions` writer; the former
+decade walk must count exactly what its closed form counts, and the former
+per-slice digit kernel what the prefix table counts.
 """
 
 import csv
@@ -86,6 +87,52 @@ def dict_log_b01(counts: dict, probs: dict) -> float:
         loglik += counts[d] * math.log(probs[d])
     log_marginal = -math.lgamma(float(k)) - math.fsum(math.lgamma(c + 1.0) for c in counts.values() if c > 0)
     return loglik + log_marginal + math.lgamma(float(n + k))
+
+
+# The former chi-squared, ln B01, small-expected rule and `--proportions`
+# fill, copied from digitscreen.inference and digitscreen.cli: one Python step
+# per cell, each proportion written by `%r`. The per-cell passes that replaced
+# them (map, math.fsum, itertools.compress, a memo of each proportion's text)
+# must give the same bits.
+
+
+def former_chi_squared_stat(obs, ref) -> tuple[float, int]:
+    if obs.domain != ref.domain:
+        raise ValueError(f"domain mismatch: observed {obs.domain[:3]}..., reference {ref.domain[:3]}...")
+    n = obs.n
+    if n == 0:
+        raise ValueError("no analyzable values")
+    if min(ref.probs) <= 0.0:
+        raise ValueError(f"reference law {ref.kind!r} has zero-probability cells; chi-squared undefined")
+    chi2 = n * math.fsum((p - f) ** 2 / p for p, f in zip(ref.probs, tuple(c / n for c in obs.counts)))
+    return chi2, len(ref.domain) - 1
+
+
+def former_log_bayes_factor_uniform(obs, ref) -> float:
+    if obs.domain != ref.domain:
+        raise ValueError(f"domain mismatch: observed {obs.domain[:3]}..., reference {ref.domain[:3]}...")
+    k = len(obs.domain)
+    n = obs.n
+    if n == 0:
+        return 0.0
+    loglik = 0.0
+    for c, p in zip(obs.counts, ref.probs):
+        if c == 0:
+            continue
+        if p == 0.0:
+            return -math.inf
+        loglik += c * math.log(p)
+    log_marginal = -math.lgamma(float(k)) - math.fsum(math.lgamma(c + 1.0) for c in obs.counts if c > 0)
+    return loglik + log_marginal + math.lgamma(float(n + k))
+
+
+def former_small_expected(cv, law) -> tuple:
+    return tuple(d for d, prob in zip(cv.domain, law.probs) if cv.n * prob < 5.0)
+
+
+def former_proportions_bytes(template: str, counts) -> bytes:
+    """A ``cli.proportions_template`` text, its ``%s`` slots read as the former ``%r``, filled with each c / n."""
+    return (template.replace("%s", "%r") % tuple(c / counts.n for c in counts.counts)).encode()
 
 
 # RNBL2's digit cardinalities by the former decade walk, copied verbatim from

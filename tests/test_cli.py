@@ -652,6 +652,18 @@ class TestMainEntry:
                      "--proportions", str(propdir)]) in (0, 2)
         assert sorted(p.name for p in propdir.iterdir()) == ["north_nb1.csv"]
 
+    @pytest.mark.parametrize("tests,named", [("nb1,nb1", "'nb1' selects the test nb1"),
+                                             ("nb1,NB1", "'NB1' selects the test nb1"),
+                                             ("rnb2:9999,nb2, CNB2:9999", "'CNB2:9999' selects the test rnb2:9999")])
+    def test_test_named_twice_is_an_error(self, small_csv, tmp_path, capsys, tests, named):
+        # a repeated test would print its rows twice and write each --proportions file twice
+        propdir = tmp_path / "props"
+        assert main(["screen", str(small_csv), "--columns", "north", "--tests", tests,
+                     "--proportions", str(propdir)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: test {named} a second time\n")
+        assert not propdir.exists()
+
     def test_duplicate_columns_are_an_error(self, small_csv, capsys):
         assert main(["screen", str(small_csv), "--columns", "north,north,1", "--tests", "nb1"]) == 1
         captured = capsys.readouterr()
@@ -973,3 +985,14 @@ def test_cli_import_leaves_numpy_random_unloaded():
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
     assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
+
+
+def test_cli_import_leaves_simulate_json_and_configparser_unloaded():
+    # `screen` never pays for `simulate` or the modules only it and the json report use; the package still
+    # hands out the simulate names on first use
+    probe = ("import sys; import digitscreen.cli; "
+             "print(sorted(m for m in ('digitscreen.simulate', 'configparser', 'json') if m in sys.modules)); "
+             "from digitscreen import sample_mixture; print(sample_mixture.__module__)")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\ndigitscreen.simulate\n", "")

@@ -340,6 +340,22 @@ def test_prefix_table_tallies_match_the_slice_kernel(policy, values):
         assert _outcome(tally, col, width, policy) == _outcome(former, DatasetColumn("x", values), width, policy)
 
 
+@pytest.mark.parametrize("policy", POLICIES)
+@given(st.lists(COUNTS, max_size=40))
+def test_tallies_skip_no_check_the_constructor_would_make(policy, values):
+    # the library builds its tallies without CountVector's checks; each passes them, and holds plain ints
+    col = DatasetColumn("x", values)
+    for tally, width in ((digit_frequencies, 1), (digit_frequencies, 2), (digit_frequencies, 3),
+                         (joint_frequencies, 2), (joint_frequencies, 3)):
+        try:
+            cv = tally(col, width, policy)
+        except ValueError:
+            continue
+        assert cv == CountVector(cv.domain, cv.counts, cv.excluded)
+        assert type(cv.domain) is tuple and type(cv.counts) is tuple
+        assert {type(x) for x in (*cv.counts, cv.n, cv.excluded)} == {int}
+
+
 @given(st.data(), st.lists(COUNTS, max_size=40))
 def test_column_order_changes_nothing(data, values):
     shuffled = data.draw(st.permutations(values))

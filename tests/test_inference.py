@@ -7,9 +7,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import dict_chi_squared, dict_log_b01, exact_log_b01
-from hypothesis import given, settings, strategies as st
+from oracles import (
+    dict_chi_squared,
+    dict_log_b01,
+    exact_log_b01,
+    former_chi_squared_stat,
+    former_log_bayes_factor_uniform,
+    former_proportions_bytes,
+    former_small_expected,
+)
+from hypothesis import example, given, settings, strategies as st
 
+from digitscreen import cli
 from digitscreen.digits import CountVector, DatasetColumn
 from digitscreen.inference import (
     HypothesisPrior,
@@ -19,6 +28,7 @@ from digitscreen.inference import (
     posterior_h0,
     report_from_counts,
     screen,
+    _small_expected_cells,
     universal_lower_bound,
 )
 from digitscreen.laws import (
@@ -249,6 +259,58 @@ def test_chi2_and_log_b01_match_the_dict_oracles_bit_for_bit(seed):
             by_digit = dict(zip(law.domain, row))
             assert chi_squared_stat(cv, law)[0] == dict_chi_squared(by_digit, probs)
             assert log_bayes_factor_uniform(cv, law) == dict_log_b01(by_digit, probs)
+
+
+# every law `screen` ships: nb1, nb2, joint2, and rnb1, rnb2 (cnb an alias) under any bounds, so that a small upper
+# bound leaves zero-probability cells (rnb1:5 has four), where ln B01 is -inf and chi-squared an error
+SHIPPED_LAWS = st.one_of(
+    st.sampled_from(["nb1", "nb2", "joint2"]).map(law_from_name),
+    st.builds(law_from_name, st.sampled_from(["rnb1", "cnb1"]), st.integers(1, 2**63 - 1)),
+    st.builds(law_from_name, st.sampled_from(["rnb2", "cnb2"]), st.integers(10, 2**63 - 1)),
+)
+# zero, small and int64 counts, and counts about 2^53, past which n_d no longer converts to a float exactly
+CELL_COUNTS = st.one_of(st.just(0), st.integers(1, 3000), st.integers(2**53 - 2, 2**53 + 2), st.integers(0, 2**63 - 1))
+
+
+def _bits(fn, *args):
+    """What ``fn`` gives, floats as ``float.hex``, or the ValueError it raises."""
+    try:
+        result = fn(*args)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+    return tuple(map(_bits_of, result)) if isinstance(result, tuple) else _bits_of(result)
+
+
+def _bits_of(x):
+    return x.hex() if isinstance(x, float) else x
+
+
+@settings(max_examples=60, deadline=None)
+@given(SHIPPED_LAWS, st.data(), st.integers(0, 2**32 - 1))
+@example(law_from_name("rnb1:5"), None, 0)
+def test_per_cell_passes_match_the_former_loops_bit_for_bit(tmp_path_factory, law, data, seed):
+    # the drawn count vector (all zero cells included), then 100 random ones: x * x in place of x ** 2 changes
+    # about 1 in 1 700 chi-squared values, and only a long run of them catches it
+    k = len(law.domain)
+    rng = np.random.default_rng(seed)
+    drawn = [0] * k if data is None else data.draw(st.lists(CELL_COUNTS, min_size=k, max_size=k))
+    vectors = [drawn, *rng.integers(0, 10 ** rng.integers(1, 7, size=(100, 1)), size=(100, k)).tolist()]
+    if data is None:  # rnb1:5: counts on its zero-probability cells, and only on its others
+        vectors += [[0, 0, 0, 0, 0, 1, 2, 3, 4], [5, 4, 3, 2, 1, 0, 0, 0, 0]]
+    for counts in vectors:
+        cv = CountVector(law.domain, counts)
+        assert _bits(chi_squared_stat, cv, law) == _bits(former_chi_squared_stat, cv, law)
+        assert _bits(log_bayes_factor_uniform, cv, law) == _bits(former_log_bayes_factor_uniform, cv, law)
+        assert _small_expected_cells(cv, law) == former_small_expected(cv, law)
+    out = tmp_path_factory.mktemp("proportions")
+    for counts in vectors[:3]:
+        cv = CountVector(law.domain, counts)
+        if not cv.n:
+            continue
+        for fmt in ("csv", "json"):
+            template = cli.proportions_template(law, fmt)
+            cli.write_proportions(template, str(out / f"p.{fmt}"), cv)
+            assert (out / f"p.{fmt}").read_bytes() == former_proportions_bytes(template, cv)
 
 
 class TestPosterior:

@@ -10,6 +10,7 @@ from digitscreen import laws
 from digitscreen.laws import (
     DigitDistribution,
     RestrictionSpec,
+    canonical_law_name,
     count_with_digit,
     law_from_name,
     nbl_first,
@@ -250,6 +251,22 @@ class TestLawFromName:
     def test_unknown(self):
         with pytest.raises(ValueError, match="unknown law"):
             law_from_name("nb7")
+
+
+    @pytest.mark.parametrize("name,key", [("nb1", "nb1"), (" NB2 ", "nb2"), ("Joint2", "joint2"),
+                                          ("cnb1:800", "rnb1:800"), ("CNB2", "rnb2"), ("rnb2:90", "rnb2:90")])
+    def test_canonical_name_is_the_name_law_from_name_reads(self, name, key):
+        assert canonical_law_name(name) == key
+        upper = None if ":" in key else 2250
+        assert law_from_name(name, upper) == law_from_name(key, upper)
+
+
+@pytest.mark.parametrize("name", ["nb1", "nb2", "joint2", "rnb1:5", "rnb1:800", "rnb2:15", "rnb2:2250"])
+def test_log_probs_are_the_math_log_of_each_probability(name):
+    # held once per law for ln B01; a zero probability (rnb1:5 has four, rnb2:15 four) has the log -inf
+    law = law_from_name(name)
+    assert law.log_probs == tuple(math.log(p) if p else -math.inf for p in law.probs)
+    assert (-math.inf in law.log_probs) == (0.0 in law.probs) == (name in ("rnb1:5", "rnb2:15"))
 
 
 class TestLawNameBounds:
