@@ -23,7 +23,7 @@ import numpy as np
 
 from .digits import EXCLUDE_SHORT, POLICIES, CountVector, DatasetColumn
 from .inference import HypothesisPrior, screen
-from .laws import DigitDistribution, canonical_law_name, law_from_name
+from .laws import DigitDistribution, distinct_laws, law_from_name
 from .report import FORMATS, ReportDocument, ReportError, ReportRow, render
 
 if TYPE_CHECKING:
@@ -75,13 +75,7 @@ class ScreenConfig:
             raise ValueError("select at least one column")
         if not self.tests:
             raise ValueError("select at least one test")
-        selected = set()
-        for test in self.tests:
-            key = canonical_law_name(test)
-            if key in selected:
-                raise ValueError(f"test {test!r} selects the test {key} a second time")
-            selected.add(key)
-        laws = tuple(law_for_test(t, self.upper_bound, self.lower_bound) for t in self.tests)
+        laws = distinct_laws(self.tests, law_for_test, self.upper_bound, self.lower_bound)
         if (self.upper_bound, self.lower_bound) != (None, None) and all(law.restriction is None for law in laws):
             raise ValueError("--bound and --lower apply only to the restricted tests rnb1 and rnb2")
         object.__setattr__(self, "laws", laws)
@@ -192,9 +186,25 @@ def _read_csv(path, selectors, delimiter: str | None) -> list[DatasetColumn]:
     import csv  # only a file that is not a plain table pays its import
 
     # universal newlines turn \r\n and \r into \n, the only line end split on; a byte that is not UTF-8 is
-    # read as a lone surrogate, so that _Lines can name its line
+    # read as a lone surrogate, so that its line can be named
     with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
-        lines = _Lines(fh, path)
+        number = 0  # the file line of the last non-blank line read: a row is numbered by the line it ends on
+
+        def nonblank():
+            """The file's non-blank lines, without their line ends."""
+            nonlocal number
+            for i, line in enumerate(fh, start=1):
+                if line.strip():
+                    number = i
+                    if not line.isascii():
+                        try:
+                            line.encode()
+                        except UnicodeEncodeError as exc:
+                            raise ValueError(f"{path}: row {i}: byte {ord(line[exc.start]) - 0xDC00:#04x} "
+                                             "is not UTF-8") from None
+                    yield line.removesuffix("\n")
+
+        lines = nonblank()
         first = next(lines, None)
         if first is None:
             raise ValueError(f"empty input file: {path}")
@@ -206,7 +216,7 @@ def _read_csv(path, selectors, delimiter: str | None) -> list[DatasetColumn]:
             width = len(header)
             for row in rows:
                 if len(row) != width:
-                    diagnostic = f"row {lines.number}: {len(row)} cells where the header has {width}; {_RAGGED}"
+                    diagnostic = f"row {number}: {len(row)} cells where the header has {width}; {_RAGGED}"
                     for col_diagnostics in diagnostics:
                         col_diagnostics.append(diagnostic)
                     continue
@@ -214,44 +224,13 @@ def _read_csv(path, selectors, delimiter: str | None) -> list[DatasetColumn]:
                     try:
                         col_values.append(_cell_count(row[idx]))
                     except ValueError as exc:
-                        col_diagnostics.append(f"{header[idx]}: row {lines.number}: {exc}")
+                        col_diagnostics.append(f"{header[idx]}: row {number}: {exc}")
         except csv.Error as exc:  # say, a cell over csv's field size limit
-            raise ValueError(f"{path}: row {lines.number}: {exc}") from None
+            raise ValueError(f"{path}: row {number}: {exc}") from None
     # each column's array is popped, so it is freed once the column holds its int64 copy
     return [DatasetColumn(header[idx], np.frombuffer(values.pop(0), dtype=np.int64),
                           excluded_count=len(col_diagnostics), diagnostics=tuple(col_diagnostics))
             for idx, col_diagnostics in zip(indices, diagnostics)]
-
-
-class _Lines:
-    """An iterator over the non-blank lines of a text file, without their line ends.
-
-    Blank lines are skipped, but a row is numbered by the file line it ends
-    on: ``number`` is the file line of the last line handed out. A line that
-    holds a byte read as a lone surrogate (the file is not UTF-8 there) is a
-    ValueError naming its file line.
-    """
-
-    def __init__(self, fh, path):
-        self._lines = enumerate(fh, start=1)
-        self._path = path
-        self.number = 0
-
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> str:
-        for number, line in self._lines:
-            if line.strip():
-                self.number = number
-                if not line.isascii():
-                    try:
-                        line.encode()
-                    except UnicodeEncodeError as exc:
-                        raise ValueError(f"{self._path}: row {number}: byte {ord(line[exc.start]) - 0xDC00:#04x} "
-                                         "is not UTF-8") from None
-                return line.removesuffix("\n")
-        raise StopIteration
 
 
 def _read_plain(path, selectors, delimiter: str | None) -> list[DatasetColumn] | None:
@@ -301,16 +280,10 @@ def _read_plain(path, selectors, delimiter: str | None) -> list[DatasetColumn] |
                 values = values.astype(np.int32)  # halves the pieces held until each column is joined
             for col_pieces, col_values, col_kept in zip(pieces, values, kept):
                 col_pieces.append(col_values[col_kept])
-    return [DatasetColumn(header[idx], _joined(col_pieces), excluded_count=len(col_diagnostics),
+    # each column's pieces are popped, so they are freed once the column is joined
+    return [DatasetColumn(header[idx], np.concatenate(pieces.pop(0)), excluded_count=len(col_diagnostics),
                           diagnostics=tuple(col_diagnostics))
-            for idx, col_pieces, col_diagnostics in zip(indices, pieces, diagnostics)]
-
-
-def _joined(pieces: list) -> np.ndarray:
-    """The pieces (never none) as one array; emptying the list frees each column's pieces once it is joined."""
-    values = np.concatenate(pieces)
-    pieces.clear()
-    return values
+            for idx, col_diagnostics in zip(indices, diagnostics)]
 
 
 def _line_blocks(fh):

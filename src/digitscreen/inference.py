@@ -13,8 +13,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import compress, repeat
-from operator import add, mul, sub, truediv
+from operator import add
 
 import numpy as np
 
@@ -82,10 +81,9 @@ def chi_squared_stat(obs: CountVector, ref: DigitDistribution) -> tuple[float, i
         raise ValueError("no analyzable values")
     if min(ref.probs) <= 0.0:
         raise ValueError(f"reference law {ref.kind!r} has zero-probability cells; chi-squared undefined")
-    # (p - f) ** 2 / p per cell, with f = n_d / n in int division and the square a libm pow, as x ** 2 is
-    # (x * x differs from it on some doubles)
-    deviations = map(sub, ref.probs, map(truediv, obs.counts, repeat(n)))
-    chi2 = n * math.fsum(map(truediv, map(pow, deviations, repeat(2.0)), ref.probs))
+    # (p - f) ** 2 / p per cell, with f = n_d / n in int division and the square a libm pow (x * x differs from it
+    # on some doubles)
+    chi2 = n * math.fsum([(p - c / n) ** 2 / p for p, c in zip(ref.probs, obs.counts)])
     return chi2, len(ref.domain) - 1
 
 
@@ -128,11 +126,10 @@ def log_bayes_factor_uniform(obs: CountVector, ref: DigitDistribution) -> float:
         return 0.0  # Gamma(k) * 1 / Gamma(k): no data, no evidence
     # zero-count cells contribute nothing to the likelihood and ln Gamma(1) = 0 to the marginal, and are skipped;
     # the log-likelihood is summed from left to right, uncompensated (sum() compensates from Python 3.12 on)
-    nonzero = tuple(filter(None, obs.counts))
-    loglik = reduce(add, map(mul, nonzero, compress(ref.log_probs, obs.counts)), 0.0)
+    loglik = reduce(add, [c * log_p for c, log_p in zip(obs.counts, ref.log_probs) if c], 0.0)
     if loglik == -math.inf:  # a count on a zero-probability cell makes the null impossible
         return -math.inf
-    log_marginal = -math.lgamma(float(k)) - math.fsum(map(math.lgamma, map(add, nonzero, repeat(1.0))))
+    log_marginal = -math.lgamma(float(k)) - math.fsum([math.lgamma(c + 1.0) for c in obs.counts if c])
     return loglik + log_marginal + math.lgamma(float(n + k))
 
 
@@ -147,7 +144,7 @@ def posterior_h0(log_b01: float, prior: HypothesisPrior = HypothesisPrior()) -> 
 
 def _small_expected_cells(cv: CountVector, law: DigitDistribution) -> tuple:
     """The cells of ``cv.domain`` whose expected count n * p_d lies below SMALL_EXPECTED_COUNT."""
-    return tuple(compress(cv.domain, map(SMALL_EXPECTED_COUNT.__gt__, map(mul, repeat(cv.n), law.probs))))
+    return tuple([d for d, p in zip(cv.domain, law.probs) if cv.n * p < SMALL_EXPECTED_COUNT])
 
 
 def report_from_counts(
@@ -159,11 +156,14 @@ def report_from_counts(
     """Assemble a TestReport from an already-tabulated count vector.
 
     ``analyzed`` holds the values the tally counted, in increasing order: its
-    lower middle value is the report's median count.
+    lower middle value is the report's median count. Values out of order are
+    a ValueError.
     """
     analyzed = np.asarray(analyzed)
     if analyzed.size == 0:
         raise ValueError("no analyzable values")
+    if not (analyzed[1:] >= analyzed[:-1]).all():
+        raise ValueError("the analyzed values are not in increasing order")
     chi2, df = chi_squared_stat(cv, law)
     p = chi_squared_pvalue(chi2, df)
     small = _small_expected_cells(cv, law)

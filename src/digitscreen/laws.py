@@ -171,6 +171,17 @@ def canonical_law_name(name: str) -> str:
     return "r" + key[1:] if key.startswith("cnb") else key
 
 
+def distinct_laws(names, build, *bounds) -> tuple:
+    """``build(name, *bounds)`` for each name; a name that selects the law of an earlier one is a ValueError."""
+    selected = set()
+    for name in names:
+        key = canonical_law_name(name)
+        if key in selected:
+            raise ValueError(f"test {name!r} selects the test {key} a second time")
+        selected.add(key)
+    return tuple(build(name, *bounds) for name in names)
+
+
 def law_from_name(name: str, upper: int | None = None, lower: int | None = None) -> DigitDistribution:
     """Build a law from its name: nb1, nb2, joint2, rnb1, rnb2 (cnb1, cnb2 are aliases).
 

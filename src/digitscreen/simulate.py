@@ -26,7 +26,7 @@ import numpy as np
 
 from .digits import EXCLUDE_SHORT, DatasetColumn, real_digit_frequencies
 from .inference import HypothesisPrior, TestReport, report_from_counts, screen
-from .laws import DigitDistribution, law_from_name
+from .laws import DigitDistribution, distinct_laws, law_from_name
 
 # each mixture family, and the parameters it takes
 _FAMILY_PARAMS = {"lognormal": ("mu", "sigma"), "half-cauchy": ("scale",), "scaled-exponential": ("scale",),
@@ -150,10 +150,6 @@ class VotingModelConfig:
 def _check_seed(seed) -> None:
     if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
         raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
-
-
-def _root_rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
 class _StateWords:
@@ -285,7 +281,7 @@ def sample_mixture(config: MixtureConfig) -> np.ndarray:
     component fills its slots in declaration order; non-positive draws are
     redrawn a bounded number of rounds.
     """
-    rng = _root_rng(config.seed)
+    rng = np.random.default_rng(config.seed)
     cum = np.cumsum([c.weight for c in config.components])
     cum[-1] = 1.0
     # drawn in blocks, the membership uniforms are the same stream as in one draw
@@ -475,7 +471,7 @@ class ExperimentSpec:
 
     def __post_init__(self):
         # a bad law name or replicate count fails when the config loads, before any data is written
-        object.__setattr__(self, "laws", tuple(law_from_name(name) for name in self.law_names))
+        object.__setattr__(self, "laws", distinct_laws(self.law_names, law_from_name))
         if self.replicates < 1:
             raise ValueError("replicates must be at least 1")
 

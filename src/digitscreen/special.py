@@ -29,6 +29,9 @@ def _gamma_p_series(a: float, x: float) -> float:
 
 def _gamma_q_contfrac(a: float, x: float) -> float:
     """Upper regularized Q(a, x) by continued fraction (modified Lentz); best for x >= a + 1."""
+    front = math.exp(-x + a * math.log(x) - math.lgamma(a))
+    if front == 0.0:
+        return 0.0  # the tail underflows; past x of about 1.9e16 the stop test below could never be met
     tiny = 1e-300
     b = x + 1.0 - a
     c = 1.0 / tiny
@@ -47,7 +50,7 @@ def _gamma_q_contfrac(a: float, x: float) -> float:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _EPS:
-            return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
+            return h * front
     raise RuntimeError(f"incomplete gamma continued fraction failed to converge for a={a}, x={x}")
 
 

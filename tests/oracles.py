@@ -92,8 +92,8 @@ def dict_log_b01(counts: dict, probs: dict) -> float:
 # The former chi-squared, ln B01, small-expected rule and `--proportions`
 # fill, copied from digitscreen.inference and digitscreen.cli: one Python step
 # per cell, each proportion written by `%r`. The per-cell passes that replaced
-# them (map, math.fsum, itertools.compress, a memo of each proportion's text)
-# must give the same bits.
+# them (list comprehensions summed by math.fsum or functools.reduce, a memo of
+# each proportion's text) must give the same bits.
 
 
 def former_chi_squared_stat(obs, ref) -> tuple[float, int]:

@@ -664,6 +664,22 @@ class TestMainEntry:
         assert (captured.out, captured.err) == ("", f"error: test {named} a second time\n")
         assert not propdir.exists()
 
+    @pytest.mark.parametrize("model,laws,named", [
+        ("[mixture]\nn_samples = 300\nseed = 2\ncomponent = lognormal weight=1 mu=0 sigma=2\n", "nb1, NB1",
+         "'NB1' selects the test nb1"),
+        ("[voting_model]\nn_units = 20\nmax_voters = 2250\nturnout = 0.85 0.58\npartisan_fraction = 0.46 0.19\n"
+         "partisan_loyalty = 0.99\nswing_prob = 1.05 0.40\nseed = 7\n", "rnb2:2250, cnb2:2250",
+         "'cnb2:2250' selects the test rnb2:2250"),
+    ], ids=["mixture", "voting"])
+    def test_experiment_law_named_twice_is_an_error(self, tmp_path, capsys, model, laws, named):
+        # as in screen --tests: a repeated law would print its row twice
+        cfg = tmp_path / "sim.ini"
+        cfg.write_text(f"{model}\n[experiment]\nlaws = {laws}\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "data.csv")]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: test {named} a second time\n")
+        assert not (tmp_path / "data.csv").exists()
+
     def test_duplicate_columns_are_an_error(self, small_csv, capsys):
         assert main(["screen", str(small_csv), "--columns", "north,north,1", "--tests", "nb1"]) == 1
         captured = capsys.readouterr()
@@ -906,6 +922,28 @@ def test_screen_report_digests(policy, fmt, capsys):
     code = main(["screen", str(DATA / "golden_counts.csv"), *SCREEN_ARGS, "--policy", policy, "--format", fmt])
     stdout = capsys.readouterr().out
     assert (code, hashlib.sha256(stdout.encode("utf-8")).hexdigest()) == SCREEN_DIGESTS[(policy, fmt)]
+
+
+@pytest.mark.parametrize("policy,fmt", sorted(SCREEN_DIGESTS))
+def test_csv_reader_meets_the_golden_digests(policy, fmt, tmp_path, monkeypatch, capsys):
+    # the same table with its header cell "unit" quoted goes through _read_csv, which must give every byte of the
+    # plain reader: the report, the --proportions files, and the diagnostics with their file lines
+    plain = (DATA / "golden_counts.csv").read_bytes()
+    quoted = tmp_path / "golden_counts.csv"
+    quoted.write_bytes(b'"unit"' + plain.removeprefix(b"unit"))
+    proportions = (policy, fmt) in PROPORTIONS_DIGESTS
+    args = [*SCREEN_ARGS, "--policy", policy, "--format", fmt]
+    main(["screen", str(DATA / "golden_counts.csv"), *args])
+    plain_err = capsys.readouterr().err
+    read, read_csv = [], cli._read_csv
+    monkeypatch.setattr(cli, "_read_csv", lambda path, *rest: read.append(path) or read_csv(path, *rest))
+    code = main(["screen", str(quoted), *args, *(["--proportions", str(tmp_path / "props")] if proportions else [])])
+    captured = capsys.readouterr()
+    assert read == [str(quoted)]
+    assert (code, hashlib.sha256(captured.out.encode("utf-8")).hexdigest()) == SCREEN_DIGESTS[(policy, fmt)]
+    assert captured.err == plain_err and plain_err.count("diagnostic:") == 14
+    if proportions:
+        assert (code, proportions_tree_digest(tmp_path / "props")) == PROPORTIONS_DIGESTS[(policy, fmt)]
 
 
 def _tree(directory: Path) -> dict:

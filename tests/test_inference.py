@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -146,11 +147,45 @@ class TestChiSquaredPvalue:
             ps = [chi_squared_pvalue(x, df) for x in xs]
             assert all(a > b for a, b in zip(ps, ps[1:]))
 
+    @pytest.mark.parametrize("df", [1, 8, 9, 89])
+    @pytest.mark.parametrize("chi2", [1.7e18, 2.0**63])
+    def test_huge_statistic_gives_zero(self, chi2, df):
+        # the tail underflows long before this; the continued fraction's stop test is never met out here
+        assert chi_squared_pvalue(chi2, df) == 0.0
+
+    def test_against_mpmath_grid(self):
+        # every df a test can have (1 to 89, joint2's), chi-squared from 0 to 2^63
+        xs = [0.0, 1e-3, 0.1, 0.5, *(float(v) for v in range(1, 60, 3)), *(10.0 ** e for e in range(2, 19)), 2.0**63]
+        for df in range(1, 90):
+            for x in xs:
+                _assert_matches_mpmath(x, df)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 89), st.one_of(st.floats(0.0, 2.0**63), st.floats(-3.0, 63 * math.log10(2.0)).map(
+        lambda e: 10.0**e)))
+    def test_matches_mpmath(self, df, chi2):
+        _assert_matches_mpmath(chi2, df)
+
+    @given(st.integers(1, 89), st.floats(0.0, 2.0**63), st.floats(0.0, 2.0**63))
+    def test_in_unit_interval_and_nonincreasing(self, df, x1, x2):
+        lo, hi = sorted((x1, x2))
+        p_lo, p_hi = chi_squared_pvalue(lo, df), chi_squared_pvalue(hi, df)
+        assert 0.0 <= p_hi <= p_lo <= 1.0
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             chi_squared_pvalue(-1.0, 9)
         with pytest.raises(ValueError):
             chi_squared_pvalue(1.0, 0)
+
+
+def _assert_matches_mpmath(chi2: float, df: int) -> None:
+    """The p-value agrees with mpmath's at 40 digits: relative error at most 2.5e-13 (the worst of 220 000 random
+    draws was 1.24e-13, near p = 1e-277), and at most 2e-321 absolute where p is subnormal (the worst was 7.7e-322)."""
+    with mpmath.workdps(40):
+        ref = float(mpmath.gammainc(mpmath.mpf(df) / 2, mpmath.mpf(chi2) / 2, mpmath.inf, regularized=True))
+    p = chi_squared_pvalue(chi2, df)
+    assert abs(p - ref) <= 2.5e-13 * ref + 2e-321, (chi2, df, p, ref)
 
 
 class TestUniversalLowerBound:
@@ -392,6 +427,13 @@ class TestScreen:
     def test_report_from_counts_refuses_no_values(self):
         with pytest.raises(ValueError, match="^no analyzable values$"):
             report_from_counts(CountVector(tuple(range(1, 10)), (0,) * 9), [], nbl_first())
+
+    @pytest.mark.parametrize("analyzed", [[20, 10, 30, 40], [10, 30, 20, 40], np.array([40, 30, 20, 10])])
+    def test_report_from_counts_refuses_values_out_of_order(self, analyzed):
+        # the median is read by index, so unsorted values would give a wrong one
+        cv = CountVector(tuple(range(1, 10)), (1, 1, 1, 1, 0, 0, 0, 0, 0))
+        with pytest.raises(ValueError, match="not in increasing order"):
+            report_from_counts(cv, analyzed, nbl_first())
 
     def test_m_tracks_exclusions(self):
         col = DatasetColumn("x", (5, 7, 23, 154))
