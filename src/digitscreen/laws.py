@@ -166,9 +166,12 @@ _LAW_NAME_RE = re.compile(r"(?:(r?)nb([12])|joint2)(?::([0-9]+))?")
 
 
 def canonical_law_name(name: str) -> str:
-    """The name as ``law_from_name`` reads it: stripped, lowercase, with the alias cnb written rnb."""
+    """The name as ``law_from_name`` reads it: stripped, lowercase, with the alias cnb written rnb and a bound
+    without leading zeros."""
     key = name.strip().lower()
-    return "r" + key[1:] if key.startswith("cnb") else key
+    law, colon, bound = ("r" + key[1:] if key.startswith("cnb") else key).partition(":")
+    # only ASCII digits: the name grammar reads no other, and int() would read them too
+    return law + colon + (str(int(bound)) if bound.isascii() and bound.isdigit() else bound)
 
 
 def distinct_laws(names, build, *bounds) -> tuple:

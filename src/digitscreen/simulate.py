@@ -10,9 +10,12 @@ dispatch targets, and the shipped lognormal mixture writes different values
 under AVX512 than under SSE4.2. Unit j of a voting run uses the stream
 PCG64(SeedSequence(seed, spawn_key=(j,))), which makes per-unit generation
 order-independent and safe to parallelize. Units are generated in blocks,
-but each unit reads its own stream in the order of a unit generated alone.
-A block's generators are seeded in one numpy pass that repeats numpy's
-SeedSequence hash, so j is one uint32 word and n_units is at most 2^32.
+but each unit reads its own stream in the order of a unit generated alone:
+its Beta draws read a head of _HEAD uniforms, and its Bernoulli counts read
+on from there, through one buffer reused by every unit when max_voters is at
+most _CHUNK / 2 and in draws of at most _CHUNK above that. A block's
+generators are seeded in one numpy pass that repeats numpy's SeedSequence
+hash, so j is one uint32 word and n_units is at most 2^32.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from dataclasses import dataclass, field, replace
 from importlib import resources
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .digits import EXCLUDE_SHORT, DatasetColumn, real_digit_frequencies
 from .inference import HypothesisPrior, TestReport, report_from_counts, screen
@@ -41,12 +45,13 @@ _MEMBERSHIP_BLOCK = 1 << 16
 
 # The voting model builds its units' generators a block at a time; a small
 # block keeps peak memory flat. Each unit draws its first _HEAD uniforms up
-# front, which its three Beta draws nearly always fit in.
+# front, which its three Beta draws nearly always fit in (the shipped model's
+# six gamma variates end at uniform 23 in the median, past 32 in 1 unit of 25 000).
 _BLOCK = 32
-_HEAD = 64
+_HEAD = 32
 
 # uniforms per draw of a unit's Bernoulli counts, which bounds their memory; up to max_voters = _CHUNK / 2 (the
-# shipped 2250 included) the turnout's uniforms are one draw, and the 2 * turnout after them another
+# shipped 2250 included) the turnout's uniforms are one draw into one buffer, and the 2 * turnout after them another
 _CHUNK = 1 << 16
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx). The pool of SeedSequence(seed) is each unit's pool
@@ -152,7 +157,7 @@ def _check_seed(seed) -> None:
         raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
 
 
-class _StateWords:
+class _StateWords(ISeedSequence):
     """A seed sequence whose PCG64 state words are already hashed: PCG64 seeds itself from generate_state(4, uint64)."""
 
     __slots__ = ("words",)
@@ -167,10 +172,6 @@ class _StateWords:
 def _unit_rngs(seed: int, start: int, stop: int) -> list[np.random.Generator]:
     """The generators PCG64(SeedSequence(seed, spawn_key=(j,))) of units start <= j < stop, with their pools and
     state words hashed for all of them at once."""
-    # imported here, not at module top, so that numpy.random stays out of the CLI's start-up
-    from numpy.random.bit_generator import ISeedSequence
-
-    ISeedSequence.register(_StateWords)  # a no-op after the first call
     j = np.arange(start, stop).astype(np.uint32)
     key = (j ^ _HASH_J[:4]) * _HASH_J[1:]
     key ^= key >> np.uint32(16)
@@ -322,11 +323,18 @@ def hmpm_unit_counts(config: VotingModelConfig) -> list[tuple[int, int]]:
     head in Python, in the order and with the float operations of a unit
     generated alone; a unit whose Beta draws outrun its head doubles it with
     the next uniforms of its stream and reads it again. Each Bernoulli count
-    counts the unit's next uniforms, drawn at most _CHUNK at a time. Blocks
-    and chunks change neither a unit's stream nor the order it is read in.
-    A block's generators are seeded together, by _unit_rngs.
+    counts the unit's next uniforms. Up to max_voters = _CHUNK / 2 they go
+    through one buffer of 2 * max_voters, allocated once per call: the
+    turnout counts the head's rest and one draw after it, one more draw holds
+    the 2 * turnout uniforms after that, and the partisans, the loyal
+    partisans and the swing voters for A are counts over three slices of it.
+    Above that, _count_below draws them at most _CHUNK at a time. Blocks,
+    buffers and chunks change neither a unit's stream nor the order it is
+    read in. A block's generators are seeded together, by _unit_rngs.
     """
     betas = (config.turnout_dist, config.partisan_fraction_dist, config.swing_prob_dist)
+    n, loyalty = config.max_voters, config.partisan_loyalty
+    buf = np.empty(2 * n) if 2 * n <= _CHUNK else None
     units = []
     for start in range(0, config.n_units, _BLOCK):
         rngs = _unit_rngs(config.seed, start, min(start + _BLOCK, config.n_units))
@@ -343,14 +351,30 @@ def hmpm_unit_counts(config: VotingModelConfig) -> list[tuple[int, int]]:
                     # the generator has drawn exactly the head, so its next uniforms double it in place
                     head = np.concatenate((head, rng.random(head.size)))
                     h, z = head.tolist(), _head_normals(head).tolist()
-            # each count reads on from the first uniform its predecessor left unused
-            turnout, rest = _count_below(head[cur:], rng, config.max_voters, t)
-            # partisans among the turnout, then the loyal partisans and the swing voters for A: 2 * turnout
-            # uniforms, drawn ahead together as far as _CHUNK allows
-            partisans, rest = _count_below(rest, rng, turnout, phi, ahead=turnout)
-            a, rest = _count_below(rest, rng, partisans, config.partisan_loyalty, ahead=turnout - partisans)
-            swing_a, _ = _count_below(rest, rng, turnout - partisans, w)
-            units.append((a + swing_a, turnout - a - swing_a))
+            # each count reads on from the first uniform its predecessor left unused; after the turnout come the
+            # partisans among it, then the loyal partisans and the swing voters for A: 2 * turnout uniforms
+            rest = head[cur:]
+            if buf is None:
+                turnout, rest = _count_below(rest, rng, n, t)
+                partisans, rest = _count_below(rest, rng, turnout, phi, ahead=turnout)
+                a, rest = _count_below(rest, rng, partisans, loyalty, ahead=turnout - partisans)
+                a += _count_below(rest, rng, turnout - partisans, w)[0]
+            else:
+                fresh = n - rest.size
+                if fresh > 0:
+                    turnout = int(np.count_nonzero(rest < t)) + int(np.count_nonzero(rng.random(out=buf[:fresh]) < t))
+                    held = 0
+                else:
+                    # a head whose rest holds the turnout's uniforms also starts the 2 * turnout after them
+                    turnout = int(np.count_nonzero(rest[:n] < t))
+                    held = min(-fresh, 2 * turnout)
+                    buf[:held] = rest[n:n + held]
+                m = 2 * turnout
+                rng.random(out=buf[held:m])
+                partisans = int(np.count_nonzero(buf[:turnout] < phi))
+                a = (int(np.count_nonzero(buf[turnout:turnout + partisans] < loyalty))
+                     + int(np.count_nonzero(buf[turnout + partisans:m] < w)))
+            units.append((a, turnout - a))
     return units
 
 
@@ -563,7 +587,11 @@ def _read_section(parser: configparser.ConfigParser, name: str) -> dict:
         if pattern not in table:
             raise ValueError(f"unknown key {option!r} in [{name}], which accepts {', '.join(table)}")
         field, parse, _ = table[pattern]
-        fields[field] = fields[field] + (parse(raw),) if pattern.endswith(".N") else parse(raw)
+        try:
+            value = parse(raw)
+        except ValueError as exc:
+            raise ValueError(f"[{name}] {option}: {exc}") from None
+        fields[field] = fields[field] + (value,) if pattern.endswith(".N") else value
     for option, (field, _, required) in table.items():
         if required and field not in fields:
             raise configparser.NoOptionError(option, name)

@@ -654,7 +654,8 @@ class TestMainEntry:
 
     @pytest.mark.parametrize("tests,named", [("nb1,nb1", "'nb1' selects the test nb1"),
                                              ("nb1,NB1", "'NB1' selects the test nb1"),
-                                             ("rnb2:9999,nb2, CNB2:9999", "'CNB2:9999' selects the test rnb2:9999")])
+                                             ("rnb2:9999,nb2, CNB2:9999", "'CNB2:9999' selects the test rnb2:9999"),
+                                             ("rnb2:9999,rnb2:09999", "'rnb2:09999' selects the test rnb2:9999")])
     def test_test_named_twice_is_an_error(self, small_csv, tmp_path, capsys, tests, named):
         # a repeated test would print its rows twice and write each --proportions file twice
         propdir = tmp_path / "props"
@@ -670,7 +671,10 @@ class TestMainEntry:
         ("[voting_model]\nn_units = 20\nmax_voters = 2250\nturnout = 0.85 0.58\npartisan_fraction = 0.46 0.19\n"
          "partisan_loyalty = 0.99\nswing_prob = 1.05 0.40\nseed = 7\n", "rnb2:2250, cnb2:2250",
          "'cnb2:2250' selects the test rnb2:2250"),
-    ], ids=["mixture", "voting"])
+        ("[voting_model]\nn_units = 20\nmax_voters = 2250\nturnout = 0.85 0.58\npartisan_fraction = 0.46 0.19\n"
+         "partisan_loyalty = 0.99\nswing_prob = 1.05 0.40\nseed = 7\n", "rnb2:2250, rnb2:02250",
+         "'rnb2:02250' selects the test rnb2:2250"),
+    ], ids=["mixture", "voting", "voting-leading-zero"])
     def test_experiment_law_named_twice_is_an_error(self, tmp_path, capsys, model, laws, named):
         # as in screen --tests: a repeated law would print its row twice
         cfg = tmp_path / "sim.ini"

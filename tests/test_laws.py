@@ -254,7 +254,8 @@ class TestLawFromName:
 
 
     @pytest.mark.parametrize("name,key", [("nb1", "nb1"), (" NB2 ", "nb2"), ("Joint2", "joint2"),
-                                          ("cnb1:800", "rnb1:800"), ("CNB2", "rnb2"), ("rnb2:90", "rnb2:90")])
+                                          ("cnb1:800", "rnb1:800"), ("CNB2", "rnb2"), ("rnb2:90", "rnb2:90"),
+                                          ("rnb2:09999", "rnb2:9999")])
     def test_canonical_name_is_the_name_law_from_name_reads(self, name, key):
         assert canonical_law_name(name) == key
         upper = None if ":" in key else 2250

@@ -285,6 +285,25 @@ class TestVotingModelOracle:
         # every unit draws its head, then at least 7 chunks for the turnout's uniforms beyond the head's rest
         assert max(sizes) == 64 and len(sizes) >= cfg.n_units * (1 + 500 // 64)
 
+    @pytest.mark.parametrize("head", [4, 31, 32, 64])
+    @pytest.mark.parametrize("max_voters,chunk", [(10, 64), (31, 64), (32, 64), (33, 64), (2250, None)])
+    @pytest.mark.parametrize("degenerate", [False, True], ids=["shipped", "degenerate"])
+    def test_head_size_and_count_path_change_no_unit(self, monkeypatch, head, max_voters, chunk, degenerate):
+        # counts read one buffer up to max_voters = _CHUNK / 2 and _count_below's draws past it; the degenerate
+        # model draws no Beta, so its whole head, often more than the turnout's uniforms, is left to the counts
+        calls = []
+        count_below = simulate._count_below
+        monkeypatch.setattr(simulate, "_HEAD", head)
+        if chunk is not None:
+            monkeypatch.setattr(simulate, "_CHUNK", chunk)
+        monkeypatch.setattr(simulate, "_count_below", lambda *args, **kw: calls.append(1) or count_below(*args, **kw))
+        cfg = replace(default_voting_config(3), n_units=70, max_voters=max_voters)
+        if degenerate:
+            cfg = replace(cfg, turnout_dist=(1.0, 0.0), partisan_fraction_dist=(1.0, 0.0), partisan_loyalty=0.5,
+                          swing_prob_dist=(0.0, 1.0))
+        assert hmpm_unit_counts(cfg) == scalar_hmpm_unit_counts(cfg)
+        assert bool(calls) == (2 * max_voters > simulate._CHUNK)
+
     def test_oracle_sees_a_dropped_head_remainder(self, monkeypatch):
         # counting turnout from fresh uniforms, past the head's unused ones, changes the units
         unit_betas = simulate._unit_betas
@@ -417,10 +436,17 @@ class TestConfigFiles:
         (MIXTURE.replace("mu=0", "mu=0 mu=3"), r"component 'lognormal weight=1 mu=0 mu=3 sigma=1' gives 'mu' twice$"),
         (MIXTURE.replace("weight=1", "weight=0.2 weight=1"), r"gives 'weight' twice$"),
         (VOTING.replace("n_units = 20", "n_units = 5000000000"), r"^n_units must be at most 2\^32$"),
+        (VOTING.replace("n_units = 20", "n_units = 1e3"),
+         r"^\[voting_model\] n_units: invalid literal for int\(\) with base 10: '1e3'$"),
+        (VOTING.replace("partisan_loyalty = 0.9", "partisan_loyalty = 0.9x"),
+         r"^\[voting_model\] partisan_loyalty: could not convert string to float: '0.9x'$"),
+        (VOTING.replace("turnout = 2 2", "turnout = 2 x"),
+         r"^\[voting_model\] turnout: could not convert string to float: 'x'$"),
     ], ids=["no-n_units", "no-n_samples", "no-turnout", "no-laws", "no-section-header", "duplicate-section",
             "turnout-nan", "turnout-inf", "high-inf", "scale-inf", "weight-nan", "unknown-parameter",
             "experiment-replicate", "voting-maxvoters", "mixture-n_sample", "mixture_extra-section", "default-key",
-            "repeated-parameter", "repeated-weight", "n_units-5e9"])
+            "repeated-parameter", "repeated-weight", "n_units-5e9", "n_units-1e3", "loyalty-not-float",
+            "turnout-not-float"])
     def test_malformed_config_is_a_one_line_error(self, tmp_path, capsys, config, message):
         from digitscreen.cli import main
 
