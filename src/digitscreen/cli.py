@@ -150,6 +150,9 @@ def _select(row: list[str], selectors) -> tuple[list[str], list[int]]:
             raise ValueError(f"column {sel!r} not found; available headers: {', '.join(header)}")
         if idx in indices:
             raise ValueError(f"column {sel!r} selects column {idx} ({header[idx]!r}) a second time")
+        if "\n" in header[idx]:
+            raise ValueError(f"column {sel!r} selects header cell {idx} ({header[idx]!r}), whose line break a "
+                             "report row cannot show")
         indices[idx] = None
     return header, list(indices)
 
@@ -191,7 +194,7 @@ def _read_csv(path, selectors, delimiter: str | None) -> list[DatasetColumn]:
         number = 0  # the file line of the last non-blank line read: a row is numbered by the line it ends on
 
         def nonblank():
-            """The file's non-blank lines, without their line ends."""
+            """The file's non-blank lines, each with its line end, which a quoted cell keeps."""
             nonlocal number
             for i, line in enumerate(fh, start=1):
                 if line.strip():
@@ -202,7 +205,7 @@ def _read_csv(path, selectors, delimiter: str | None) -> list[DatasetColumn]:
                         except UnicodeEncodeError as exc:
                             raise ValueError(f"{path}: row {i}: byte {ord(line[exc.start]) - 0xDC00:#04x} "
                                              "is not UTF-8") from None
-                    yield line.removesuffix("\n")
+                    yield line
 
         lines = nonblank()
         first = next(lines, None)
@@ -597,7 +600,7 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return _cmd_simulate(args)
         return _cmd_laws(args)
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -116,9 +116,11 @@ def _count_array(name: str, values) -> np.ndarray:
     one); an array must have an integer dtype that converts to int64 exactly.
     """
     if isinstance(values, np.ndarray):
-        if values.ndim != 1 or values.dtype.kind not in "iu" or not np.can_cast(values.dtype, np.int64):
+        if values.ndim != 1 or values.dtype.kind not in "iu":
             raise ValueError(f"column {name!r}: values must be a 1-D integer array, got {values.dtype} "
                              f"with shape {values.shape}")
+        if not np.can_cast(values.dtype, np.int64):
+            raise ValueError(f"column {name!r}: values of dtype {values.dtype} do not convert to int64 exactly")
         arr = values.astype(np.int64)
     else:
         values = list(values)
@@ -156,8 +158,9 @@ class DatasetColumn:
     def __post_init__(self):
         object.__setattr__(self, "values", _count_array(self.name, self.values))
         object.__setattr__(self, "diagnostics", tuple(self.diagnostics))
-        if self.excluded_count < 0:
-            raise ValueError("excluded_count must be nonnegative")
+        count = self.excluded_count
+        if not isinstance(count, int) or isinstance(count, bool) or count < 0:
+            raise ValueError(f"excluded_count must be a nonnegative integer, got {count!r}")
 
     @property
     def m(self) -> int:

@@ -12,10 +12,9 @@ PCG64(SeedSequence(seed, spawn_key=(j,))), which makes per-unit generation
 order-independent and safe to parallelize. Units are generated in blocks,
 but each unit reads its own stream in the order of a unit generated alone:
 its Beta draws read a head of _HEAD uniforms, and its Bernoulli counts read
-on from there, through one buffer reused by every unit when max_voters is at
-most _CHUNK / 2 and in draws of at most _CHUNK above that. A block's
-generators are seeded in one numpy pass that repeats numpy's SeedSequence
-hash, so j is one uint32 word and n_units is at most 2^32.
+on from there, through one buffer of 3 * max_voters reused by every unit. A
+block's generators are seeded in one numpy pass that repeats numpy's
+SeedSequence hash, so j is one uint32 word and n_units is at most 2^32.
 """
 
 from __future__ import annotations
@@ -49,10 +48,6 @@ _MEMBERSHIP_BLOCK = 1 << 16
 # six gamma variates end at uniform 23 in the median, past 32 in 1 unit of 25 000).
 _BLOCK = 32
 _HEAD = 32
-
-# uniforms per draw of a unit's Bernoulli counts, which bounds their memory; up to max_voters = _CHUNK / 2 (the
-# shipped 2250 included) the turnout's uniforms are one draw into one buffer, and the 2 * turnout after them another
-_CHUNK = 1 << 16
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx). The pool of SeedSequence(seed) is each unit's pool
 # before its spawn key word j is mixed in: a zero word pads the seed the same as a missing one, and mixing the 4
@@ -113,9 +108,8 @@ class MixtureConfig:
         total = math.fsum(c.weight for c in comps)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"component weights sum to {total}, not 1")
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be at least 1")
-        _check_seed(self.seed)
+        _check_int("n_samples", self.n_samples, 1)
+        _check_int("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -136,25 +130,28 @@ class VotingModelConfig:
     seed: int
 
     def __post_init__(self):
-        if self.n_units < 1:
-            raise ValueError("n_units must be at least 1")
         # a unit's spawn key is one uint32 word in _unit_rngs
-        if self.n_units > 1 << 32:
-            raise ValueError("n_units must be at most 2^32")
-        if self.max_voters < 10:
-            raise ValueError("max_voters must be at least 10")
+        _check_int("n_units", self.n_units, 1, 1 << 32)
+        _check_int("max_voters", self.max_voters, 10)
         if not 0.0 <= self.partisan_loyalty <= 1.0:
             raise ValueError("partisan_loyalty must lie in [0, 1]")
         for name in ("turnout_dist", "partisan_fraction_dist", "swing_prob_dist"):
             a, b = getattr(self, name)
             if not (0.0 <= a < math.inf and 0.0 <= b < math.inf) or a + b == 0.0:
                 raise ValueError(f"{name} Beta parameters must be finite and nonnegative with a + b > 0")
-        _check_seed(self.seed)
+        _check_int("seed", self.seed, 0)
 
 
-def _check_seed(seed) -> None:
-    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+def _check_int(name: str, value, low: int, high: int = 2**64 - 1) -> None:
+    """A ValueError that names the field unless ``value`` is a Python int, not a bool, from low to high."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
+    if value > high:
+        # every upper bound passed here is 2^k or 2^k - 1
+        bound = f"at most 2^{high.bit_length() - 1}" if high & (high - 1) == 0 else f"below 2^{high.bit_length()}"
+        raise ValueError(f"{name} must be {bound}")
 
 
 class _StateWords(ISeedSequence):
@@ -246,21 +243,6 @@ def _unit_betas(h: list, z: list, betas) -> tuple[list, int]:
     return draws, cur
 
 
-def _count_below(rest: np.ndarray, rng: np.random.Generator, n: int, p: float,
-                 ahead: int = 0) -> tuple[int, np.ndarray]:
-    """How many of the unit's next n uniforms lie below p, those left in ``rest`` first; and what ``rest`` then holds.
-
-    The generator's uniforms come in draws of at most _CHUNK, each ``ahead``
-    longer than this count needs, so that the next count reads on from them.
-    """
-    count = int(np.count_nonzero(rest[:n] < p)) if rest.size else 0
-    while n > rest.size:
-        n -= rest.size
-        rest = rng.random(min(n + ahead, _CHUNK))
-        count += int(np.count_nonzero(rest[:n] < p))
-    return count, rest[n:]
-
-
 def _draw_family(rng: np.random.Generator, comp: MixtureComponent, size: int) -> np.ndarray:
     p = comp.params
     if comp.family == "lognormal":
@@ -322,19 +304,18 @@ def hmpm_unit_counts(config: VotingModelConfig) -> list[tuple[int, int]]:
     numpy pass. The Marsaglia-Tsang rejection loop then reads each unit's
     head in Python, in the order and with the float operations of a unit
     generated alone; a unit whose Beta draws outrun its head doubles it with
-    the next uniforms of its stream and reads it again. Each Bernoulli count
-    counts the unit's next uniforms. Up to max_voters = _CHUNK / 2 they go
-    through one buffer of 2 * max_voters, allocated once per call: the
-    turnout counts the head's rest and one draw after it, one more draw holds
-    the 2 * turnout uniforms after that, and the partisans, the loyal
-    partisans and the swing voters for A are counts over three slices of it.
-    Above that, _count_below draws them at most _CHUNK at a time. Blocks,
-    buffers and chunks change neither a unit's stream nor the order it is
-    read in. A block's generators are seeded together, by _unit_rngs.
+    the next uniforms of its stream and reads it again. The Bernoulli counts
+    read the unit's next uniforms from one buffer of 3 * max_voters,
+    allocated once per call: the head's rest, then one draw for the rest of
+    the turnout's max_voters uniforms, then one for the 2 * turnout after
+    them, over which the partisans, the loyal partisans and the swing voters
+    for A are counts over three slices. Blocks and the buffer change neither
+    a unit's stream nor the order it is read in. A block's generators are
+    seeded together, by _unit_rngs.
     """
     betas = (config.turnout_dist, config.partisan_fraction_dist, config.swing_prob_dist)
     n, loyalty = config.max_voters, config.partisan_loyalty
-    buf = np.empty(2 * n) if 2 * n <= _CHUNK else None
+    buf = np.empty(3 * n)
     units = []
     for start in range(0, config.n_units, _BLOCK):
         rngs = _unit_rngs(config.seed, start, min(start + _BLOCK, config.n_units))
@@ -351,29 +332,19 @@ def hmpm_unit_counts(config: VotingModelConfig) -> list[tuple[int, int]]:
                     # the generator has drawn exactly the head, so its next uniforms double it in place
                     head = np.concatenate((head, rng.random(head.size)))
                     h, z = head.tolist(), _head_normals(head).tolist()
-            # each count reads on from the first uniform its predecessor left unused; after the turnout come the
-            # partisans among it, then the loyal partisans and the swing voters for A: 2 * turnout uniforms
-            rest = head[cur:]
-            if buf is None:
-                turnout, rest = _count_below(rest, rng, n, t)
-                partisans, rest = _count_below(rest, rng, turnout, phi, ahead=turnout)
-                a, rest = _count_below(rest, rng, partisans, loyalty, ahead=turnout - partisans)
-                a += _count_below(rest, rng, turnout - partisans, w)[0]
-            else:
-                fresh = n - rest.size
-                if fresh > 0:
-                    turnout = int(np.count_nonzero(rest < t)) + int(np.count_nonzero(rng.random(out=buf[:fresh]) < t))
-                    held = 0
-                else:
-                    # a head whose rest holds the turnout's uniforms also starts the 2 * turnout after them
-                    turnout = int(np.count_nonzero(rest[:n] < t))
-                    held = min(-fresh, 2 * turnout)
-                    buf[:held] = rest[n:n + held]
-                m = 2 * turnout
-                rng.random(out=buf[held:m])
-                partisans = int(np.count_nonzero(buf[:turnout] < phi))
-                a = (int(np.count_nonzero(buf[turnout:turnout + partisans] < loyalty))
-                     + int(np.count_nonzero(buf[turnout + partisans:m] < w)))
+            # the turnout's n uniforms start at the first one the Beta draws left unused, and the 2 * turnout after
+            # them are the partisans among the turnout, then the loyal partisans and the swing voters for A. The
+            # buffer holds the head's rest, and each draw fills what the rest does not (a zero-size draw draws nothing)
+            rest = head[cur:cur + 3 * n]
+            k = rest.size
+            buf[:k] = rest
+            rng.random(out=buf[k:n])
+            turnout = int(np.count_nonzero(buf[:n] < t))
+            votes = buf[n:n + 2 * turnout]
+            rng.random(out=buf[max(k, n):n + 2 * turnout])
+            partisans = int(np.count_nonzero(votes[:turnout] < phi))
+            a = (int(np.count_nonzero(votes[turnout:turnout + partisans] < loyalty))
+                 + int(np.count_nonzero(votes[turnout + partisans:] < w)))
             units.append((a, turnout - a))
     return units
 
@@ -432,8 +403,7 @@ def conformance_experiment(
     """
     if not laws:
         raise ValueError("empty law list")
-    if replicates < 1:
-        raise ValueError("replicates must be at least 1")
+    _check_int("replicates", replicates, 1)
     rep_units = [hmpm_unit_counts(replace(config, seed=_replicate_seed(config.seed, r))) for r in range(replicates)]
     rep_columns = [_count_column("candidate_a", [a for a, _ in units]) for units in rep_units]
     pooled = DatasetColumn(
@@ -496,8 +466,7 @@ class ExperimentSpec:
     def __post_init__(self):
         # a bad law name or replicate count fails when the config loads, before any data is written
         object.__setattr__(self, "laws", distinct_laws(self.law_names, law_from_name))
-        if self.replicates < 1:
-            raise ValueError("replicates must be at least 1")
+        _check_int("replicates", self.replicates, 1)
 
 
 @dataclass(frozen=True)

@@ -234,6 +234,24 @@ class TestIngest:
         assert col_a.diagnostics == ("a: row 4: not an integer: 'x'",)
         assert col_b.diagnostics == ("b: row 6: zero count excluded",)
 
+    def test_quoted_cell_keeps_its_line_break(self, tmp_path):
+        # the lines of a quoted cell are one cell with its line break, never the count their digits would join into
+        path = tmp_path / "d.csv"
+        path.write_text('a,b\n1,"12\n34"\n5,6\n')
+        col_a, col_b = ingest(path, ["a", "b"])
+        assert col_a.values.tolist() == [1, 5] and col_b.values.tolist() == [6]
+        assert col_b.diagnostics == ("b: row 3: not an integer: '12\\n34'",)
+
+    def test_selected_header_cell_with_a_line_break_is_an_error(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text('"votes\nA",b\n1,2\n')
+        with pytest.raises(ValueError, match=r"^column '0' selects header cell 0 \('votes\\nA'\), whose line break"):
+            ingest(path, ["0"])
+        with pytest.raises(ValueError, match="column 'votesA' not found"):
+            ingest(path, ["votesA"])
+        (col,) = ingest(path, ["b"])
+        assert col.name == "b" and col.values.tolist() == [2]
+
     @pytest.mark.parametrize("selectors", [["north", "north"], ["north", "1"], ["1", "1"], ["south", "north", "2"]])
     def test_column_selected_twice(self, small_csv, selectors):
         with pytest.raises(ValueError, match="a second time"):
@@ -853,6 +871,18 @@ class TestMainEntry:
         job = load_simulation_config(cfg)
         rows = list(csv.reader(out.read_text().splitlines()))[1:]
         assert rows == [[str(j), str(a), str(b)] for j, (a, b) in enumerate(hmpm_unit_counts(job.voting))]
+
+    def test_simulate_out_of_memory_is_one_error_line(self, tmp_path, capsys):
+        # the counts' buffer of 3 * max_voters doubles cannot be allocated, which fails before any unit is drawn
+        cfg = tmp_path / "model.ini"
+        cfg.write_text("[voting_model]\nn_units = 3\nmax_voters = 1000000000000000\nturnout = 2 2\n"
+                       "partisan_fraction = 1 1\npartisan_loyalty = 0.9\nswing_prob = 1 1\nseed = 1\n")
+        out = tmp_path / "data.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ")
 
     def test_simulate_builds_each_law_once(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "mixture.ini"

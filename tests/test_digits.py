@@ -108,6 +108,15 @@ class TestDatasetColumn:
         with pytest.raises(ValueError, match="column 'a'"):
             DatasetColumn("a", bad)
 
+    def test_uint64_array_names_the_inexact_conversion(self):
+        with pytest.raises(ValueError, match=r"^column 'a': values of dtype uint64 do not convert to int64 exactly$"):
+            DatasetColumn("a", np.array([1, 2], dtype=np.uint64))
+
+    @pytest.mark.parametrize("bad", [1.5, True, -1, "2"])
+    def test_excluded_count_is_a_nonnegative_int(self, bad):
+        with pytest.raises(ValueError, match="^excluded_count must be a nonnegative integer"):
+            DatasetColumn("a", (5,), excluded_count=bad)
+
     @pytest.mark.parametrize("values", [(5, 2**63 - 1), [5, 2**63 - 1], np.array([5, 2**63 - 1])])
     def test_values_are_a_read_only_int64_copy(self, values):
         col = DatasetColumn("a", values)

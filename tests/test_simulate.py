@@ -203,6 +203,22 @@ class TestVotingModel:
         with pytest.raises(ValueError, match="seed"):
             default_voting_config(seed=-3)
 
+    @pytest.mark.parametrize("field,value", [("n_units", True), ("n_units", 5.0), ("max_voters", 2250.0),
+                                             ("max_voters", np.int64(2250)), ("seed", False), ("seed", 2**64)])
+    def test_sizes_and_seed_are_python_ints(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            replace(default_voting_config(), **{field: value})
+
+    def test_mixture_and_replicate_counts_are_python_ints(self):
+        component = MixtureComponent("lognormal", {"mu": 0.0, "sigma": 1.0}, 1.0)
+        with pytest.raises(ValueError, match="^n_samples must be an integer, got 10.0$"):
+            MixtureConfig((component,), n_samples=10.0, seed=1)
+        for replicates in (2.0, True):
+            with pytest.raises(ValueError, match="^replicates must be an integer"):
+                ExperimentSpec(("nb2",), replicates=replicates)
+            with pytest.raises(ValueError, match="^replicates must be an integer"):
+                conformance_experiment(default_voting_config(1), [nbl_second()], replicates=replicates)
+
     def test_n_units_fits_one_spawn_key_word(self):
         # unit j's spawn key is one uint32 word, so j = 2^32 would wrap to unit 0's stream
         assert replace(default_voting_config(), n_units=2**32).n_units == 2**32
@@ -218,7 +234,8 @@ BETA_PAIRS = st.tuples(BETA_SHAPES, BETA_SHAPES).filter(lambda ab: ab[0] + ab[1]
 def voting_configs(draw):
     return VotingModelConfig(
         n_units=draw(st.sampled_from([1, simulate._BLOCK - 1, simulate._BLOCK, simulate._BLOCK + 1, 300])),
-        max_voters=draw(st.sampled_from([10, 2250])),
+        # the head's rest can cover the turnout's uniforms and part of the 2 * turnout after them
+        max_voters=draw(st.sampled_from([10, 11, 20, 31, 32, 33, 500, 2250])),
         turnout_dist=draw(BETA_PAIRS),
         partisan_fraction_dist=draw(BETA_PAIRS),
         partisan_loyalty=draw(st.sampled_from([0.0, 0.99, 1.0])),
@@ -265,44 +282,43 @@ class TestVotingModelOracle:
         assert sizes.count((8,)) == cfg.n_units
 
     def test_bernoulli_counts_in_chunks_match_scalar_oracle(self, monkeypatch):
-        # 64-uniform draws split the 500 turnout uniforms, and the 2 * turnout after them, over several draws
-        sizes = []
+        # past its head, a unit draws the rest of the turnout's uniforms and then the 2 * turnout after them: at
+        # most two nonempty draws, however large max_voters is
+        draws = []
         unit_rngs = simulate._unit_rngs
 
         class RecordingRng:
             def __init__(self, rng):
-                self.rng = rng
+                self.rng, self.sizes = rng, []
+                draws.append(self.sizes)
 
             def random(self, size=None, out=None):
-                sizes.append(size if out is None else out.size)
+                self.sizes.append(size if out is None else out.size)
                 return self.rng.random(size, out=out)
 
-        monkeypatch.setattr(simulate, "_CHUNK", 64)
         monkeypatch.setattr(simulate, "_unit_rngs",
                             lambda seed, start, stop: [RecordingRng(rng) for rng in unit_rngs(seed, start, stop)])
-        cfg = replace(default_voting_config(9), n_units=40, max_voters=500)
-        assert hmpm_unit_counts(cfg) == scalar_hmpm_unit_counts(cfg)
-        # every unit draws its head, then at least 7 chunks for the turnout's uniforms beyond the head's rest
-        assert max(sizes) == 64 and len(sizes) >= cfg.n_units * (1 + 500 // 64)
+        cfg = replace(default_voting_config(9), n_units=12, max_voters=40_000)
+        units = hmpm_unit_counts(cfg)
+        assert units == scalar_hmpm_unit_counts(cfg)
+        # no unit of this run outruns its head, and some unit draws more than 2^16 uniforms at once
+        assert [sizes[0] for sizes in draws] == [simulate._HEAD] * cfg.n_units
+        assert all(len([size for size in sizes[1:] if size]) <= 2 for sizes in draws)
+        assert max(max(sizes) for sizes in draws) > 1 << 16
 
     @pytest.mark.parametrize("head", [4, 31, 32, 64])
-    @pytest.mark.parametrize("max_voters,chunk", [(10, 64), (31, 64), (32, 64), (33, 64), (2250, None)])
+    @pytest.mark.parametrize("max_voters", [10, 31, 32, 33, 2250, 40_000])
     @pytest.mark.parametrize("degenerate", [False, True], ids=["shipped", "degenerate"])
-    def test_head_size_and_count_path_change_no_unit(self, monkeypatch, head, max_voters, chunk, degenerate):
-        # counts read one buffer up to max_voters = _CHUNK / 2 and _count_below's draws past it; the degenerate
-        # model draws no Beta, so its whole head, often more than the turnout's uniforms, is left to the counts
-        calls = []
-        count_below = simulate._count_below
+    def test_head_size_and_count_path_change_no_unit(self, monkeypatch, head, max_voters, degenerate):
+        # a head's rest may hold none, some or all of the turnout's uniforms and of the 2 * turnout after them; the
+        # degenerate model draws no Beta, so its whole head, often more than the turnout's uniforms, is left to the
+        # counts
         monkeypatch.setattr(simulate, "_HEAD", head)
-        if chunk is not None:
-            monkeypatch.setattr(simulate, "_CHUNK", chunk)
-        monkeypatch.setattr(simulate, "_count_below", lambda *args, **kw: calls.append(1) or count_below(*args, **kw))
-        cfg = replace(default_voting_config(3), n_units=70, max_voters=max_voters)
+        cfg = replace(default_voting_config(3), n_units=70 if max_voters < 40_000 else 6, max_voters=max_voters)
         if degenerate:
             cfg = replace(cfg, turnout_dist=(1.0, 0.0), partisan_fraction_dist=(1.0, 0.0), partisan_loyalty=0.5,
                           swing_prob_dist=(0.0, 1.0))
         assert hmpm_unit_counts(cfg) == scalar_hmpm_unit_counts(cfg)
-        assert bool(calls) == (2 * max_voters > simulate._CHUNK)
 
     def test_oracle_sees_a_dropped_head_remainder(self, monkeypatch):
         # counting turnout from fresh uniforms, past the head's unused ones, changes the units
