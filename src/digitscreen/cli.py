@@ -49,7 +49,7 @@ _BLOCK_BYTES = 1 << 16
 # samples per block written by `simulate --out`
 _SAMPLE_BLOCK = 1 << 14
 
-# the benchmark's traced replay patches this name, so it stays a module attribute
+# the benchmark's traced replay patches this name, so it stays a module attribute; nothing here calls it
 law_for_test = law_from_name
 
 
@@ -75,7 +75,7 @@ class ScreenConfig:
             raise ValueError("select at least one column")
         if not self.tests:
             raise ValueError("select at least one test")
-        laws = distinct_laws(self.tests, law_for_test, self.upper_bound, self.lower_bound)
+        laws = distinct_laws(self.tests, self.upper_bound, self.lower_bound)
         if (self.upper_bound, self.lower_bound) != (None, None) and all(law.restriction is None for law in laws):
             raise ValueError("--bound and --lower apply only to the restricted tests rnb1 and rnb2")
         object.__setattr__(self, "laws", laws)
@@ -114,9 +114,9 @@ def ingest(path, selectors, delimiter: str | None = None) -> list[DatasetColumn]
     different column; a name that several header cells share selects
     nothing. The file is UTF-8, with or without a byte-order mark. Only
     ``\\n``, ``\\r\\n`` and ``\\r`` end a line; blank and whitespace-only
-    lines are skipped. A cell is a count only when it is ASCII decimal
-    digits, at least 1 and below 2^63 (the int64 range of a column); every
-    other cell, including ``1_000``, ``+45`` and non-ASCII digits, is
+    lines between rows are skipped. A cell is a count only when it is ASCII
+    decimal digits, at least 1 and below 2^63 (the int64 range of a column);
+    every other cell, including ``1_000``, ``+45`` and non-ASCII digits, is
     excluded with a diagnostic naming its line in the file. A row with more
     or fewer cells than the header (say, an unquoted thousands separator) is
     excluded from every column, with one diagnostic shared by all of them.
@@ -147,7 +147,7 @@ def _select(row: list[str], selectors) -> tuple[list[str], list[int]]:
         elif sel.isascii() and sel.isdigit() and int(sel) < len(header):
             idx = int(sel)
         else:
-            raise ValueError(f"column {sel!r} not found; available headers: {', '.join(header)}")
+            raise ValueError(f"column {sel!r} not found; available headers: " + ", ".join(header).replace("\n", "\\n"))
         if idx in indices:
             raise ValueError(f"column {sel!r} selects column {idx} ({header[idx]!r}) a second time")
         if "\n" in header[idx]:
@@ -191,14 +191,15 @@ def _read_csv(path, selectors, delimiter: str | None) -> list[DatasetColumn]:
     # universal newlines turn \r\n and \r into \n, the only line end split on; a byte that is not UTF-8 is
     # read as a lone surrogate, so that its line can be named
     with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
-        number = 0  # the file line of the last non-blank line read: a row is numbered by the line it ends on
+        number = 0  # the file line of the last line read: a row is numbered by the line it ends on
+        between = True  # no record begun: a blank line here is skipped, where inside a quoted cell it is kept
 
-        def nonblank():
-            """The file's non-blank lines, each with its line end, which a quoted cell keeps."""
-            nonlocal number
+        def row_lines():
+            """The file's lines but the blank ones between rows, each with its line end, which a quoted cell keeps."""
+            nonlocal number, between
             for i, line in enumerate(fh, start=1):
-                if line.strip():
-                    number = i
+                if not between or line.strip():
+                    number, between = i, False
                     if not line.isascii():
                         try:
                             line.encode()
@@ -207,17 +208,23 @@ def _read_csv(path, selectors, delimiter: str | None) -> list[DatasetColumn]:
                                              "is not UTF-8") from None
                     yield line
 
-        lines = nonblank()
+        lines = row_lines()
         first = next(lines, None)
         if first is None:
             raise ValueError(f"empty input file: {path}")
         rows = csv.reader(itertools.chain([first], lines), delimiter=delimiter or _detect_delimiter(first))
         try:
-            header, indices = _select(next(rows), selectors)
+            row = next(rows)
+            found = _detect_delimiter(rows.dialect.delimiter.join(row))  # on the header's record, all its lines
+            if delimiter is None and found != rows.dialect.delimiter:
+                return _read_csv(path, selectors, found)
+            header, indices = _select(row, selectors)
+            between = True
             values = [array("q") for _ in indices]
             diagnostics = [[] for _ in indices]
             width = len(header)
             for row in rows:
+                between = True
                 if len(row) != width:
                     diagnostic = f"row {number}: {len(row)} cells where the header has {width}; {_RAGGED}"
                     for col_diagnostics in diagnostics:
@@ -246,7 +253,8 @@ def _read_plain(path, selectors, delimiter: str | None) -> list[DatasetColumn] |
     digit. Every selected cell of a block is tested at once for 1 to 18 ASCII
     digits without a leading zero, and those cells are read by Horner's rule
     over their digit bytes. Any other cell goes through ``_cell_count``, as
-    in ``_read_csv``, so its value or diagnostic is the same.
+    in ``_read_csv``, so its value or diagnostic is the same. A selector that
+    ``_select`` refuses raises the very ValueError that ``_read_csv`` raises.
     """
     with open(path, "rb") as fh:
         blocks = _line_blocks(fh)
@@ -259,10 +267,7 @@ def _read_plain(path, selectors, delimiter: str | None) -> list[DatasetColumn] |
         delim = delimiter or _detect_delimiter(text)
         if len(delim) != 1 or not delim.isascii() or delim.isdigit() or delim in '"\r\n':
             return None
-        try:  # the line holds no quote, so splitting it gives csv.reader's row
-            header, indices = _select(text.split(delim), selectors)
-        except ValueError:
-            return None  # _read_csv raises it, after any error reading the rest of the file
+        header, indices = _select(text.split(delim), selectors)  # no quote: csv.reader's row, and its error
         width, cols = len(header), np.array(indices, dtype=np.intp)
         pieces = [[] for _ in indices]
         diagnostics = [[] for _ in indices]
@@ -448,7 +453,7 @@ def _write_table(out_path: Path, header: str, blocks) -> None:
 def render_law_table(name: str) -> str:
     """The law's digits and probabilities, titled by its name (cnb2:800 -> CNB2_800)."""
     try:
-        law = law_for_test(name)
+        (law,) = distinct_laws([name])
     except ValueError as exc:
         raise ValueError(f"unknown law table {name!r}: {exc}") from None
     title = name.strip().upper().replace(":", "_")

@@ -174,15 +174,15 @@ def canonical_law_name(name: str) -> str:
     return law + colon + (str(int(bound)) if bound.isascii() and bound.isdigit() else bound)
 
 
-def distinct_laws(names, build, *bounds) -> tuple:
-    """``build(name, *bounds)`` for each name; a name that selects the law of an earlier one is a ValueError."""
+def distinct_laws(names, upper: int | None = None, lower: int | None = None) -> tuple:
+    """``law_from_name(name, upper, lower)`` for each name; a name that selects an earlier one's law is a ValueError."""
     selected = set()
     for name in names:
         key = canonical_law_name(name)
         if key in selected:
             raise ValueError(f"test {name!r} selects the test {key} a second time")
         selected.add(key)
-    return tuple(build(name, *bounds) for name in names)
+    return tuple(law_from_name(name, upper, lower) for name in names)
 
 
 def law_from_name(name: str, upper: int | None = None, lower: int | None = None) -> DigitDistribution:

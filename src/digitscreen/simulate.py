@@ -27,9 +27,9 @@ from importlib import resources
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .digits import EXCLUDE_SHORT, DatasetColumn, real_digit_frequencies
-from .inference import HypothesisPrior, TestReport, report_from_counts, screen
-from .laws import DigitDistribution, distinct_laws, law_from_name
+from .digits import DatasetColumn, real_digit_frequencies
+from .inference import TestReport, report_from_counts, screen
+from .laws import DigitDistribution, distinct_laws
 
 # each mixture family, and the parameters it takes
 _FAMILY_PARAMS = {"lognormal": ("mu", "sigma"), "half-cauchy": ("scale",), "scaled-exponential": ("scale",),
@@ -389,11 +389,9 @@ def _replicate_seed(seed: int, replicate: int) -> int:
 def conformance_experiment(
     config: VotingModelConfig,
     laws: list[DigitDistribution],
-    prior: HypothesisPrior = HypothesisPrior(),
-    policy: str = EXCLUDE_SHORT,
     replicates: int = 1,
 ) -> ExperimentReport:
-    """Run the voting model and screen its pooled counts against each law.
+    """Run the voting model and screen its pooled counts against each law, at equal prior odds under exclude-short.
 
     Pooled means the favored candidate's per-unit counts, pooled across
     replicates (digit screenings are per candidate; mixing both candidates
@@ -413,11 +411,11 @@ def conformance_experiment(
     )
     results = []
     for law in laws:
-        rep_reports = [screen(col, law, prior, policy) for col in rep_columns]
+        rep_reports = [screen(col, law) for col in rep_columns]
         results.append(
             LawResult(
                 law=law.kind,
-                pooled=screen(pooled, law, prior, policy),
+                pooled=screen(pooled, law),
                 p_values=tuple(r.p_value for r in rep_reports),
                 posteriors=tuple(r.posterior_h0 for r in rep_reports),
             )
@@ -425,15 +423,11 @@ def conformance_experiment(
     return ExperimentReport(results=tuple(results), units=rep_units[0])
 
 
-def screen_mixture(
-    samples,
-    law: DigitDistribution,
-    prior: HypothesisPrior = HypothesisPrior(),
-) -> TestReport:
-    """Screen the significant digits of real-valued samples against a marginal law."""
+def screen_mixture(samples, law: DigitDistribution) -> TestReport:
+    """Screen the significant digits of real-valued samples against a marginal law, at equal prior odds."""
     _check_mixture_law(law)
     cv = real_digit_frequencies(samples, law.digit_index)
-    return report_from_counts(cv, np.sort(samples), law, prior)
+    return report_from_counts(cv, np.sort(samples), law)
 
 
 def _check_mixture_law(law: DigitDistribution) -> None:
@@ -465,7 +459,7 @@ class ExperimentSpec:
 
     def __post_init__(self):
         # a bad law name or replicate count fails when the config loads, before any data is written
-        object.__setattr__(self, "laws", distinct_laws(self.law_names, law_from_name))
+        object.__setattr__(self, "laws", distinct_laws(self.law_names))
         _check_int("replicates", self.replicates, 1)
 
 

@@ -32,6 +32,7 @@ from digitscreen.cli import (
 )
 from digitscreen import inference
 from digitscreen.inference import tabulate
+from digitscreen import laws
 from digitscreen.laws import RestrictionSpec, law_from_name, nbl_first, nbl_joint, nbl_second, restricted_law
 from digitscreen.report import COLUMNS, render
 from digitscreen import simulate
@@ -242,6 +243,26 @@ class TestIngest:
         assert col_a.values.tolist() == [1, 5] and col_b.values.tolist() == [6]
         assert col_b.diagnostics == ("b: row 3: not an integer: '12\\n34'",)
 
+    # "|" is a line end; a quote sends each file to the csv reader, where blank and whitespace-only lines are skipped
+    # between rows (and still counted), but belong to a quoted cell that holds them
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("text, selector, expected", [
+        ('| \t|"a",b|1,2|', "b", [("b", [2], 0, ())]),
+        ('"a",b|| \t|1,x|', "b", [("b", [], 1, ("b: row 4: not an integer: 'x'",))]),
+        ('"a",b|1,2|| \t|3,x|', "b", [("b", [2], 1, ("b: row 5: not an integer: 'x'",))]),
+        ('"a",b|1,2|| \t|', "b", [("b", [2], 0, ())]),
+        ('"a",b|1,"12|| \t|34"|5,x|', "b", [("b", [], 2, ("b: row 5: not an integer: '12\\n\\n \\t\\n34'",
+                                                         "b: row 6: not an integer: 'x'"))]),
+        # the delimiter is counted on the header's whole record, and a header cell's line break is written \n
+        ('"x|y";b;c|1;2;3|', "b", [("b", [2], 0, ())]),
+        ('"x|y";b;c|1;2;3|', "z", "ValueError: column 'z' not found; available headers: x\\ny, b, c"),
+    ], ids=["before-header", "after-header", "between-rows", "at-end", "inside-quoted-cell", "header-delimiter",
+            "header-not-found"])
+    def test_csv_reader_blank_lines_and_header_record(self, tmp_path, end, text, selector, expected):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.replace("|", end).encode())
+        assert read_with(ingest, path, [selector]) == expected
+
     def test_selected_header_cell_with_a_line_break_is_an_error(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text('"votes\nA",b\n1,2\n')
@@ -327,11 +348,15 @@ class TestIngest:
             path.write_bytes(data)
             expected = read_with(cli._read_csv, path, selectors, delimiter)
             assert read_with(ingest, path, selectors, delimiter) == expected
-            fast = cli._read_plain(path, selectors, delimiter)
-            if fast is not None:
-                assert read_with(lambda: fast) == expected
-            elif is_plain(data, delimiter) and not isinstance(expected, str):
-                pytest.fail("the fast reader refused a plain table")
+            try:
+                fast = cli._read_plain(path, selectors, delimiter)
+            except ValueError as exc:
+                assert f"ValueError: {exc}" == expected
+            else:
+                if fast is not None:
+                    assert read_with(lambda: fast) == expected
+                elif is_plain(data, delimiter) and not isinstance(expected, str):
+                    pytest.fail("the fast reader refused a plain table")
 
     @pytest.mark.parametrize("text", ["a,b\n12,3\n", "a,b\r\n12,3\r\n", "\ufeffa;b\n12;3", "a\tb\n 12\t3 \n",
                                       "a\n12\n"])
@@ -800,7 +825,7 @@ class TestMainEntry:
             built.append(args[0])
             return law_from_name(*args)
 
-        monkeypatch.setattr(cli, "law_for_test", counting)
+        monkeypatch.setattr(laws, "law_from_name", counting)
         main(["screen", str(small_csv), "--columns", "north,south", "--tests", "nb1,rnb2", "--bound", "8000",
               "--proportions", str(tmp_path / "props")])
         assert built == ["nb1", "rnb2"]
@@ -894,7 +919,7 @@ class TestMainEntry:
             built.append(args[0])
             return law_from_name(*args)
 
-        monkeypatch.setattr(simulate, "law_from_name", counting)
+        monkeypatch.setattr(laws, "law_from_name", counting)
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "data.csv")]) == 0
         assert built == ["nb1", "nb2"]
 
