@@ -38,20 +38,10 @@ from .laws import (
     restricted_law,
     uniform_law,
 )
-# `simulate` (and configparser with it) loads on first use of one of its names, so `screen` never pays its import
-_SIMULATE_NAMES = frozenset({
-    "MixtureComponent",
-    "MixtureConfig",
-    "VotingModelConfig",
-    "conformance_experiment",
-    "default_voting_config",
-    "sample_hmpm",
-    "sample_mixture",
-})
-
-
+# `simulate` (and configparser with it) loads on first use of one of its names, so `screen` never pays its import;
+# Python calls this only for a name the module does not hold, so only the simulate names of `__all__` reach it
 def __getattr__(name: str):
-    if name in _SIMULATE_NAMES:
+    if name in __all__:
         from . import simulate
 
         return getattr(simulate, name)

@@ -83,9 +83,6 @@ class ScreenConfig:
         # no posterior lies below a threshold of 0, so the exit-code gate could never fire
         if not 0.0 < self.threshold <= 1.0:
             raise ValueError(f"threshold must lie in (0, 1], got {self.threshold!r}")
-        if self.delimiter is not None and (len(self.delimiter) != 1 or self.delimiter in '"\r\n'):
-            raise ValueError("delimiter must be one character other than a quote or a line break, "
-                             f"got {self.delimiter!r}")
         if self.policy not in POLICIES:
             raise ValueError(f"unknown policy {self.policy!r}")
         if self.output_format not in FORMATS:
@@ -126,6 +123,8 @@ def ingest(path, selectors, delimiter: str | None = None) -> list[DatasetColumn]
     goes through ``csv`` (see ``_read_plain``). Both readers give the same
     columns, diagnostics and errors.
     """
+    if delimiter is not None and (len(delimiter) != 1 or delimiter in '"\r\n'):
+        raise ValueError(f"delimiter must be one character other than a quote or a line break, got {delimiter!r}")
     columns = _read_plain(path, selectors, delimiter)
     return _read_csv(path, selectors, delimiter) if columns is None else columns
 
@@ -265,7 +264,7 @@ def _read_plain(path, selectors, delimiter: str | None) -> list[DatasetColumn] |
             return None
         text = line.decode()
         delim = delimiter or _detect_delimiter(text)
-        if len(delim) != 1 or not delim.isascii() or delim.isdigit() or delim in '"\r\n':
+        if not delim.isascii() or delim.isdigit():
             return None
         header, indices = _select(text.split(delim), selectors)  # no quote: csv.reader's row, and its error
         width, cols = len(header), np.array(indices, dtype=np.intp)
@@ -494,8 +493,14 @@ def run_simulation(job: SimulationJob, out_path: Path | None, fmt: str) -> str:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error exits 1, as every error does: 2 means that a screening rejected
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="digitscreen", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="digitscreen", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_screen = sub.add_parser("screen", help="screen count columns against digit laws")
@@ -526,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_screen(args) -> int:
-    tests = tuple(t.strip() for t in args.tests.split(",")) if args.tests else (
+    tests = tuple(t.strip() for t in args.tests.split(",")) if args.tests is not None else (
         ("nb2", "rnb2") if args.bound is not None else ("nb2",)
     )
     config = ScreenConfig(
@@ -542,20 +547,20 @@ def _cmd_screen(args) -> int:
         delimiter=args.delimiter,
     )
     columns = ingest(config.input_path, config.columns, config.delimiter)
-    if args.proportions:
+    if args.proportions is not None:
         _check_file_names([col.name for col in columns])
     # a ragged row's diagnostic, which every column shares, is printed with the first column's; one write for all
     sys.stderr.write("".join(f"diagnostic: {diag}\n" for i, col in enumerate(columns) for diag in col.diagnostics
                              if i == 0 or not diag.endswith(_RAGGED)))
     doc = run_screening(config, columns)
     rendered = render(doc, config.output_format)
-    if args.out:
+    if args.out is not None:
         out = resolve_out(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(rendered, encoding="utf-8")
     else:
         sys.stdout.write(rendered)
-    if args.proportions and doc.rows:
+    if args.proportions is not None and doc.rows:
         outdir = resolve_out(args.proportions)
         outdir.mkdir(parents=True, exist_ok=True)
         fmt = "json" if config.output_format == "json" else "csv"
@@ -587,7 +592,7 @@ def _cmd_simulate(args) -> int:
     from . import simulate as sim  # only `simulate` pays its import and configparser's
 
     job = sim.load_simulation_config(args.config)
-    out = resolve_out(args.out) if args.out else None
+    out = resolve_out(args.out) if args.out is not None else None
     sys.stdout.write(run_simulation(job, out, args.format))
     return 0
 
@@ -600,6 +605,9 @@ def _cmd_laws(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for flag in ("out", "proportions"):  # an empty path would read as the flag not given
+            if getattr(args, flag, None) == "":
+                raise ValueError(f"--{flag} needs a path, got ''")
         if args.command == "screen":
             return _cmd_screen(args)
         if args.command == "simulate":

@@ -49,6 +49,9 @@ POLICIES = (EXCLUDE_SHORT, TRAILING_ZERO)
 FIRST_DIGIT_DOMAIN = tuple(range(1, 10))
 LATER_DIGIT_DOMAIN = tuple(range(0, 10))
 
+# the widest joint prefix: no law reads a wider one, and joint_domain(7) alone would hold 9 * 10^6 tuples
+MAX_JOINT_DIGITS = 6
+
 
 def digit_domain(i: int) -> tuple[int, ...]:
     """Admissible values of the i-th significant digit (1..9 first, 0..9 after)."""
@@ -58,9 +61,11 @@ def digit_domain(i: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)  # one shared domain for every joint CountVector a run keeps
 def joint_domain(k: int) -> tuple[tuple[int, ...], ...]:
-    """All 9*10^(k-1) ordered k-digit prefixes, in lexicographic order."""
+    """All 9*10^(k-1) ordered k-digit prefixes, in lexicographic order, for k from 2 to MAX_JOINT_DIGITS."""
     if k < 2:
         raise ValueError("joint domain needs k >= 2")
+    if k > MAX_JOINT_DIGITS:
+        raise ValueError(f"joint prefixes are supported up to k={MAX_JOINT_DIGITS}, got {k}")
     return tuple(product(FIRST_DIGIT_DOMAIN, *([LATER_DIGIT_DOMAIN] * (k - 1))))
 
 
@@ -337,18 +342,19 @@ def joint_frequencies(column: DatasetColumn, k: int = 2, policy: str = EXCLUDE_S
     _check_digit_index(k)
     if k < 2:
         raise ValueError("joint tabulation needs k >= 2; use digit_frequencies for a single digit")
+    domain = joint_domain(k)  # refuses k past MAX_JOINT_DIGITS
     dropped = _dropped(column, k, policy)
     if k == 2:
         counts = column._prefix_table[1:].copy()
         if policy == TRAILING_ZERO:
             counts[:, 0] += column._prefix_table[0, 1:]  # the one-digit value d reads as the prefix d0
-        return _count_vector(joint_domain(2), counts.ravel(), dropped)
+        return _count_vector(domain, counts.ravel(), dropped)
     # bincount cell p is the prefix p; joint_domain(k) lists the prefixes 10^(k-1) .. 10^k - 1 in increasing order
     first = 10 ** (k - 1)
     counts = np.zeros(10 * first, dtype=np.int64)
     for n, values in _slices(column, k if policy == EXCLUDE_SHORT else 1):
         counts += np.bincount(values // 10 ** (n - k) if n >= k else values * 10 ** (k - n), minlength=10 * first)
-    return _count_vector(joint_domain(k), counts[first:], dropped)
+    return _count_vector(domain, counts[first:], dropped)
 
 
 def _count_vector(domain: tuple, counts: np.ndarray, excluded: int) -> CountVector:

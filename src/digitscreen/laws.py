@@ -17,7 +17,6 @@ from .digits import FIRST_DIGIT_DOMAIN, LATER_DIGIT_DOMAIN, digit_domain, joint_
 BENFORD_FIRST = "benford-first"
 BENFORD_SECOND = "benford-second"
 
-MAX_JOINT_DIGITS = 6
 _SUM_TOL = 1e-12
 
 
@@ -92,11 +91,9 @@ def nbl_joint(k: int) -> DigitDistribution:
     """Joint law over ordered k-digit prefixes: P(d1..dk) = log10(1 + 1/(d1...dk))."""
     if not isinstance(k, int) or k < 2:
         raise ValueError("joint law needs k >= 2; use nbl_first for a single digit")
-    if k > MAX_JOINT_DIGITS:
-        raise ValueError(f"joint law supported up to k={MAX_JOINT_DIGITS}, got {k}")
-    # joint_domain(k) lists the prefixes 10^(k-1) .. 10^k - 1 in increasing order
+    domain = joint_domain(k)  # refuses k past MAX_JOINT_DIGITS, and lists the prefixes 10^(k-1) .. 10^k - 1 in order
     probs = [math.log10(1.0 + 1.0 / value) for value in range(10 ** (k - 1), 10**k)]
-    return DigitDistribution(f"benford-joint({k})", joint_domain(k), probs, joint_k=k)
+    return DigitDistribution(f"benford-joint({k})", domain, probs, joint_k=k)
 
 
 @lru_cache(maxsize=None)

@@ -90,6 +90,8 @@ class MixtureComponent:
             raise ValueError(f"{self.family} scale must be positive")
         if self.family == "uniform-range" and not p["low"] < p["high"]:
             raise ValueError("uniform-range needs low < high")
+        if self.family == "uniform-range" and not math.isfinite(p["high"] - p["low"]):
+            raise ValueError("uniform-range needs a finite width high - low")
 
 
 @dataclass(frozen=True)
@@ -243,6 +245,7 @@ def _unit_betas(h: list, z: list, betas) -> tuple[list, int]:
     return draws, cur
 
 
+@np.errstate(over="ignore")  # an overflow draws inf, which sample_mixture redraws
 def _draw_family(rng: np.random.Generator, comp: MixtureComponent, size: int) -> np.ndarray:
     p = comp.params
     if comp.family == "lognormal":
@@ -261,8 +264,8 @@ def sample_mixture(config: MixtureConfig) -> np.ndarray:
     """Draw n_samples positive reals from the weighted mixture.
 
     Component membership comes first from one uniform per sample, then each
-    component fills its slots in declaration order; non-positive draws are
-    redrawn a bounded number of rounds.
+    component fills its slots in declaration order; draws that are not finite
+    positive reals are redrawn a bounded number of rounds.
     """
     rng = np.random.default_rng(config.seed)
     cum = np.cumsum([c.weight for c in config.components])
@@ -280,12 +283,12 @@ def sample_mixture(config: MixtureConfig) -> np.ndarray:
             continue
         draws = _draw_family(rng, comp, size)
         for _ in range(_MAX_REDRAW_ROUNDS):
-            bad = ~(draws > 0.0)
+            bad = ~((draws > 0.0) & (draws < math.inf))
             if not bad.any():
                 break
             draws[bad] = _draw_family(rng, comp, int(bad.sum()))
         else:
-            raise RuntimeError(f"component {j} ({comp.family}) kept producing non-positive draws")
+            raise RuntimeError(f"component {j} ({comp.family}) kept producing non-positive or non-finite draws")
         out[slots] = draws
     return out
 
@@ -458,7 +461,9 @@ class ExperimentSpec:
     laws: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # a bad law name or replicate count fails when the config loads, before any data is written
+        # no law, a bad law name or a bad replicate count fails when the config loads, before any data is written
+        if not self.law_names:
+            raise ValueError("[experiment] laws names no law")
         object.__setattr__(self, "laws", distinct_laws(self.law_names))
         _check_int("replicates", self.replicates, 1)
 

@@ -193,6 +193,14 @@ class TestIngest:
         (col,) = ingest(path, ["v"], delimiter="|")
         assert col.values.tolist() == [12]
 
+    @pytest.mark.parametrize("delimiter", [";;", "", '"', "\n", "\r"])
+    def test_library_call_checks_the_delimiter_before_opening_the_file(self, tmp_path, delimiter):
+        # csv.reader would raise a TypeError on ";;", and "" would read as no override at all
+        with pytest.raises(ValueError) as raised:
+            ingest(tmp_path / "absent.csv", ["a"], delimiter)
+        assert str(raised.value) == ("delimiter must be one character other than a quote or a line break, "
+                                     f"got {delimiter!r}")
+
     @pytest.mark.parametrize("cell", ["1_000", "+45", "\u0661\u0662\u0663", "\uff11\uff12", "12.0", "1e3",
                                       "0x1F", "1 000", "--5"])
     def test_only_ascii_digits_are_counts(self, tmp_path, cell):
@@ -580,6 +588,46 @@ class TestMainEntry:
         assert capsys.readouterr().err == ("error: delimiter must be one character other than a quote or a line "
                                            f"break, got {delimiter!r}\n")
 
+    @pytest.mark.parametrize("argv", [["screen", "t.csv"], ["screen", "t.csv", "--columns", "a", "--policy", "x"],
+                                      ["screen", "t.csv", "--columns", "a", "--bound", ""], ["bogus"]],
+                             ids=["no-columns", "bad-policy", "empty-bound", "bogus-command"])
+    def test_usage_error_exits_1(self, capsys, argv):
+        # exit status 2 means that a screening rejected, so a typo must not read as an anomaly
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        captured = capsys.readouterr()
+        assert raised.value.code == 1 and captured.out == ""
+        prog = "digitscreen screen" if argv[0] == "screen" else "digitscreen"
+        assert captured.err.startswith(f"usage: {prog} ")
+        assert captured.err.splitlines()[-1].startswith(f"{prog}: error: ")
+
+    @pytest.mark.parametrize("argv", [[], ["screen"], ["simulate"], ["laws"]],
+                             ids=["top", "screen", "simulate", "laws"])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as raised:
+            main([*argv, "--help"])
+        captured = capsys.readouterr()
+        assert raised.value.code == 0 and captured.err == ""
+        assert captured.out.startswith(" ".join(["usage: digitscreen", *argv]))
+
+    @pytest.mark.parametrize("argv,err", [
+        (["screen", "votes.csv", "--columns", "north", "--tests", ""],
+         "error: unknown law name ''; expected nb1, nb2, joint2, rnb1:K or rnb2:K\n"),
+        (["screen", "absent.csv", "--columns", "north", "--out", ""], "error: --out needs a path, got ''\n"),
+        (["screen", "absent.csv", "--columns", "north", "--proportions", ""],
+         "error: --proportions needs a path, got ''\n"),
+        (["simulate", "--config", "absent.ini", "--out", ""], "error: --out needs a path, got ''\n"),
+    ], ids=["screen-tests", "screen-out", "screen-proportions", "simulate-out"])
+    def test_empty_flag_value_is_an_error(self, small_csv, monkeypatch, capsys, argv, err):
+        # an empty value once read as the flag not given: the default test, stdout, or no file; the input named
+        # here does not exist, so the error comes before any input is read, and nothing is written
+        monkeypatch.chdir(small_csv.parent)
+        monkeypatch.delenv("DIGITSCREEN_OUT", raising=False)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", err)
+        assert [p.name for p in small_csv.parent.iterdir()] == ["votes.csv"]
+
     def test_invalid_prior_is_refused_before_reading_the_file(self, tmp_path, capsys):
         path = tmp_path / "v.csv"
         path.write_text("unit,v\nA,12\nB,NA\n")
@@ -909,6 +957,18 @@ class TestMainEntry:
         (line,) = captured.err.splitlines()
         assert line.startswith("error: ")
 
+    def test_simulate_mixture_writes_and_screens_finite_draws(self, tmp_path, capsys):
+        # exp(700 + 5 z) overflows for z above 1.96: those draws were written as inf, and then failed the screen
+        cfg = tmp_path / "mixture.ini"
+        cfg.write_text("[mixture]\nn_samples = 2000\nseed = 1\ncomponent = lognormal weight=1 mu=700 sigma=5\n"
+                       "\n[experiment]\nlaws = nb1\n")
+        out = tmp_path / "data.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and "benford-first samples  2000" in captured.out
+        values = [float(v) for v in out.read_text().splitlines()[1:]]
+        assert len(values) == 2000 and all(0.0 < v < math.inf for v in values)
+
     def test_simulate_builds_each_law_once(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "mixture.ini"
         cfg.write_text("[mixture]\nn_samples = 300\nseed = 2\ncomponent = lognormal weight=1 mu=0 sigma=2\n"
@@ -1082,6 +1142,21 @@ def test_cli_import_leaves_numpy_random_unloaded():
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
     assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
+
+
+def test_public_names_resolve_and_simulate_loads_on_first_use():
+    # `__all__` is the one list of public names: each resolves, and `simulate` loads only for a name of it that the
+    # package does not already hold
+    probe = ("import sys, digitscreen.cli\n"
+             "import digitscreen as ds\n"
+             "held = [getattr(ds, name) for name in ds.__all__ if name in vars(ds)]\n"
+             "print('digitscreen.simulate' in sys.modules)\n"
+             "print(sorted({getattr(ds, name).__module__ for name in ds.__all__ if name not in vars(ds)}))\n"
+             "try:\n    ds.no_such_name\nexcept AttributeError as exc:\n    print(exc)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout == "False\n['digitscreen.simulate']\nmodule 'digitscreen' has no attribute 'no_such_name'\n"
 
 
 def test_cli_import_leaves_simulate_json_and_configparser_unloaded():

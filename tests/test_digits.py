@@ -211,6 +211,13 @@ class TestJointFrequencies:
         with pytest.raises(ValueError):
             joint_frequencies(DatasetColumn("x", (12,)), 1)
 
+    def test_k_stops_at_six(self):
+        # no law reads a wider prefix; joint_domain(7) alone would hold 9 * 10^6 tuples, about 1.2 GB
+        with pytest.raises(ValueError, match=r"^joint prefixes are supported up to k=6, got 7$"):
+            joint_domain(7)
+        with pytest.raises(ValueError, match=r"^joint prefixes are supported up to k=6, got 7$"):
+            joint_frequencies(DatasetColumn("x", (1234567, 2345678, 3456789)), 7)
+
     def test_k_must_be_an_integer(self):
         col = DatasetColumn("x", (12, 345))
         assert joint_frequencies(col, 2).n == 2

@@ -70,6 +70,19 @@ class TestMixture:
         with pytest.raises(RuntimeError, match="non-positive"):
             sample_mixture(cfg)
 
+    def test_overflowing_draws_are_redrawn_without_a_warning(self):
+        # exp(700 + 5 z) overflows for z above 1.96, in about 2 % of the draws; pytest makes numpy's warning an error
+        cfg = MixtureConfig(components=(MixtureComponent("lognormal", {"mu": 700.0, "sigma": 5.0}, 1.0),),
+                            n_samples=2000, seed=1)
+        samples = sample_mixture(cfg)
+        assert ((samples > 0.0) & (samples < math.inf)).all()
+
+    def test_component_that_only_overflows_errors(self):
+        cfg = MixtureConfig(components=(MixtureComponent("lognormal", {"mu": 1000.0, "sigma": 0.0}, 1.0),),
+                            n_samples=10, seed=1)
+        with pytest.raises(RuntimeError, match="non-finite"):
+            sample_mixture(cfg)
+
     def test_uniform_range_rejects_first_digit_law(self):
         cfg = MixtureConfig(
             components=(MixtureComponent("uniform-range", {"low": 1.0, "high": 9.0}, 1.0),),
@@ -458,11 +471,15 @@ class TestConfigFiles:
          r"^\[voting_model\] partisan_loyalty: could not convert string to float: '0.9x'$"),
         (VOTING.replace("turnout = 2 2", "turnout = 2 x"),
          r"^\[voting_model\] turnout: could not convert string to float: 'x'$"),
+        (MIXTURE + "\n[experiment]\nlaws = ,\n", r"^\[experiment\] laws names no law$"),
+        (VOTING + "\n[experiment]\nlaws =\n", r"^\[experiment\] laws names no law$"),
+        (MIXTURE.replace("lognormal weight=1 mu=0 sigma=1", "uniform-range weight=1 low=-1e308 high=1.7e308"),
+         r"^\[mixture\] component.1: uniform-range needs a finite width high - low$"),
     ], ids=["no-n_units", "no-n_samples", "no-turnout", "no-laws", "no-section-header", "duplicate-section",
             "turnout-nan", "turnout-inf", "high-inf", "scale-inf", "weight-nan", "unknown-parameter",
             "experiment-replicate", "voting-maxvoters", "mixture-n_sample", "mixture_extra-section", "default-key",
             "repeated-parameter", "repeated-weight", "n_units-5e9", "n_units-1e3", "loyalty-not-float",
-            "turnout-not-float"])
+            "turnout-not-float", "mixture-laws-name-none", "voting-laws-name-none", "uniform-range-infinite-width"])
     def test_malformed_config_is_a_one_line_error(self, tmp_path, capsys, config, message):
         from digitscreen.cli import main
 
