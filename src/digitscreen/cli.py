@@ -36,15 +36,22 @@ DEFAULT_THRESHOLD = 0.5
 _DELIMITERS = (",", ";", "\t")
 
 _INT64_MAX = 2**63 - 1
-_INT32_MAX = 2**31 - 1
 
 # ends the diagnostic of a ragged row, which every selected column shares
 _RAGGED = "excluded from every column"
 
+# why ingest excludes a cell, or a whole row, indexed by reason code
+REASONS = ("not-an-integer", "zero", "negative", "over-int64", "ragged")
+_NOT_INTEGER, _ZERO, _NEGATIVE, _OVER_INT64, _RAGGED_ROW = range(len(REASONS))
+# diagnostics shown per (column, reason); the rest of a reason's are counted in one line
+_SHOWN = 10
+
 # bytes per block of the plain-table reader: its per-cell index arrays take
-# tens of bytes per input byte, so a larger block raises the peak memory, not
-# the speed (reading a 500-column table took 7.2 MB at 256 KiB, 2.6 at 64 KiB)
-_BLOCK_BYTES = 1 << 16
+# about 20 bytes per input byte, so a larger block raises the peak memory, and
+# a smaller one pays its fixed numpy calls more often (at 64 KiB, reading a
+# 500-column table took 2.5 MB at its peak, at 128 KiB 2.9, and 250 000 rows
+# of 4 columns 8 % longer)
+_BLOCK_BYTES = 1 << 17
 
 # samples per block written by `simulate --out`
 _SAMPLE_BLOCK = 1 << 14
@@ -117,7 +124,9 @@ def ingest(path, selectors, delimiter: str | None = None) -> list[DatasetColumn]
     excluded with a diagnostic naming its line in the file. A row with more
     or fewer cells than the header (say, an unquoted thousands separator) is
     excluded from every column, with one diagnostic shared by all of them.
-    Vote tallies are integers, so nothing is silently coerced.
+    Vote tallies are integers, so nothing is silently coerced. Each
+    exclusion has a reason in REASONS; a column counts its exclusions by
+    reason and keeps the first 10 diagnostics of each, in file order.
 
     A plain ASCII table is read from its bytes with numpy; any other file
     goes through ``csv`` (see ``_read_plain``). Both readers give the same
@@ -156,8 +165,16 @@ def _select(row: list[str], selectors) -> tuple[list[str], list[int]]:
     return header, list(indices)
 
 
+class _Excluded(ValueError):
+    """Why a cell holds no count: the message, and its code in REASONS as ``reason``."""
+
+    def __init__(self, reason: int, message: str):
+        super().__init__(message)
+        self.reason = reason
+
+
 def _cell_count(cell: str) -> int:
-    """The count a cell holds; ValueError says why it holds none.
+    """The count a cell holds; _Excluded says why it holds none.
 
     A leading "-" is read only to name a negative count as such.
     """
@@ -167,16 +184,23 @@ def _cell_count(cell: str) -> int:
     negative = cell.startswith("-")
     digits = cell[1:] if negative else cell
     if not (digits.isdigit() and digits.isascii()):
-        raise ValueError(f"not an integer: {cell!r}")
+        raise _Excluded(_NOT_INTEGER, f"not an integer: {cell!r}")
     digits = digits.lstrip("0")
     if not digits:
-        raise ValueError("zero count excluded")
+        raise _Excluded(_ZERO, "zero count excluded")
     if negative:
-        raise ValueError(f"negative count -{digits} excluded")
+        raise _Excluded(_NEGATIVE, f"negative count -{digits} excluded")
     # 2^63 - 1 has 19 digits; the length test also keeps int() off huge strings
     if len(digits) > 19 or int(digits) > _INT64_MAX:
-        raise ValueError(f"count {digits} exceeds the int64 maximum {_INT64_MAX}; excluded")
+        raise _Excluded(_OVER_INT64, f"count {digits} exceeds the int64 maximum {_INT64_MAX}; excluded")
     return int(digits)
+
+
+def _ingested(name: str, values: np.ndarray, counts, diagnostics: list, reasons: list) -> DatasetColumn:
+    """The column of an int64 array that ingest built, with its exclusion count per reason code and shown diagnostics."""
+    by_reason = {REASONS[r]: count for r, count in enumerate(counts) if count}
+    return DatasetColumn(name, values, excluded_count=sum(by_reason.values()), diagnostics=diagnostics,
+                         reasons=[REASONS[r] for r in reasons], excluded_by_reason=by_reason, adopt=True)
 
 
 def _read_csv(path, selectors, delimiter: str | None) -> list[DatasetColumn]:
@@ -220,26 +244,33 @@ def _read_csv(path, selectors, delimiter: str | None) -> list[DatasetColumn]:
             header, indices = _select(row, selectors)
             between = True
             values = [array("q") for _ in indices]
+            counts = [[0] * len(REASONS) for _ in indices]
             diagnostics = [[] for _ in indices]
+            reasons = [[] for _ in indices]
             width = len(header)
             for row in rows:
                 between = True
                 if len(row) != width:
                     diagnostic = f"row {number}: {len(row)} cells where the header has {width}; {_RAGGED}"
-                    for col_diagnostics in diagnostics:
-                        col_diagnostics.append(diagnostic)
+                    for col_counts, col_diagnostics, col_reasons in zip(counts, diagnostics, reasons):
+                        col_counts[_RAGGED_ROW] += 1
+                        if col_counts[_RAGGED_ROW] <= _SHOWN:
+                            col_diagnostics.append(diagnostic)
+                            col_reasons.append(_RAGGED_ROW)
                     continue
-                for idx, col_values, col_diagnostics in zip(indices, values, diagnostics):
+                for idx, col_values, col_counts, col_diagnostics, col_reasons in zip(indices, values, counts,
+                                                                                     diagnostics, reasons):
                     try:
                         col_values.append(_cell_count(row[idx]))
-                    except ValueError as exc:
-                        col_diagnostics.append(f"{header[idx]}: row {number}: {exc}")
+                    except _Excluded as exc:
+                        col_counts[exc.reason] += 1
+                        if col_counts[exc.reason] <= _SHOWN:
+                            col_diagnostics.append(f"{header[idx]}: row {number}: {exc}")
+                            col_reasons.append(exc.reason)
         except csv.Error as exc:  # say, a cell over csv's field size limit
             raise ValueError(f"{path}: row {number}: {exc}") from None
-    # each column's array is popped, so it is freed once the column holds its int64 copy
-    return [DatasetColumn(header[idx], np.frombuffer(values.pop(0), dtype=np.int64),
-                          excluded_count=len(col_diagnostics), diagnostics=tuple(col_diagnostics))
-            for idx, col_diagnostics in zip(indices, diagnostics)]
+    return [_ingested(header[idx], np.frombuffer(col_values, dtype=np.int64), *tally)
+            for idx, col_values, *tally in zip(indices, values, counts, diagnostics, reasons)]
 
 
 def _read_plain(path, selectors, delimiter: str | None) -> list[DatasetColumn] | None:
@@ -249,11 +280,13 @@ def _read_plain(path, selectors, delimiter: str | None) -> list[DatasetColumn] |
     quote, ends every line in ``\\n`` or ``\\r\\n`` (the last line may lack
     it), has no blank or whitespace-only line, and has as many cells in each
     row as in its header; its delimiter is one ASCII character other than a
-    digit. Every selected cell of a block is tested at once for 1 to 18 ASCII
-    digits without a leading zero, and those cells are read by Horner's rule
-    over their digit bytes. Any other cell goes through ``_cell_count``, as
-    in ``_read_csv``, so its value or diagnostic is the same. A selector that
-    ``_select`` refuses raises the very ValueError that ``_read_csv`` raises.
+    digit. ``_plain_cells`` reads and sorts the cells of each block at once,
+    to the values and reasons that ``_cell_count`` gives in ``_read_csv``.
+    Each column's counts go into one int64 array, which the first block
+    sizes, which grows geometrically, and which is handed to its
+    DatasetColumn. A cell's text is decoded only for a diagnostic that is
+    shown, whose message ``_cell_count`` writes. A selector that ``_select``
+    refuses raises the very ValueError that ``_read_csv`` raises.
     """
     with open(path, "rb") as fh:
         blocks = _line_blocks(fh)
@@ -268,29 +301,45 @@ def _read_plain(path, selectors, delimiter: str | None) -> list[DatasetColumn] |
             return None
         header, indices = _select(text.split(delim), selectors)  # no quote: csv.reader's row, and its error
         width, cols = len(header), np.array(indices, dtype=np.intp)
-        pieces = [[] for _ in indices]
+        stored = []  # each column's int64 array
+        sizes = np.zeros(len(indices), dtype=np.int64)  # the values stored so far, at the start of each array
+        counts = np.zeros((len(indices), len(REASONS)), dtype=np.int64)
         diagnostics = [[] for _ in indices]
+        reasons = [[] for _ in indices]
         row = 2  # the file line of a block's first row
         for block in itertools.chain([first[end + 1:]], blocks):
+            if b"\r" in block:  # the copy is paid only by a block that holds a \r
+                block = block.replace(b"\r\n", b"\n")
             cells = _plain_cells(block, ord(delim), width, cols)
             if cells is None:
                 return None
-            values, kept, bad = cells
-            for j, i, cell in bad:
-                try:
-                    values[j, i] = _cell_count(cell)
-                    kept[j, i] = True
-                except ValueError as exc:
-                    diagnostics[j].append(f"{header[indices[j]]}: row {row + i}: {exc}")
+            values, kept, (col, at, reason, start, stop) = cells
+            if not stored:  # the first block sizes the first allocation
+                stored = [np.empty(values.shape[1], dtype=np.int64) for _ in indices]
+            ends = sizes + np.count_nonzero(kept, axis=1)
+            for j in np.flatnonzero(ends > [col_values.size for col_values in stored]).tolist():
+                # doubled while small, where each resize call costs most; a quarter more once large, where the
+                # room that resize zero-fills, and no value may use, costs most
+                room = stored[j].size
+                stored[j].resize(max(ends[j], 2 * room if room < 1 << 16 else room * 5 // 4), refcheck=False)
+            for col_stored, col_values, col_kept, n, end in zip(stored, values, kept, sizes.tolist(), ends.tolist()):
+                col_stored[n:end] = col_values[col_kept]
+            sizes = ends
+            # only a (column, reason) with fewer than _SHOWN exclusions before this block has diagnostics to show
+            for k in np.flatnonzero(counts[col, reason] < _SHOWN).tolist():
+                j, r = int(col[k]), int(reason[k])
+                if reasons[j].count(r) < _SHOWN:
+                    try:
+                        _cell_count(block[start[k]:stop[k]].decode())
+                    except _Excluded as exc:
+                        diagnostics[j].append(f"{header[indices[j]]}: row {row + int(at[k])}: {exc}")
+                        reasons[j].append(r)
+            np.add.at(counts, (col, reason), 1)
             row += values.shape[1]
-            if values.max(initial=0) <= _INT32_MAX:
-                values = values.astype(np.int32)  # halves the pieces held until each column is joined
-            for col_pieces, col_values, col_kept in zip(pieces, values, kept):
-                col_pieces.append(col_values[col_kept])
-    # each column's pieces are popped, so they are freed once the column is joined
-    return [DatasetColumn(header[idx], np.concatenate(pieces.pop(0)), excluded_count=len(col_diagnostics),
-                          diagnostics=tuple(col_diagnostics))
-            for idx, col_diagnostics in zip(indices, diagnostics)]
+    for col_values, size in zip(stored, sizes.tolist()):
+        col_values.resize(size, refcheck=False)
+    return [_ingested(header[idx], *tally) for idx, *tally in zip(indices, stored, counts.tolist(), diagnostics,
+                                                                   reasons)]
 
 
 def _line_blocks(fh):
@@ -307,59 +356,88 @@ def _line_blocks(fh):
 
 
 def _plain_cells(block: bytes, delim: int, width: int, cols: np.ndarray):
-    """The selected cells of a block of whole rows, as (values, kept, bad); None unless the block is plain.
+    """The selected cells of a block of whole rows ending in ``\\n``, sorted by array tests; None unless it is plain.
 
-    ``values`` and ``kept`` are (selected columns x rows) arrays: the count
-    of every cell of 1 to 18 digits without a leading zero, and where such
-    cells are. ``bad`` lists (column, row, text) for every other cell.
+    Returns (values, kept, excluded). ``values`` and ``kept`` are (selected
+    columns x rows) arrays: the count of every cell that holds one, and where
+    those cells are. ``excluded`` holds five arrays, the column, row, reason
+    code and byte span ``block[start:stop]`` of every other cell, in column
+    then row order. An all-digit cell of 1 to 18 bytes is read by Horner's
+    rule, leading zeros included, and is kept unless it is 0; "-" before 1 to
+    18 digits is negative, or zero when every digit is 0. An empty cell, or
+    one with a byte that is neither a digit, "-" nor whitespace to
+    ``str.strip``, is not an integer. Only a cell that fits none of these
+    (surrounding whitespace, 19 or more digits, "--5") goes through
+    ``_cell_count``, as in ``_read_csv``.
     """
-    block = block.replace(b"\r\n", b"\n")
-    if b"\r" in block:
-        return None  # a lone \r ends a line for _read_csv
+    if b"\r" in block or b'"' in block or not block.isascii():
+        return None  # a lone \r ends a line for _read_csv, and a quote or a non-ASCII byte needs it too
     a = np.frombuffer(block, dtype=np.uint8)
-    if a.max(initial=0) > 127 or b'"' in block:
-        return None
     # digit values after 18 zero bytes, so the 18 bytes before any cell's end can be read
     digits = np.zeros(18 + a.size, dtype=np.uint8)
     np.subtract(a, ord("0"), out=digits[18:])  # wraps below "0", so a non-digit is > 9
     nondigit = np.flatnonzero(digits[18:] > 9)
     byte = a[nondigit]
-    lines = np.count_nonzero(byte == 10)
+    newline = byte == 10
+    lines = np.count_nonzero(newline)
     # every delimiter and newline is a non-digit: bound[k] is the position of
     # the k-th of them and rank[k] its place among the non-digits, after a -1
-    # that opens the block; a cell holds only digits when its closing
-    # separator directly follows its opening one among the non-digits
-    rank = np.concatenate(([-1], np.flatnonzero((byte == delim) | (byte == 10))))
+    # that opens the block, so bound - rank counts the digits before each
+    rank = np.concatenate(([-1], np.flatnonzero(newline | (byte == delim))))
     bound = np.concatenate(([-1], nondigit[rank[1:]]))
+    del nondigit, byte, newline  # each array is dropped once read, which lowers the peak memory of a block
     # rectangular: each row is width - 1 delimiters, then its newline
     if rank.size != lines * width + 1 or (a[bound[width::width]] != 10).any():
         return None
-    # a line's bytes run from the previous line's newline (or the opening -1) to its own
-    newline = bound[width::width]
-    line_bytes = newline - bound[:-1:width]
     # only a line without digits can be whitespace only, which _read_csv skips
-    digitless = np.flatnonzero(line_bytes == rank[width::width] - rank[:-1:width])
-    if any(not block[end - n + 1:end].decode().strip()
-           for end, n in zip(newline[digitless].tolist(), line_bytes[digitless].tolist())):
+    opening, newline = slice(None, -1, width), slice(width, None, width)
+    digitless = np.flatnonzero(bound[newline] - rank[newline] == bound[opening] - rank[opening]) * width
+    if any(not block[begin + 1:end].decode().strip()
+           for begin, end in zip(bound[digitless].tolist(), bound[digitless + width].tolist())):
         return None
-    opening = np.arange(lines) * width + cols[:, None]  # the boundary before each selected cell
-    start, nondigits = bound[opening] + 1, rank[opening + 1] - rank[opening]
-    stop = bound[opening + 1]
-    length = stop - start
-    ok = (nondigits == 1) & (length > 0) & (length < 19) & (a[start] != ord("0"))
-    where = np.nonzero(~ok)
-    bad = [(j, i, block[s:e].decode()) for j, i, s, e in zip(*(w.tolist() for w in where), start[where].tolist(),
-                                                             stop[where].tolist())]
-    length[~ok] = 0
-    # Horner's rule, right-aligned: the positions before a shorter cell's first digit add zeros
-    values = np.zeros(ok.shape, dtype=np.int64)
-    longest = int(length.max(initial=0))
-    at = stop + 18 - longest
+    # each selected cell's digits, non-digits (its closing separator among them) and end, as (columns x rows) arrays
+    count = np.diff(bound - rank).reshape(lines, width)[:, cols].T
+    nondigits = np.diff(rank).reshape(lines, width)[:, cols].T
+    del rank
+    stop = bound[1:].reshape(lines, width)[:, cols].T
+    del bound
+    # Horner's rule over a cell's last bytes, as many as it has digits: the whole of an all-digit cell, the
+    # digits after a leading "-"; right-aligned, so the positions before a shorter cell's first byte add zeros
+    values = np.zeros(count.shape, dtype=np.int64)
+    longest = min(int(count.max(initial=0)), 18)
+    at = stop  # each cell's end, moved in place to the byte read, and back
+    at += 18 - longest
     for p in range(longest, 0, -1):
         values *= 10
-        values += np.take(digits, at) * (length >= p)
+        values += np.take(digits, at) * (count >= p)
         at += 1
-    return values, ok, bad
+    at -= 18
+    kept = (nondigits == 1) & (count < 19) & (values > 0)
+    col, row = np.divmod(np.flatnonzero(~kept), lines)
+    nondigits, count, stop, value = (x[col, row] for x in (nondigits, count, stop, values))
+    length = nondigits - 1 + count
+    start = stop - length
+    plain = (count > 0) & (count < 19) & ((nondigits == 1) | (nondigits == 2) & (a[start] == ord("-")))
+    reason = np.where(plain, np.where((nondigits == 2) & (value > 0), _NEGATIVE, _ZERO), _NOT_INTEGER)
+    open_ = np.flatnonzero(~plain & (length > 0))
+    if open_.size:
+        # a byte that neither a count, a sign nor str.strip can hold makes the cell not an integer: the open
+        # cells' bytes are gathered, one run per cell, and such bytes counted
+        size = length[open_]
+        ends = np.cumsum(size)
+        b = a[np.repeat(start[open_] - ends + size, size) + np.arange(ends[-1])]
+        held = (b - ord("0") <= 9) | ((b >= 9) & (b <= 13)) | ((b >= 28) & (b <= 32)) | (b == ord("-"))
+        strange = np.concatenate(([0], np.cumsum(~held)))
+        for k in open_[strange[ends] == strange[ends - size]].tolist():
+            try:
+                values[col[k], row[k]] = _cell_count(block[start[k]:stop[k]].decode())
+                kept[col[k], row[k]] = True
+                reason[k] = -1
+            except _Excluded as exc:
+                reason[k] = exc.reason
+        excluded = reason >= 0
+        col, row, reason, start, stop = (x[excluded] for x in (col, row, reason, start, stop))
+    return values, kept, (col, row, reason, start, stop)
 
 
 def test_label(test: str, law: DigitDistribution, upper: int | None, lower: int | None = None) -> str:
@@ -549,9 +627,7 @@ def _cmd_screen(args) -> int:
     columns = ingest(config.input_path, config.columns, config.delimiter)
     if args.proportions is not None:
         _check_file_names([col.name for col in columns])
-    # a ragged row's diagnostic, which every column shares, is printed with the first column's; one write for all
-    sys.stderr.write("".join(f"diagnostic: {diag}\n" for i, col in enumerate(columns) for diag in col.diagnostics
-                             if i == 0 or not diag.endswith(_RAGGED)))
+    sys.stderr.write(_diagnostic_lines(columns))
     doc = run_screening(config, columns)
     rendered = render(doc, config.output_format)
     if args.out is not None:
@@ -570,6 +646,26 @@ def _cmd_screen(args) -> int:
             write_proportions(templates[row.test_name], f"{prefix}{row.column}_{row.test_name}.{fmt}",
                               row.report.counts)
     return doc.exit_code(config.threshold)
+
+
+def _diagnostic_lines(columns: list[DatasetColumn]) -> str:
+    """stderr's diagnostics: each column's shown ones, then a count line per reason with more than were shown.
+
+    A ragged row's diagnostic, which every column shares, is printed with the first column's.
+    """
+    ragged = REASONS[_RAGGED_ROW]
+    lines = []
+    for i, col in enumerate(columns):
+        lines += [f"diagnostic: {diag}\n" for diag, reason in zip(col.diagnostics, col.reasons)
+                  if i == 0 or reason != ragged]
+        for reason, count in col.excluded_by_reason.items():
+            if count <= _SHOWN:
+                continue
+            if reason != ragged:
+                lines.append(f"diagnostic: {col.name}: {count - _SHOWN} more {reason} cells ({count} in all)\n")
+            elif i == 0:
+                lines.append(f"diagnostic: {count - _SHOWN} more ragged rows ({count} in all); {_RAGGED}\n")
+    return "".join(lines)
 
 
 def _check_file_names(names: list[str]) -> None:

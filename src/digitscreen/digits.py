@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property, lru_cache
 from itertools import product
 
@@ -114,11 +114,13 @@ def significant_digit(x, i: int) -> int:
 _POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
 
 
-def _count_array(name: str, values) -> np.ndarray:
-    """``values`` as a fresh read-only 1-D int64 array of counts >= 1, in increasing order.
+def _count_array(name: str, values, adopt: bool = False) -> np.ndarray:
+    """``values`` as a read-only 1-D int64 array of counts >= 1, in increasing order.
 
     A sequence must hold Python ints (bools and floats are rejected one by
     one); an array must have an integer dtype that converts to int64 exactly.
+    An array is copied, unless ``adopt`` says that it is an int64 array no one
+    else holds, which is then sorted in place and kept.
     """
     if isinstance(values, np.ndarray):
         if values.ndim != 1 or values.dtype.kind not in "iu":
@@ -126,7 +128,7 @@ def _count_array(name: str, values) -> np.ndarray:
                              f"with shape {values.shape}")
         if not np.can_cast(values.dtype, np.int64):
             raise ValueError(f"column {name!r}: values of dtype {values.dtype} do not convert to int64 exactly")
-        arr = values.astype(np.int64)
+        arr = values.astype(np.int64, copy=not adopt)
     else:
         values = list(values)
         for v in values:
@@ -152,17 +154,25 @@ class DatasetColumn:
     this order the values of each decimal length form one slice. Its
     ``excluded_count`` tallies units dropped on the way in (zeros,
     negatives, unparseable cells), so m + excluded_count equals the original
-    row count.
+    row count. Ingest also keeps that count by reason, in
+    ``excluded_by_reason``, and its shown ``diagnostics``, each with its
+    reason in ``reasons``: at most the first 10 of each reason. ``adopt``
+    takes ``values`` without a copy; ingest sets it for the int64 array it
+    built and hands over.
     """
 
     name: str
     values: np.ndarray
     excluded_count: int = 0
     diagnostics: tuple[str, ...] = field(default=(), repr=False)
+    reasons: tuple[str, ...] = field(default=(), repr=False)
+    excluded_by_reason: dict = field(default_factory=dict, repr=False)
+    adopt: InitVar[bool] = False
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", _count_array(self.name, self.values))
+    def __post_init__(self, adopt):
+        object.__setattr__(self, "values", _count_array(self.name, self.values, adopt))
         object.__setattr__(self, "diagnostics", tuple(self.diagnostics))
+        object.__setattr__(self, "reasons", tuple(self.reasons))
         count = self.excluded_count
         if not isinstance(count, int) or isinstance(count, bool) or count < 0:
             raise ValueError(f"excluded_count must be a nonnegative integer, got {count!r}")

@@ -58,8 +58,11 @@ def format_ulb(ulb: float | None) -> str:
     return "> 0.5" if ulb is None else f"{ulb:.3f}"
 
 
-def _median_str(median: float) -> str:
-    return str(int(median)) if float(median).is_integer() else f"{median:g}"
+def _median_str(median: int | float) -> str:
+    """An int median exactly; a float one as an integer below 2^53, where every integer is a float, else by {:g}."""
+    if isinstance(median, int) or (median.is_integer() and abs(median) < 2**53):
+        return str(int(median))
+    return f"{median:g}"
 
 
 def _row_cells(row: ReportRow) -> tuple[str, ...]:

@@ -8,8 +8,9 @@ digit-keyed chi-squared and ln B01 oracles pin the float operations of the
 reports instead: they must agree with the library bit for bit, as must the
 former per-cell chi-squared, ln B01 and proportions fill, the voting model's
 former scalar generator and the former `--proportions` writer; the former
-decade walk must count exactly what its closed form counts, and the former
-per-slice digit kernel what the prefix table counts.
+decade walk must count exactly what its closed form counts, the former
+per-slice digit kernel what the prefix table counts, and the plain reader's
+former per-cell loop what its array classifier sorts.
 """
 
 import csv
@@ -343,3 +344,26 @@ def former_write_proportions(table, out_path: Path, fmt: str) -> None:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(("digit", "observed_proportion", "law_probability"))
             writer.writerows(table)
+
+
+def former_plain_cells(block: bytes, delim: int, cols, cell_count) -> tuple[list, list]:
+    """The plain reader's former per-cell loop over a block of whole ``\\n``-ended rows, uncapped.
+
+    A cell of 1 to 18 ASCII digits without a leading zero is read by
+    ``int``; ``cell_count`` reads every other cell, or raises the exclusion
+    whose ``reason`` it carries. Returns, per selected column, the kept counts
+    in row order and the (row, reason) of every exclusion in row order.
+    """
+    values, reasons = [[] for _ in cols], [[] for _ in cols]
+    for row, line in enumerate(block.decode().split("\n")[:-1]):
+        cells = line.split(chr(delim))
+        for j, c in enumerate(cols):
+            cell = cells[c]
+            if cell.isascii() and cell.isdigit() and cell[0] != "0" and len(cell) < 19:
+                values[j].append(int(cell))
+                continue
+            try:
+                values[j].append(cell_count(cell))
+            except ValueError as exc:
+                reasons[j].append((row, exc.reason))
+    return values, reasons

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
@@ -46,7 +47,7 @@ from golden import (
     SIMULATE_MIXTURE_EXPERIMENT,
     proportions_tree_digest,
 )
-from oracles import former_write_proportions, str_digit_tally, str_joint_tally
+from oracles import former_plain_cells, former_write_proportions, str_digit_tally, str_joint_tally
 
 DATA = Path(__file__).parent / "data"
 
@@ -412,6 +413,137 @@ class TestIngest:
             ingest(path, ["a"])
 
 
+# every exclusion reason, and each array test's edges: padding, leading zeros, 18/19/20 digits, signs, bytes that
+# str.strip counts as whitespace (\x0b, \x0c, \x1c-\x1f) and bytes that are not (\x00, "+", ".", "@", DEL)
+CLASSIFIED_CELLS = st.one_of(
+    PLAIN_CELLS,
+    st.integers(-10**20, -1).map(str),
+    st.tuples(st.sampled_from(["", "0", "00", "-", "-0", " ", "\x0b", "\x1c"]),
+              st.integers(0, 10**20).map(str),
+              st.sampled_from(["", "", " ", "\t", "\x1f", "-", "0"])).map("".join),
+    st.sampled_from(["-", "--5", "1-2", "-00", "- 5", "5-", "\x1d", " ", "\x7f", "@", "[", "`", "~", "/", ":", "5.",
+                     "9223372036854775807", "09223372036854775808", "-9223372036854775808", "0" * 25]),
+    # 18 and 19 digits whose last 18 are zeros, so a value read from only the last 18 digits is wrong
+    st.sampled_from(["0" * 18, "0" * 19, "1" + "0" * 18, "-1" + "0" * 18, "-" + "0" * 19, "-0" + "0" * 18]),
+)
+
+
+@st.composite
+def classified_tables(draw):
+    """(file bytes, delimiter, width, selected column indices) of a plain table mixing every exclusion reason."""
+    delim = draw(st.sampled_from([",", ";", "|"]))
+    width = draw(st.integers(2, 4))
+    rows = draw(st.lists(st.lists(CLASSIFIED_CELLS, min_size=width, max_size=width), min_size=1, max_size=40))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    header = delim.join(f"c{j}" for j in range(width))
+    data = "".join(line + end for line in [header] + [delim.join(row) for row in rows]).encode()
+    cols = draw(st.lists(st.integers(0, width - 1), min_size=1, max_size=width, unique=True))
+    return data, delim, width, cols
+
+
+class TestCellClassifier:
+    @settings(max_examples=300, deadline=None)
+    @given(classified_tables(), st.sampled_from([1, 7, 64, cli._BLOCK_BYTES]))
+    def test_array_classifier_matches_the_per_cell_loop(self, table, block_bytes):
+        data, delim, width, cols = table
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_BLOCK_BYTES", block_bytes):
+            path = Path(tmp) / "t.csv"
+            path.write_bytes(data)
+            with open(path, "rb") as fh:
+                blocks = list(cli._line_blocks(fh))
+            blocks[0] = blocks[0][blocks[0].index(b"\n") + 1:]
+            expected_values, expected_reasons = [[] for _ in cols], [[] for _ in cols]
+            row = 0
+            for block in blocks:
+                block = block.replace(b"\r\n", b"\n")
+                cells = cli._plain_cells(block, ord(delim), width, np.array(cols, dtype=np.intp))
+                values, kept, (col, at, reason, start, stop) = cells
+                want_values, want_reasons = former_plain_cells(block, ord(delim), cols, cli._cell_count)
+                # the values kept, and the uncapped (column, row, reason) sequence of the rest
+                assert [v[k].tolist() for v, k in zip(values, kept)] == want_values
+                assert list(zip(col.tolist(), at.tolist(), reason.tolist())) == [
+                    (j, i, r) for j, pairs in enumerate(want_reasons) for i, r in pairs]
+                # each span is its cell's text
+                lines = block.split(b"\n")
+                for j, i, s, e in zip(col.tolist(), at.tolist(), start.tolist(), stop.tolist()):
+                    assert block[s:e] == lines[i].split(delim.encode())[cols[j]]
+                for j in range(len(cols)):
+                    expected_values[j] += want_values[j]
+                    expected_reasons[j] += [(row + i, r) for i, r in want_reasons[j]]
+                row += values.shape[1]
+            columns = cli._read_plain(path, [str(c) for c in cols], delim)
+        for column, want_values, want_reasons in zip(columns, expected_values, expected_reasons):
+            assert column.values.tolist() == sorted(want_values)
+            # per-reason counts, and the first _SHOWN of each reason, in file order
+            counts = Counter(cli.REASONS[r] for _, r in want_reasons)
+            assert column.excluded_by_reason == {name: counts[name] for name in cli.REASONS if counts[name]}
+            assert column.excluded_count == len(want_reasons)
+            shown = [(i, r) for n, (i, r) in enumerate(want_reasons) if [q for _, q in want_reasons[:n]].count(r) < 10]
+            assert column.reasons == tuple(cli.REASONS[r] for _, r in shown)
+            assert [d.split(": ")[1] for d in column.diagnostics] == [f"row {i + 2}" for i, _ in shown]
+
+    def test_array_tests_sort_the_cells_at_their_edges(self):
+        # 18 digits, "-" and 18 digits, and every byte that makes a cell not an integer by itself: no cell here
+        # needs _cell_count
+        cells = ["0" * 18, "9" * 18, "0" * 17 + "1", "-" + "0" * 18, "-" + "9" * 18, "-0", "-1", "", "NA", "+5",
+                 "2.5", "5\x00", "\x7f", "/", ":", "@", "`", "~", "\x08", "\x0e", "\x1b", "!", "5!"]
+        block = "".join(f"u,{cell}\n" for cell in cells).encode()
+        with mock.patch.object(cli, "_cell_count", side_effect=AssertionError("an array test left the cell")):
+            values, kept, (col, at, reason, start, stop) = cli._plain_cells(block, ord(","), 2, np.array([1]))
+        assert values[kept].tolist() == [10**18 - 1, 1]
+        assert [cli.REASONS[r] for r in reason] == ["zero", "zero", "negative", "zero", "negative"] + [
+            "not-an-integer"] * 16
+
+    def test_cell_count_runs_only_for_shown_diagnostics(self, tmp_path):
+        # screen-tall's bad cells (blank, NA, 0, -N), 40 of each per column: the array tests sort them all, and
+        # _cell_count writes only the 10 messages shown per (column, reason)
+        bad = ["", "NA", "0", "-17"] * 40
+        path = tmp_path / "t.csv"
+        path.write_text("unit,a,b\n" + "".join(f"u{i},{cell},{i + 1}\n" for i, cell in enumerate(bad)) +
+                        "".join(f"v{i},{i + 1},{cell}\n" for i, cell in enumerate(bad)))
+        with mock.patch.object(cli, "_cell_count", wraps=cli._cell_count) as cell_count:
+            a, b = cli._read_plain(path, ["a", "b"], None)
+        assert a.excluded_by_reason == b.excluded_by_reason == {"not-an-integer": 80, "zero": 40, "negative": 40}
+        assert len(a.diagnostics) == len(b.diagnostics) == 30
+        assert cell_count.call_count == 60
+        assert a.diagnostics[:4] == ("a: row 2: not an integer: ''", "a: row 3: not an integer: 'NA'",
+                                     "a: row 4: zero count excluded", "a: row 5: negative count -17 excluded")
+
+    @pytest.mark.parametrize("text", ["a,b\n12,3\n7,8\n", '"a",b\n12,3\n7,8\n'], ids=["plain", "csv"])
+    def test_ingest_hands_its_arrays_over(self, tmp_path, text):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with mock.patch.object(DatasetColumn, "__post_init__", autospec=True,
+                               side_effect=DatasetColumn.__post_init__) as post_init:
+            a, b = ingest(path, ["a", "b"])
+        assert [call.args[1] for call in post_init.call_args_list] == [True, True]  # adopt: no copy
+        assert a.values.tolist() == [7, 12] and b.values.tolist() == [3, 8]
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["plain", "csv"])
+    def test_diagnostics_are_capped_per_column_and_reason(self, tmp_path, capsys, quoted):
+        # lines 2-13 hold a zero in a, lines 14-24 NA in a and a negative in b; a quoted header sends the file to
+        # the csv reader, which also reads the 12 ragged rows at lines 55-66
+        rows = [f"{n},0,{n}" for n in range(10, 22)] + [f"{n},NA,-{n}" for n in range(22, 33)]
+        rows += [f"{n},{n},{n}" for n in range(40, 70)] + ([f"{n},{n}" for n in range(70, 82)] if quoted else [])
+        path = tmp_path / "d.csv"
+        path.write_text(('"u"' if quoted else "u") + ",a,b\n" + "".join(row + "\n" for row in rows))
+        assert main(["screen", str(path), "--columns", "a,b", "--tests", "nb1"]) in (0, 2)
+        ragged = "cells where the header has 3; excluded from every column"
+        assert capsys.readouterr().err.splitlines() == [
+            *(f"diagnostic: a: row {line}: zero count excluded" for line in range(2, 12)),
+            *(f"diagnostic: a: row {line}: not an integer: 'NA'" for line in range(14, 24)),
+            *(f"diagnostic: row {line}: 2 {ragged}" for line in range(55, 65) if quoted),
+            "diagnostic: a: 1 more not-an-integer cells (11 in all)",
+            "diagnostic: a: 2 more zero cells (12 in all)",
+            *(["diagnostic: 2 more ragged rows (12 in all); excluded from every column"] if quoted else []),
+            *(f"diagnostic: b: row {line}: negative count -{line + 8} excluded" for line in range(14, 24)),
+            "diagnostic: b: 1 more negative cells (11 in all)",
+        ]
+        a, b = ingest(path, ["a", "b"])
+        assert (a.excluded_count, b.excluded_count) == ((35, 23) if quoted else (23, 11))
+        assert b.excluded_by_reason == {"negative": 11, **({"ragged": 12} if quoted else {})}
+
+
 class TestRunScreening:
     def test_rows_follow_config_order(self, small_csv):
         config = ScreenConfig(str(small_csv), ("north", "south"), ("nb1", "nb2"))
@@ -460,6 +592,13 @@ class TestRunScreening:
     def test_bound_without_restricted_test(self, small_csv):
         with pytest.raises(ValueError, match="restricted"):
             ScreenConfig(str(small_csv), ("north",), ("nb1", "joint2"), upper_bound=800)
+
+    def test_threshold_of_one_is_accepted(self, conforming_csv, capsys):
+        # 1 closes (0, 1]: every posterior below it rejects, so a conforming column still gets its report, and exit 2
+        assert ScreenConfig(str(conforming_csv), ("votes",), ("nb2",), threshold=1.0).threshold == 1.0
+        assert main(["screen", str(conforming_csv), "--columns", "votes", "--tests", "nb2", "--threshold", "1.0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "" and captured.out.splitlines()[2].startswith("NB2 votes")
 
     @pytest.mark.parametrize("threshold", [float("nan"), -0.1, 1.5, 0.0])
     def test_threshold_outside_unit_interval(self, small_csv, threshold):

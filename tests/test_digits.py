@@ -125,6 +125,17 @@ class TestDatasetColumn:
         if isinstance(values, np.ndarray):
             assert values.flags.writeable and not np.shares_memory(values, col.values)
 
+    def test_library_array_is_copied_and_left_untouched(self):
+        values = np.array([9, 2, 5], dtype=np.int64)
+        col = DatasetColumn("a", values)
+        assert values.tolist() == [9, 2, 5] and values.flags.writeable
+        assert col.values.tolist() == [2, 5, 9] and not np.shares_memory(values, col.values)
+
+    def test_adopted_array_is_sorted_in_place(self):
+        values = np.array([9, 2, 5], dtype=np.int64)
+        col = DatasetColumn("a", values, adopt=True)
+        assert col.values is values and values.tolist() == [2, 5, 9] and not values.flags.writeable
+
     def test_smaller_integer_dtypes_widen(self):
         col = DatasetColumn("a", np.array([7, 300], dtype=np.uint16))
         assert col.values.dtype == np.int64 and col.values.tolist() == [7, 300]

@@ -447,6 +447,13 @@ class TestScreen:
         rep = screen(col, nbl_second())
         assert rep.small_expected  # n = 5, every expected count is below 5
 
+    def test_expected_count_of_exactly_five_is_not_flagged(self):
+        # uniform on 0..9 with n = 50 expects 5 of each digit: below 5 is flagged, 5 is not
+        cv = CountVector(uniform_law(2).domain, (5,) * 10)
+        assert _small_expected_cells(cv, uniform_law(2)) == ()
+        assert _small_expected_cells(CountVector(uniform_law(2).domain, (5,) * 9 + (4,)), uniform_law(2)) == tuple(
+            range(10))
+
     def test_ulb_flag_for_large_pvalues(self):
         col = _column_with_second_digits(nbl_second(), 19_064, seed=11)
         rep = screen(col, nbl_second())

@@ -281,6 +281,18 @@ class TestLawNameBounds:
             law_from_name("rnb2:800", upper=900)
 
 
+@pytest.mark.parametrize("off", [1e-9, -1e-9, 2e-12, -2e-12])
+def test_distribution_refuses_a_sum_off_by_a_billionth(off):
+    with pytest.raises(ValueError, match="^probabilities of 'broken' sum to"):
+        DigitDistribution("broken", (1, 2), (0.5, 0.5 + off))
+
+
+@pytest.mark.parametrize("off", [5e-13, -5e-13])
+def test_distribution_takes_a_sum_within_its_tolerance(off):
+    # 1e-12 is the tolerance: far above fsum's rounding of a law's terms, far below any real error
+    assert DigitDistribution("close", (1, 2), (0.5, 0.5 + off)).probs == (0.5, 0.5 + off)
+
+
 def test_distribution_validation():
     with pytest.raises(ValueError, match="sum"):
         DigitDistribution("broken", (1, 2), (0.6, 0.6))

@@ -71,9 +71,39 @@ def test_exit_codes():
     assert reject.exit_code(threshold=0.05) == 0
 
 
+@pytest.mark.parametrize("posterior", [0.5, 0.1, 1.0])
+def test_posterior_at_the_threshold_clears_it(posterior):
+    # only a posterior below the threshold rejects
+    doc = doc_with(ReportRow("a", "NB2", make_report(posterior=posterior)))
+    assert doc.exit_code(threshold=posterior) == 0
+    assert doc.exit_code(threshold=math.nextafter(posterior, 2.0)) == 2
+
+
 def test_median_formatting():
     text = render(doc_with(ReportRow("a", "NB2", make_report(median=973.0))), "text")
     assert " 973 " in text or text.rstrip().endswith("973") or "973" in text.splitlines()[2]
+
+
+def median_cell(median) -> str:
+    return render(doc_with(ReportRow("a", "NB1", make_report(median=median))), "csv").splitlines()[1].split(",")[2]
+
+
+@pytest.mark.parametrize("median, cell", [
+    (973.0, "973"),
+    (2.0**53 - 1, "9007199254740991"),
+    (2.5, "2.5"),
+    # a float at or past 2^53 reads through {:g}: every integer digit of 1.2e304 would be 305 characters
+    (2.0**53, "9.0072e+15"),
+    (1.2047695701402219e304, "1.20477e+304"),
+])
+def test_float_median_formatting(median, cell):
+    assert median_cell(median) == cell
+
+
+@pytest.mark.parametrize("median", [2**53, 2**53 + 1, 2**63 - 1])
+def test_int_median_prints_every_digit(median):
+    # screen's median is the .item() of an int64 count, printed exactly however large
+    assert median_cell(median) == str(median)
 
 
 def test_unknown_format():
