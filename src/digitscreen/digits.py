@@ -196,7 +196,7 @@ class DatasetColumn:
         return table.reshape(10, 10)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CountVector:
     """Observed digit frequencies n_d over an ordered digit (or prefix) domain.
 
@@ -368,11 +368,17 @@ def joint_frequencies(column: DatasetColumn, k: int = 2, policy: str = EXCLUDE_S
 
 
 def _count_vector(domain: tuple, counts: np.ndarray, excluded: int) -> CountVector:
-    """A CountVector from nonnegative int64 tallies aligned with the tuple ``domain``, built without its checks."""
+    """A CountVector from nonnegative int64 tallies aligned with the tuple ``domain``, built without its checks.
+
+    Its four slots are set directly, so ``__post_init__`` does not run.
+    """
     counts = tuple(counts.tolist())
     n = sum(counts)
     if not n:
         raise ValueError("no analyzable values")
     cv = object.__new__(CountVector)
-    cv.__dict__.update(domain=domain, counts=counts, excluded=excluded, n=n)
+    object.__setattr__(cv, "domain", domain)
+    object.__setattr__(cv, "counts", counts)
+    object.__setattr__(cv, "excluded", excluded)
+    object.__setattr__(cv, "n", n)
     return cv

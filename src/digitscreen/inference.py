@@ -46,7 +46,7 @@ class HypothesisPrior:
             raise ValueError(f"prior_h0 must lie strictly between 0 and 1, got {self.prior_h0!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TestReport:
     """One screening result for a column against a reference law.
 

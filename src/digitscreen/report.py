@@ -19,7 +19,7 @@ COLUMNS = ("m", "Median", "P(H0|data)", "p-value", "P_lb(H0|data)")
 FORMATS = ("text", "csv", "json")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReportRow:
     """One result; ``test`` is its label, ``test_name`` the `screen` test it came from (nb1, rnb2, ...)."""
 

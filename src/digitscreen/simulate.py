@@ -411,6 +411,7 @@ def conformance_experiment(
         "pooled",
         np.concatenate([col.values for col in rep_columns]),
         excluded_count=sum(col.excluded_count for col in rep_columns),
+        adopt=True,  # the joined array is new, so no copy is needed
     )
     results = []
     for law in laws:

@@ -144,9 +144,19 @@ def is_plain(data: bytes, delimiter) -> bool:
 
 def read_with(reader, *args):
     try:
-        return [(col.name, col.values.tolist(), col.excluded_count, col.diagnostics) for col in reader(*args)]
+        return [(col.name, col.values.tolist(), col.excluded_count, col.diagnostics, col.reasons,
+                 col.excluded_by_reason) for col in reader(*args)]
     except ValueError as exc:
         return f"{type(exc).__name__}: {exc}"
+
+
+def opened(reader):
+    """``cli._read_plain`` or ``cli._read_csv`` called on a path, which it opens for binary reading as ingest does."""
+    def read(path, *args):
+        with open(path, "rb") as fh:
+            return reader(fh, path, *args)
+
+    return read
 
 
 class TestIngest:
@@ -256,14 +266,17 @@ class TestIngest:
     # between rows (and still counted), but belong to a quoted cell that holds them
     @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
     @pytest.mark.parametrize("text, selector, expected", [
-        ('| \t|"a",b|1,2|', "b", [("b", [2], 0, ())]),
-        ('"a",b|| \t|1,x|', "b", [("b", [], 1, ("b: row 4: not an integer: 'x'",))]),
-        ('"a",b|1,2|| \t|3,x|', "b", [("b", [2], 1, ("b: row 5: not an integer: 'x'",))]),
-        ('"a",b|1,2|| \t|', "b", [("b", [2], 0, ())]),
+        ('| \t|"a",b|1,2|', "b", [("b", [2], 0, (), (), {})]),
+        ('"a",b|| \t|1,x|', "b", [("b", [], 1, ("b: row 4: not an integer: 'x'",), ("not-an-integer",),
+                                    {"not-an-integer": 1})]),
+        ('"a",b|1,2|| \t|3,x|', "b", [("b", [2], 1, ("b: row 5: not an integer: 'x'",), ("not-an-integer",),
+                                        {"not-an-integer": 1})]),
+        ('"a",b|1,2|| \t|', "b", [("b", [2], 0, (), (), {})]),
         ('"a",b|1,"12|| \t|34"|5,x|', "b", [("b", [], 2, ("b: row 5: not an integer: '12\\n\\n \\t\\n34'",
-                                                         "b: row 6: not an integer: 'x'"))]),
+                                                         "b: row 6: not an integer: 'x'"),
+                                              ("not-an-integer", "not-an-integer"), {"not-an-integer": 2})]),
         # the delimiter is counted on the header's whole record, and a header cell's line break is written \n
-        ('"x|y";b;c|1;2;3|', "b", [("b", [2], 0, ())]),
+        ('"x|y";b;c|1;2;3|', "b", [("b", [2], 0, (), (), {})]),
         ('"x|y";b;c|1;2;3|', "z", "ValueError: column 'z' not found; available headers: x\\ny, b, c"),
     ], ids=["before-header", "after-header", "between-rows", "at-end", "inside-quoted-cell", "header-delimiter",
             "header-not-found"])
@@ -355,10 +368,10 @@ class TestIngest:
         with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_BLOCK_BYTES", block_bytes):
             path = Path(tmp) / "t.csv"
             path.write_bytes(data)
-            expected = read_with(cli._read_csv, path, selectors, delimiter)
+            expected = read_with(opened(cli._read_csv), path, selectors, delimiter)
             assert read_with(ingest, path, selectors, delimiter) == expected
             try:
-                fast = cli._read_plain(path, selectors, delimiter)
+                fast = opened(cli._read_plain)(path, selectors, delimiter)
             except ValueError as exc:
                 assert f"ValueError: {exc}" == expected
             else:
@@ -372,15 +385,16 @@ class TestIngest:
     def test_fast_reader_accepts_plain_tables(self, tmp_path, text):
         path = tmp_path / "t.csv"
         path.write_text(text, encoding="utf-8", newline="")
-        fast = cli._read_plain(path, ["0"], None)
-        assert fast is not None and read_with(lambda: fast) == read_with(cli._read_csv, path, ["0"], None)
+        fast = opened(cli._read_plain)(path, ["0"], None)
+        expected = read_with(opened(cli._read_csv), path, ["0"], None)
+        assert fast is not None and read_with(lambda: fast) == expected
 
     @pytest.mark.parametrize("end", ["\n", "\r\n"])
     def test_fast_reader_reads_clean_cells_in_bulk(self, tmp_path, end):
         path = tmp_path / "t.csv"
         path.write_bytes(f"a,b{end}12,{10**17}{end}987654321012345678,3{end}".encode())
         with mock.patch.object(cli, "_cell_count", side_effect=AssertionError("a clean cell left the bulk path")):
-            a, b = cli._read_plain(path, ["a", "b"], None)
+            a, b = opened(cli._read_plain)(path, ["a", "b"], None)
         assert a.values.tolist() == [12, 987654321012345678] and b.values.tolist() == [3, 10**17]
 
     @pytest.mark.parametrize("text", ["a,b\n\n12,3\n", "a,b\n \x0c\n12,3\n", "a,b\n12,3\r4,5\n", 'a,b\n"12",3\n',
@@ -388,8 +402,16 @@ class TestIngest:
     def test_fast_reader_refuses_other_files(self, tmp_path, text):
         path = tmp_path / "t.csv"
         path.write_text(text, encoding="utf-8", newline="")
-        assert cli._read_plain(path, ["a"], None) is None
-        assert read_with(ingest, path, ["a"], None) == read_with(cli._read_csv, path, ["a"], None)
+        assert opened(cli._read_plain)(path, ["a"], None) is None
+        assert read_with(ingest, path, ["a"], None) == read_with(opened(cli._read_csv), path, ["a"], None)
+
+    @pytest.mark.parametrize("delimiter", ["5", "\u00e9"])
+    def test_fast_reader_refuses_a_digit_or_non_ascii_delimiter(self, tmp_path, delimiter):
+        # split on "5", the csv reader finds "152" a ragged row, which the digit-based fast reader cannot see
+        path = tmp_path / "t.csv"
+        path.write_text("a\n152\n3\n")
+        assert opened(cli._read_plain)(path, ["a"], delimiter) is None
+        assert read_with(ingest, path, ["a"], delimiter) == read_with(opened(cli._read_csv), path, ["a"], delimiter)
 
     def test_csv_fallback_streams_its_rows(self, tmp_path):
         # one quoted cell sends the file to the csv module, which must not hold its text or all its lines
@@ -471,7 +493,7 @@ class TestCellClassifier:
                     expected_values[j] += want_values[j]
                     expected_reasons[j] += [(row + i, r) for i, r in want_reasons[j]]
                 row += values.shape[1]
-            columns = cli._read_plain(path, [str(c) for c in cols], delim)
+            columns = opened(cli._read_plain)(path, [str(c) for c in cols], delim)
         for column, want_values, want_reasons in zip(columns, expected_values, expected_reasons):
             assert column.values.tolist() == sorted(want_values)
             # per-reason counts, and the first _SHOWN of each reason, in file order
@@ -502,7 +524,7 @@ class TestCellClassifier:
         path.write_text("unit,a,b\n" + "".join(f"u{i},{cell},{i + 1}\n" for i, cell in enumerate(bad)) +
                         "".join(f"v{i},{i + 1},{cell}\n" for i, cell in enumerate(bad)))
         with mock.patch.object(cli, "_cell_count", wraps=cli._cell_count) as cell_count:
-            a, b = cli._read_plain(path, ["a", "b"], None)
+            a, b = opened(cli._read_plain)(path, ["a", "b"], None)
         assert a.excluded_by_reason == b.excluded_by_reason == {"not-an-integer": 80, "zero": 40, "negative": 40}
         assert len(a.diagnostics) == len(b.diagnostics) == 30
         assert cell_count.call_count == 60
@@ -543,6 +565,71 @@ class TestCellClassifier:
         assert (a.excluded_count, b.excluded_count) == ((35, 23) if quoted else (23, 11))
         assert b.excluded_by_reason == {"negative": 11, **({"ragged": 12} if quoted else {})}
 
+
+
+class TestRowBound:
+    # each file through both readers: the csv reader, and the plain reader, whose every column is allocated once at
+    # the file's count of "\n" bytes
+    @pytest.mark.parametrize("text, a, b", [
+        ("a,b\n12,3\n45,6", [12, 45], [3, 6]),
+        ("a,b\r\n12,3\r\n45,6\r\n", [12, 45], [3, 6]),
+        ("\ufeffa,b\n12,3\n", [12], [3]),
+        ("a,b\n", [], []),
+        ("a,b\nNA,3\n0,4\n-5,6\n", [], [3, 4, 6]),
+    ], ids=["no-final-newline", "crlf", "bom", "header-only", "every-cell-excluded"])
+    def test_each_column_is_sized_once_from_the_line_count(self, tmp_path, text, a, b):
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode())
+        with mock.patch.object(np, "empty", wraps=np.empty) as empty:
+            fast = opened(cli._read_plain)(path, ["a", "b"], None)
+        assert [call.args[0] for call in empty.call_args_list] == [text.count("\n")] * 2
+        assert [col.values.tolist() for col in fast] == [a, b]
+        assert read_with(lambda: fast) == read_with(opened(cli._read_csv), path, ["a", "b"], None)
+
+    def test_each_file_is_opened_once(self, tmp_path, monkeypatch):
+        # a quoted header sends the file to the csv reader, and a delimiter found on the header's record makes it
+        # read the file a second time: each rewinds the one handle
+        path = tmp_path / "t.csv"
+        path.write_text('"x\ny";b;c\n1;2;3\n')
+        opens = []
+        real_open = open
+        monkeypatch.setattr("builtins.open", lambda *args, **kwargs: opens.append(args) or real_open(*args, **kwargs))
+        (col,) = ingest(path, ["b"])
+        assert col.values.tolist() == [2] and opens == [(path, "rb")]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+    @pytest.mark.parametrize("text, columns", [
+        ("a,b\n12,3\n45,6\nNA,7\n", "a,b"),
+        ('"a",b\n12,3\n45,6\nNA,7\n', "a,b"),
+        ('"x\ny";b;c\n1;2;3\n45;67;8\n', "b"),
+    ], ids=["plain", "quoted", "quoted-delimiter-reread"])
+    def test_a_pipe_reads_as_its_file_does(self, tmp_path, text, columns):
+        # a pipe is copied once to a temporary file, so the csv reader can start again after the plain reader
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        env.pop("DIGITSCREEN_OUT", None)
+        file_run, pipe_run = (subprocess.run([sys.executable, "-m", "digitscreen.cli", "screen", source, "--columns",
+                                              columns, "--tests", "nb1"], input=text.encode(), capture_output=True,
+                                             env=env, timeout=120) for source in (str(path), "/dev/stdin"))
+        assert file_run.returncode in (0, 2) and file_run.stdout.startswith(b"test ")
+        assert (pipe_run.returncode, pipe_run.stdout, pipe_run.stderr) == (file_run.returncode, file_run.stdout,
+                                                                           file_run.stderr)
+
+    def test_a_file_that_grows_while_read_is_an_error(self, tmp_path, capsys, monkeypatch):
+        # two rows are appended after the line count and before the rows are read
+        path = tmp_path / "t.csv"
+        path.write_text("a,b\n12,3\n")
+        line_blocks = cli._line_blocks
+
+        def grow_then_read(fh):
+            with open(path, "a") as out:
+                out.write("45,6\n78,9\n")
+            return line_blocks(fh)
+
+        monkeypatch.setattr(cli, "_line_blocks", grow_then_read)
+        assert main(["screen", str(path), "--columns", "a"]) == 1
+        assert capsys.readouterr() == ("", f"error: {path}: the file grew while it was read\n")
 
 class TestRunScreening:
     def test_rows_follow_config_order(self, small_csv):
@@ -1194,7 +1281,8 @@ def test_csv_reader_meets_the_golden_digests(policy, fmt, tmp_path, monkeypatch,
     main(["screen", str(DATA / "golden_counts.csv"), *args])
     plain_err = capsys.readouterr().err
     read, read_csv = [], cli._read_csv
-    monkeypatch.setattr(cli, "_read_csv", lambda path, *rest: read.append(path) or read_csv(path, *rest))
+    monkeypatch.setattr(cli, "_read_csv",
+                        lambda fh, path, *rest: read.append(path) or read_csv(fh, path, *rest))
     code = main(["screen", str(quoted), *args, *(["--proportions", str(tmp_path / "props")] if proportions else [])])
     captured = capsys.readouterr()
     assert read == [str(quoted)]

@@ -5,13 +5,14 @@ import math
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from digitscreen import digits, simulate
-from digitscreen.digits import _digit_string as digit_string
+from digitscreen.digits import DatasetColumn, _digit_string as digit_string
 from digitscreen.inference import screen
 from digitscreen.laws import RestrictionSpec, law_from_name, nbl_first, nbl_second, restricted_law
 from digitscreen.simulate import (
@@ -371,6 +372,18 @@ class TestConformanceExperiment:
         three = conformance_experiment(cfg, self.laws(), replicates=3)
         assert two.results[0].p_values == three.results[0].p_values[:2]
         assert len(three.results[0].posteriors) == 3
+
+    def test_experiment_hands_its_pooled_array_over(self):
+        # the replicates' joined counts are a new array, which the pooled column sorts in place instead of copying
+        cfg = replace(default_voting_config(seed=3), n_units=40)
+        with mock.patch.object(DatasetColumn, "__post_init__", autospec=True,
+                               side_effect=DatasetColumn.__post_init__) as post_init:
+            conformance_experiment(cfg, self.laws()[:1], replicates=2)
+        built = [(call.args[0], call.args[1]) for call in post_init.call_args_list]
+        assert [adopt for col, adopt in built if col.name == "pooled"] == [True]  # adopt: no copy
+        (pooled,) = [col for col, _ in built if col.name == "pooled"]
+        replicates = [col.values.tolist() for col, _ in built if col.name == "candidate_a"]
+        assert len(replicates) == 2 and pooled.values.tolist() == sorted(replicates[0] + replicates[1])
 
     def test_restricted_law_fits_better_on_fixed_seeds(self):
         wins = 0

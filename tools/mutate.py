@@ -1,9 +1,11 @@
 """Mutation sweep of the report gate, the screen config checks, the warning
-rule, the law sum check and the plain reader's cell classifier.
+rule, the law sum check, the plain reader's cell classifier and row bound,
+and the unchecked tally constructor.
 
 Each mutant changes one spot of one target: a relational operator flipped
 (< and <=, > and >=, == and !=, each way), an int constant shifted by one
-(up and down), or a float constant shifted by one decade (x10 and /10). For
+(up and down), a float constant shifted by one decade (x10 and /10), a
+``not`` removed, or a statement replaced by ``pass``. For
 each mutant the script copies ``src/``, ``tests/`` and ``pyproject.toml``
 to a work directory, writes the mutated module there, and runs the target's
 tests with pytest. A mutant is killed when they fail (or run out of time),
@@ -28,6 +30,7 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -52,6 +55,9 @@ TARGETS = (
     Target("law-sum", "laws.py", ("DigitDistribution.__post_init__", "_SUM_TOL"), ("tests/test_laws.py",)),
     Target("classifier", "cli.py", ("_plain_cells", "_cell_count"), ("tests/test_cli.py", "-k",
                                                                       "Ingest or Classifier or digest")),
+    Target("row-bound", "cli.py", ("_read_plain",), ("tests/test_cli.py", "-k",
+                                                     "Ingest or Classifier or RowBound or digest")),
+    Target("count-vector", "digits.py", ("_count_vector",), ("tests/test_digits.py", "tests/test_inference.py")),
 )
 
 _FLIPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt, ast.Eq: ast.NotEq, ast.NotEq: ast.Eq}
@@ -83,23 +89,34 @@ def _scoped_nodes(tree: ast.Module, scopes: tuple):
 
 
 def _spots(tree: ast.Module, scopes: tuple):
-    """(node, index, replacement, description) of every single change in scope."""
-    seen = set()
+    """(node, change, description) of every single change in scope; calling ``change()`` makes it in ``tree``."""
     for scope in _scoped_nodes(tree, scopes):
-        for node in ast.walk(scope):
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            if isinstance(node, ast.Compare):
-                for i, op in enumerate(node.ops):
+        for parent in ast.walk(scope):
+            if isinstance(parent, ast.Compare):
+                for i, op in enumerate(parent.ops):
                     if type(op) in _FLIPS:
-                        yield node, i, _FLIPS[type(op)](), f"{type(op).__name__} -> {_FLIPS[type(op)].__name__}"
-            elif isinstance(node, ast.Constant) and type(node.value) in (int, float):
-                value = node.value
+                        yield (parent, partial(parent.ops.__setitem__, i, _FLIPS[type(op)]()),
+                               f"{type(op).__name__} -> {_FLIPS[type(op)].__name__}")
+            elif isinstance(parent, ast.Constant) and type(parent.value) in (int, float):
+                value = parent.value
                 shifted = (value + 1, value - 1) if type(value) is int else (value * 10, value / 10)
                 for new in shifted:
                     if new != value:
-                        yield node, None, new, f"{value!r} -> {new!r}"
+                        yield parent, partial(setattr, parent, "value", new), f"{value!r} -> {new!r}"
+            for field, child in ast.iter_fields(parent):
+                if isinstance(child, ast.UnaryOp) and isinstance(child.op, ast.Not):
+                    yield child, partial(setattr, parent, field, child.operand), "not removed"
+                if not isinstance(child, list):
+                    continue
+                for i, node in enumerate(child):
+                    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+                        yield node, partial(child.__setitem__, i, node.operand), "not removed"
+                    elif isinstance(node, ast.stmt) and not isinstance(node, ast.Pass) and not _docstring(node):
+                        yield node, partial(child.__setitem__, i, ast.Pass()), f"{type(node).__name__} -> pass"
+
+
+def _docstring(node: ast.stmt) -> bool:
+    return isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant) and isinstance(node.value.value, str)
 
 
 def mutants(target: Target) -> list[Mutant]:
@@ -109,11 +126,8 @@ def mutants(target: Target) -> list[Mutant]:
     count = sum(1 for _ in _spots(ast.parse(source), target.scopes))
     for k in range(count):
         tree = ast.parse(source)  # a fresh tree per mutant, changed at its k-th spot
-        node, index, new, description = list(_spots(tree, target.scopes))[k]
-        if index is None:
-            node.value = new
-        else:
-            node.ops[index] = new
+        node, change, description = list(_spots(tree, target.scopes))[k]
+        change()
         found.append(Mutant(target, node.lineno, node.col_offset, description, ast.unparse(tree) + "\n"))
     return found
 
