@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .digits import EXCLUDE_SHORT, POLICIES, CountVector, DatasetColumn
+from .digits import EXCLUDE_SHORT, POLICIES, REASONS, CountVector, DatasetColumn
 from .inference import HypothesisPrior, screen
 from .laws import DigitDistribution, distinct_laws, law_from_name
 from .report import FORMATS, ReportDocument, ReportError, ReportRow, render
@@ -44,8 +44,6 @@ _INT64_MAX = 2**63 - 1
 # ends the diagnostic of a ragged row, which every selected column shares
 _RAGGED = "excluded from every column"
 
-# why ingest excludes a cell, or a whole row, indexed by reason code
-REASONS = ("not-an-integer", "zero", "negative", "over-int64", "ragged")
 _NOT_INTEGER, _ZERO, _NEGATIVE, _OVER_INT64, _RAGGED_ROW = range(len(REASONS))
 # diagnostics shown per (column, reason); the rest of a reason's are counted in one line
 _SHOWN = 10
@@ -118,7 +116,7 @@ def _detect_delimiter(header_line: str) -> str:
 def ingest(path, selectors, delimiter: str | None = None) -> list[DatasetColumn]:
     """Read delimited text with a header row into one column per selector.
 
-    Selectors are header names or 0-based ASCII indices, each naming a
+    Selectors are strs, header names or 0-based ASCII indices, each naming a
     different column; a name that several header cells share selects
     nothing. The file is UTF-8, with or without a byte-order mark. Only
     ``\\n``, ``\\r\\n`` and ``\\r`` end a line; blank and whitespace-only
@@ -129,14 +127,16 @@ def ingest(path, selectors, delimiter: str | None = None) -> list[DatasetColumn]
     or fewer cells than the header (say, an unquoted thousands separator) is
     excluded from every column, with one diagnostic shared by all of them.
     Vote tallies are integers, so nothing is silently coerced. Each
-    exclusion has a reason in REASONS; a column counts its exclusions by
-    reason and keeps the first 10 diagnostics of each, in file order.
+    exclusion has a reason in REASONS, counted in ``excluded_by_reason``;
+    a column keeps the first 10 diagnostics of each, in file order.
 
     The file is opened once; a pipe is first copied to a temporary file, so
     that it can be rewound. A plain ASCII table is read from its bytes with
     numpy; any other file goes through ``csv`` (see ``_read_plain``). Both
     readers give the same columns, diagnostics and errors.
     """
+    if isinstance(selectors, str) or not all(isinstance(sel, str) for sel in selectors):
+        raise ValueError(f"selectors must be a list of str, each a header name or a 0-based index, got {selectors!r}")
     if delimiter is not None and (len(delimiter) != 1 or delimiter in '"\r\n'):
         raise ValueError(f"delimiter must be one character other than a quote or a line break, got {delimiter!r}")
     with _seekable(path) as fh:
@@ -217,9 +217,8 @@ def _cell_count(cell: str) -> int:
 
 def _ingested(name: str, values: np.ndarray, counts, diagnostics: list, reasons: list) -> DatasetColumn:
     """The column of an int64 array that ingest built, with its exclusion count per reason code and shown diagnostics."""
-    by_reason = {REASONS[r]: count for r, count in enumerate(counts) if count}
-    return DatasetColumn(name, values, excluded_count=sum(by_reason.values()), diagnostics=diagnostics,
-                         reasons=[REASONS[r] for r in reasons], excluded_by_reason=by_reason, adopt=True)
+    return DatasetColumn(name, values, diagnostics=diagnostics, reasons=[REASONS[r] for r in reasons],
+                         excluded_by_reason=dict(zip(REASONS, counts)), adopt=True)
 
 
 def _read_csv(fh, path, selectors, delimiter: str | None) -> list[DatasetColumn]:

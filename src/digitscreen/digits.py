@@ -49,6 +49,9 @@ POLICIES = (EXCLUDE_SHORT, TRAILING_ZERO)
 FIRST_DIGIT_DOMAIN = tuple(range(1, 10))
 LATER_DIGIT_DOMAIN = tuple(range(0, 10))
 
+# why a unit is dropped before it reaches a column: its cell holds no count, or its row is not as wide as the header
+REASONS = ("not-an-integer", "zero", "negative", "over-int64", "ragged")
+
 # the widest joint prefix: no law reads a wider one, and joint_domain(7) alone would hold 9 * 10^6 tuples
 MAX_JOINT_DIGITS = 6
 
@@ -117,10 +120,10 @@ _POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
 def _count_array(name: str, values, adopt: bool = False) -> np.ndarray:
     """``values`` as a read-only 1-D int64 array of counts >= 1, in increasing order.
 
-    A sequence must hold Python ints (bools and floats are rejected one by
-    one); an array must have an integer dtype that converts to int64 exactly.
-    An array is copied, unless ``adopt`` says that it is an int64 array no one
-    else holds, which is then sorted in place and kept.
+    An array must have an integer dtype that converts to int64 exactly, and
+    is copied unless ``adopt`` says that no one else holds it (an int64
+    array, then sorted in place and kept); any other iterable is read once
+    and must hold Python ints (bools and floats are rejected one by one).
     """
     if isinstance(values, np.ndarray):
         if values.ndim != 1 or values.dtype.kind not in "iu":
@@ -151,19 +154,18 @@ class DatasetColumn:
 
     ``values`` is a read-only int64 array of the counts in increasing order:
     nothing the screens compute depends on the order of the units, and in
-    this order the values of each decimal length form one slice. Its
-    ``excluded_count`` tallies units dropped on the way in (zeros,
-    negatives, unparseable cells), so m + excluded_count equals the original
-    row count. Ingest also keeps that count by reason, in
-    ``excluded_by_reason``, and its shown ``diagnostics``, each with its
-    reason in ``reasons``: at most the first 10 of each reason. ``adopt``
-    takes ``values`` without a copy; ingest sets it for the int64 array it
-    built and hands over.
+    this order the values of each decimal length form one slice.
+    ``excluded_by_reason`` counts the units dropped on the way in by reason
+    (a key of REASONS; a simulated zero count is "zero"), each a nonnegative
+    int, and keeps the nonzero ones in REASONS order; ``excluded_count`` is
+    their sum, so m + excluded_count is the original row count. ``reasons``
+    gives the reason of each of the ``diagnostics`` shown. ``adopt`` takes
+    ``values`` without a copy; ingest sets it for the array it built.
     """
 
     name: str
     values: np.ndarray
-    excluded_count: int = 0
+    excluded_count: int = field(init=False)
     diagnostics: tuple[str, ...] = field(default=(), repr=False)
     reasons: tuple[str, ...] = field(default=(), repr=False)
     excluded_by_reason: dict = field(default_factory=dict, repr=False)
@@ -173,9 +175,14 @@ class DatasetColumn:
         object.__setattr__(self, "values", _count_array(self.name, self.values, adopt))
         object.__setattr__(self, "diagnostics", tuple(self.diagnostics))
         object.__setattr__(self, "reasons", tuple(self.reasons))
-        count = self.excluded_count
-        if not isinstance(count, int) or isinstance(count, bool) or count < 0:
-            raise ValueError(f"excluded_count must be a nonnegative integer, got {count!r}")
+        if len(self.reasons) != len(self.diagnostics) or not set(self.reasons) <= set(REASONS):
+            raise ValueError(f"reasons {self.reasons!r} must give each diagnostic one of {REASONS}")
+        by_reason = self.excluded_by_reason
+        for reason, count in by_reason.items():
+            if reason not in REASONS or not isinstance(count, int) or isinstance(count, bool) or count < 0:
+                raise ValueError(f"excluded_by_reason maps {REASONS} to nonnegative ints, got {reason!r}: {count!r}")
+        object.__setattr__(self, "excluded_by_reason", {r: by_reason[r] for r in REASONS if by_reason.get(r)})
+        object.__setattr__(self, "excluded_count", sum(self.excluded_by_reason.values()))
 
     @property
     def m(self) -> int:

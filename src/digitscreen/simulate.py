@@ -359,9 +359,8 @@ def sample_hmpm(config: VotingModelConfig) -> tuple[DatasetColumn, DatasetColumn
 
 
 def _count_column(name: str, counts: list[int]) -> DatasetColumn:
-    """The column of one candidate's unit counts; a zero count has no digits, so it is excluded and tallied."""
-    values = [c for c in counts if c >= 1]
-    return DatasetColumn(name, values, excluded_count=len(counts) - len(values))
+    """The column of one candidate's unit counts; a zero count has no digits, so it is excluded as "zero"."""
+    return DatasetColumn(name, [c for c in counts if c], excluded_by_reason={"zero": counts.count(0)})
 
 
 @dataclass(frozen=True)
@@ -410,7 +409,7 @@ def conformance_experiment(
     pooled = DatasetColumn(
         "pooled",
         np.concatenate([col.values for col in rep_columns]),
-        excluded_count=sum(col.excluded_count for col in rep_columns),
+        excluded_by_reason={"zero": sum(col.excluded_count for col in rep_columns)},
         adopt=True,  # the joined array is new, so no copy is needed
     )
     results = []

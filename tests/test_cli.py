@@ -8,12 +8,14 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
 import tracemalloc
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -37,7 +39,7 @@ from digitscreen import laws
 from digitscreen.laws import RestrictionSpec, law_from_name, nbl_first, nbl_joint, nbl_second, restricted_law
 from digitscreen.report import COLUMNS, render
 from digitscreen import simulate
-from digitscreen.digits import POLICIES, CountVector, DatasetColumn
+from digitscreen.digits import POLICIES, REASONS, CountVector, DatasetColumn
 from digitscreen.simulate import hmpm_unit_counts, load_simulation_config
 from golden import (
     PROPORTIONS_DIGESTS,
@@ -212,6 +214,18 @@ class TestIngest:
         assert str(raised.value) == ("delimiter must be one character other than a quote or a line break, "
                                      f"got {delimiter!r}")
 
+    @pytest.mark.parametrize("selectors", ["ab", [0], ["a", 1], ("b", None)])
+    def test_library_call_checks_the_selectors_before_opening_the_file(self, tmp_path, selectors):
+        # a str would select each of its characters as a column, and an int would fail inside the header match
+        path = tmp_path / "d.csv"
+        path.write_text("a,b,ab\n1,2,3\n")
+        for where in (path, tmp_path / "absent.csv"):
+            with pytest.raises(ValueError) as raised:
+                ingest(where, selectors)
+            assert str(raised.value) == ("selectors must be a list of str, each a header name or a 0-based index, "
+                                         f"got {selectors!r}")
+        assert [col.name for col in ingest(path, ["ab"])] == ["ab"]
+
     @pytest.mark.parametrize("cell", ["1_000", "+45", "\u0661\u0662\u0663", "\uff11\uff12", "12.0", "1e3",
                                       "0x1F", "1 000", "--5"])
     def test_only_ascii_digits_are_counts(self, tmp_path, cell):
@@ -229,6 +243,13 @@ class TestIngest:
         assert col.values.tolist() == [12]
         assert col.diagnostics == ("v: row 3: zero count excluded", "v: row 4: negative count -7 excluded",
                                    "v: row 5: zero count excluded")
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["plain", "csv"])
+    def test_surrounding_whitespace_is_stripped(self, tmp_path, quoted):
+        path = tmp_path / "d.csv"
+        path.write_text(('"unit"' if quoted else "unit") + ",v\nA, 42\nB,7\t\nC,\x0c5 \nD, -3 \n")
+        (col,) = ingest(path, ["v"])
+        assert col.values.tolist() == [5, 7, 42] and col.diagnostics == ("v: row 5: negative count -3 excluded",)
 
     def test_counts_beyond_int64_excluded(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -565,6 +586,18 @@ class TestCellClassifier:
         assert (a.excluded_count, b.excluded_count) == ((35, 23) if quoted else (23, 11))
         assert b.excluded_by_reason == {"negative": 11, **({"ragged": 12} if quoted else {})}
 
+    def test_diagnostics_at_the_cap_have_no_count_line(self, tmp_path, capsys):
+        # ten zeros (lines 2-11) and ten ragged rows (lines 12-21) are all shown, so no "0 more" line follows
+        rows = [f"0,{n}" for n in range(1, 11)] + [f"{n}" for n in range(1, 11)] + [f"{n},{n}" for n in range(10, 40)]
+        path = tmp_path / "d.csv"
+        path.write_text("a,b\n" + "".join(row + "\n" for row in rows))
+        assert main(["screen", str(path), "--columns", "a,b", "--tests", "nb1"]) in (0, 2)
+        assert capsys.readouterr().err.splitlines() == [
+            *(f"diagnostic: a: row {line}: zero count excluded" for line in range(2, 12)),
+            *(f"diagnostic: row {line}: 1 cells where the header has 2; excluded from every column"
+              for line in range(12, 22)),
+        ]
+
 
 
 class TestRowBound:
@@ -631,6 +664,51 @@ class TestRowBound:
         assert main(["screen", str(path), "--columns", "a"]) == 1
         assert capsys.readouterr() == ("", f"error: {path}: the file grew while it was read\n")
 
+
+def data_rows(data: bytes) -> int:
+    """The data rows of a file without a quote: its lines but the blank or whitespace-only ones, less the header."""
+    return sum(1 for line in re.split("\r\n|\r|\n", data.decode("utf-8-sig")) if line.strip()) - 1
+
+
+def check_exclusions(col: DatasetColumn, rows: int, zeros: int | None = None) -> None:
+    """``col`` accounts for each of its ``rows`` once, by reason; a simulated column dropped ``zeros`` zero counts."""
+    assert col.m + col.excluded_count == rows
+    assert col.excluded_count == sum(col.excluded_by_reason.values())
+    assert list(col.excluded_by_reason) == [r for r in REASONS if col.excluded_by_reason.get(r, 0) > 0]
+    if zeros is not None:
+        assert col.excluded_by_reason == ({"zero": zeros} if zeros else {})
+
+
+class TestExclusionRecord:
+    # every producer of columns: both readers, the voting model's columns and the experiment's pooled column
+    @settings(max_examples=150, deadline=None)
+    @given(delimited_files(), st.integers(0, 2**32), st.sampled_from([10, 40, 2250]))
+    def test_every_producer_accounts_for_its_rows(self, file, seed, max_voters):
+        data, selectors, delimiter = file
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            path.write_bytes(data)
+            for reader in (cli._read_csv, cli._read_plain):
+                try:
+                    columns = opened(reader)(path, selectors, delimiter) or []
+                except ValueError:
+                    continue  # a header that does not hold the selectors
+                for col in columns:
+                    # a quoted cell may span lines, so a quoted file's columns are only checked against each other
+                    rows = data_rows(data) if b'"' not in data else columns[0].m + columns[0].excluded_count
+                    check_exclusions(col, rows)
+        cfg = replace(simulate.default_voting_config(seed), n_units=30, max_voters=max_voters)
+        for col, counts in zip(simulate.sample_hmpm(cfg), zip(*simulate.hmpm_unit_counts(cfg))):
+            check_exclusions(col, cfg.n_units, counts.count(0))
+        with mock.patch.object(DatasetColumn, "__post_init__", autospec=True,
+                               side_effect=DatasetColumn.__post_init__) as post_init:
+            simulate.conformance_experiment(cfg, [nbl_first()], replicates=2)
+        (pooled,) = [call.args[0] for call in post_init.call_args_list if call.args[0].name == "pooled"]
+        zeros = sum(a == 0 for r in range(2) for a, _ in
+                    simulate.hmpm_unit_counts(replace(cfg, seed=simulate._replicate_seed(seed, r))))
+        check_exclusions(pooled, 2 * cfg.n_units, zeros)
+
+
 class TestRunScreening:
     def test_rows_follow_config_order(self, small_csv):
         config = ScreenConfig(str(small_csv), ("north", "south"), ("nb1", "nb2"))
@@ -686,6 +764,22 @@ class TestRunScreening:
         assert main(["screen", str(conforming_csv), "--columns", "votes", "--tests", "nb2", "--threshold", "1.0"]) == 2
         captured = capsys.readouterr()
         assert captured.err == "" and captured.out.splitlines()[2].startswith("NB2 votes")
+
+    @pytest.mark.parametrize("columns, tests, settings, message", [
+        ((), ("nb1",), {}, "select at least one column"),
+        (("north",), (), {}, "select at least one test"),
+        (("north",), ("nb1",), {"policy": "drop-all"}, "unknown policy 'drop-all'"),
+        (("north",), ("nb1",), {"output_format": "xml"}, "unknown format 'xml'"),
+    ], ids=["no-columns", "no-tests", "policy", "format"])
+    def test_no_columns_no_tests_or_unknown_policy_or_format_is_an_error(self, small_csv, capsys, columns, tests,
+                                                                          settings, message):
+        # a library call, which argparse does not check; without columns a screen would report nothing and exit 0
+        with pytest.raises(ValueError) as raised:
+            ScreenConfig(str(small_csv), columns, tests, **settings)
+        assert str(raised.value) == message
+        if not columns:
+            assert main(["screen", str(small_csv), "--columns", ",", "--tests", "nb1"]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("threshold", [float("nan"), -0.1, 1.5, 0.0])
     def test_threshold_outside_unit_interval(self, small_csv, threshold):

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 from digitscreen.digits import (
     EXCLUDE_SHORT,
     POLICIES,
+    REASONS,
     TRAILING_ZERO,
     CountVector,
     DatasetColumn,
@@ -92,9 +93,13 @@ class TestSignificantDigit:
 
 class TestDatasetColumn:
     def test_bookkeeping(self):
-        col = DatasetColumn("a", (5, 7), excluded_count=3)
+        col = DatasetColumn("a", (5, 7), excluded_by_reason={"ragged": 1, "negative": 0, "zero": 2})
         assert col.m == 2
         assert col.m + col.excluded_count == 5
+        # the record keeps its nonzero counts, in REASONS order, and its sum is the only excluded_count
+        assert list(col.excluded_by_reason.items()) == [("zero", 2), ("ragged", 1)]
+        with pytest.raises(TypeError, match="excluded_count"):
+            DatasetColumn("a", (5, 7), excluded_count=3)
 
     @pytest.mark.parametrize("bad", [0, -1, 2.5, "9", True, np.float64(3.0), 2**63])
     def test_rejects_non_positive_or_non_integer(self, bad):
@@ -108,16 +113,39 @@ class TestDatasetColumn:
         with pytest.raises(ValueError, match="column 'a'"):
             DatasetColumn("a", bad)
 
+    @pytest.mark.parametrize("values", [(5, 0, -3), np.array([5, -3, 0])], ids=["tuple", "array"])
+    def test_smallest_value_below_one_is_named(self, values):
+        with pytest.raises(ValueError, match=r"^column 'a': retained values must be integers >= 1, got -3$"):
+            DatasetColumn("a", values)
+
     def test_uint64_array_names_the_inexact_conversion(self):
         with pytest.raises(ValueError, match=r"^column 'a': values of dtype uint64 do not convert to int64 exactly$"):
             DatasetColumn("a", np.array([1, 2], dtype=np.uint64))
 
-    @pytest.mark.parametrize("bad", [1.5, True, -1, "2"])
-    def test_excluded_count_is_a_nonnegative_int(self, bad):
-        with pytest.raises(ValueError, match="^excluded_count must be a nonnegative integer"):
-            DatasetColumn("a", (5,), excluded_count=bad)
+    @pytest.mark.parametrize("by_reason", [{"zero": 1.5}, {"zero": True}, {"zero": -1}, {"zero": "2"}, {"bogus": 1}],
+                             ids=["1.5", "True", "-1", "2", "unknown-reason"])
+    def test_excluded_count_is_a_nonnegative_int(self, by_reason):
+        ((reason, count),) = by_reason.items()
+        with pytest.raises(ValueError) as raised:
+            DatasetColumn("a", (5,), excluded_by_reason={"negative": 1, **by_reason})
+        assert str(raised.value) == f"excluded_by_reason maps {REASONS} to nonnegative ints, got {reason!r}: {count!r}"
 
-    @pytest.mark.parametrize("values", [(5, 2**63 - 1), [5, 2**63 - 1], np.array([5, 2**63 - 1])])
+    def test_every_reason_may_pair_a_diagnostic(self):
+        by_reason = {reason: 2 if reason == "zero" else 1 for reason in REASONS}
+        col = DatasetColumn("x", [1], diagnostics=[f"d{i}" for i in range(6)], reasons=[*REASONS, "zero"],
+                            excluded_by_reason=by_reason)
+        assert col.reasons == (*REASONS, "zero") and col.excluded_by_reason == by_reason and col.excluded_count == 6
+
+    @pytest.mark.parametrize("diagnostics, reasons", [(["a", "b"], ["zero"]), (["a"], ["zero", "zero"]),
+                                                      (["a", "b"], ["zero", "nonsense"]), ([], ["zero"])])
+    def test_each_diagnostic_has_one_known_reason(self, diagnostics, reasons):
+        # _diagnostic_lines zips the two, so an unpaired diagnostic would be dropped without a word
+        with pytest.raises(ValueError) as raised:
+            DatasetColumn("x", [1, 2], diagnostics=diagnostics, reasons=reasons)
+        assert str(raised.value) == f"reasons {tuple(reasons)!r} must give each diagnostic one of {REASONS}"
+
+    @pytest.mark.parametrize("values", [(5, 2**63 - 1), [5, 2**63 - 1], np.array([5, 2**63 - 1]),
+                                        iter([2**63 - 1, 5])])
     def test_values_are_a_read_only_int64_copy(self, values):
         col = DatasetColumn("a", values)
         assert col.values.dtype == np.int64 and col.values.tolist() == [5, 2**63 - 1]

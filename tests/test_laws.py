@@ -293,6 +293,13 @@ def test_distribution_takes_a_sum_within_its_tolerance(off):
     assert DigitDistribution("close", (1, 2), (0.5, 0.5 + off)).probs == (0.5, 0.5 + off)
 
 
+def test_distribution_holds_tuples_of_its_domain_and_float_probabilities():
+    # a list domain would never equal a tally's tuple domain, so every screen against the law would fail
+    law = DigitDistribution("coin", [1, 2], [1, 0])
+    assert law.domain == (1, 2) and law.probs == (1.0, 0.0)
+    assert all(type(p) is float for p in law.probs)
+
+
 def test_distribution_validation():
     with pytest.raises(ValueError, match="sum"):
         DigitDistribution("broken", (1, 2), (0.6, 0.6))

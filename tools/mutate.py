@@ -1,6 +1,7 @@
 """Mutation sweep of the report gate, the screen config checks, the warning
 rule, the law sum check, the plain reader's cell classifier and row bound,
-and the unchecked tally constructor.
+the unchecked tally constructor, a column's checks and exclusion record, and
+the stderr diagnostic lines.
 
 Each mutant changes one spot of one target: a relational operator flipped
 (< and <=, > and >=, == and !=, each way), an int constant shifted by one
@@ -58,6 +59,11 @@ TARGETS = (
     Target("row-bound", "cli.py", ("_read_plain",), ("tests/test_cli.py", "-k",
                                                      "Ingest or Classifier or RowBound or digest")),
     Target("count-vector", "digits.py", ("_count_vector",), ("tests/test_digits.py", "tests/test_inference.py")),
+    Target("column-record", "digits.py", ("DatasetColumn.__post_init__", "_count_array"),
+           ("tests/test_digits.py", "tests/test_cli.py", "tests/test_simulate.py", "-k",
+            "DatasetColumn or Exclusion or Ingest or Classifier or VotingModel or Conformance or column_order")),
+    Target("diagnostic-lines", "cli.py", ("_diagnostic_lines",), ("tests/test_cli.py", "-k",
+                                                                  "diagnostic or ragged or digest")),
 )
 
 _FLIPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt, ast.Eq: ast.NotEq, ast.NotEq: ast.Eq}
