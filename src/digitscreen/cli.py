@@ -19,7 +19,7 @@ import tempfile
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -55,8 +55,8 @@ _SHOWN = 10
 # of 4 columns 8 % longer)
 _BLOCK_BYTES = 1 << 17
 
-# samples per block written by `simulate --out`
-_SAMPLE_BLOCK = 1 << 14
+# samples per block written by `simulate --out`; the kernel's temporaries peak at 1.5 MB for 2**12
+_SAMPLE_BLOCK = 1 << 12
 
 # the benchmark's traced replay patches this name, so it stays a module attribute; nothing here calls it
 law_for_test = law_from_name
@@ -542,11 +542,111 @@ def write_proportions(template: str, out_path: str, counts: CountVector) -> None
 
 
 def _write_table(out_path: Path, header: str, blocks) -> None:
-    """A CSV file of the header line, then each block of whole lines; csv.writer would quote none of its cells."""
+    """A CSV file of the header line, then each block of whole lines as bytes; csv.writer would quote no cell."""
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    with out_path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write(header + "\n")
+    with out_path.open("wb") as fh:
+        fh.write(header.encode() + b"\n")
         fh.writelines(blocks)
+
+
+# the kernel's domain [1e-4, 2**52) as bit patterns, which order positive doubles as their values
+_KERNEL_LOW, _KERNEL_HIGH = np.array([1e-4, 2.0**52]).view(np.uint64)
+_LOW32 = (1 << 32) - 1
+# 10**k, held at 10**17 from k = 17 on: a significand has at most 17 digits
+_POW10 = np.array([10 ** min(k, 17) for k in range(21)], dtype=np.uint64)
+
+
+@cache
+def _ryu_tables():
+    """Ryu's shift q, decimal scale i and 5**i, indexed by a double's top 12 bits (its sign and biased exponent).
+
+    For x = m * 2**e with an exponent of the kernel's domain, k = 2 - e, q = floor(log10(5**k)) - 1 and i = k - q,
+    so 4m * 2**(e - 2) * 10**i is 4m * 5**i / 2**q and the interval around x spans 30 to 400 units of that scale.
+    Every other row gets q = 1 and i = 0, which makes its products exact, so it is left to ``repr``.
+    """
+    q, i, pow5 = np.ones(4096, dtype=np.uint64), np.zeros(4096, dtype=np.int64), np.ones(4096, dtype=np.uint64)
+    for biased in range(int(_KERNEL_LOW) >> 52, int(_KERNEL_HIGH) >> 52):
+        k = 1077 - biased
+        shift = len(str(5**k)) - 2
+        q[biased], i[biased], pow5[biased] = shift, k - shift, 5 ** (k - shift)
+    return q, i, pow5
+
+
+def _mul_shift(a, b_lo, b_hi, q):
+    """floor(a * b / 2**q), b = b_hi * 2**32 + b_lo, and whether that drops a nonzero remainder.
+
+    The 128-bit product is summed from the products of 32-bit halves in uint64, exact for a < 2**56 and b < 2**52;
+    the quotient must be below 2**64 and 1 <= q < 64.
+    """
+    a_lo, a_hi = a & _LOW32, a >> 32
+    ll = a_lo * b_lo
+    mid = (ll >> 32) + a_lo * b_hi + a_hi * b_lo
+    lo = (mid << 32) | (ll & _LOW32)
+    hi = a_hi * b_hi + (mid >> 32)
+    return (hi << (64 - q)) | (lo >> q), (lo & ((1 << q) - 1)) != 0
+
+
+def _repr_lines(block: np.ndarray) -> bytes:
+    """``repr`` of each value of a float64 block, one a line, as bytes.
+
+    Ryu's shortest-digit loop (Adams, PLDI 2018) in exact integer arithmetic over the whole block. For x = m * 2**e
+    read from its bits, vr, vp and vm are floor((4m, 4m + 2, 4m - 1 - [m is not a power of two]) * 5**i / 2**q): x
+    and the ends of the interval that reads back as x, scaled by 10**i. Digits are dropped while the interval holds
+    a multiple of ten; the last one kept is raised by one when the first dropped is 5 or more, or when it equals
+    the lower end. That is repr's shortest decimal closest to x wherever the kernel certifies it:
+
+    - x lies in [1e-4, 2**52). repr writes smaller values and those from 1e16 in exponent notation, and every
+      double from 2**52 on is an integer, written with ".0"; negative values, zeros, subnormals, infinities and nan
+      are outside too.
+    - vr, vp and vm are all inexact. An exact vr may leave a dropped tail of exactly 5 or 0 after it, which repr
+      breaks to even; an exact vp or vm is an end that is itself a decimal at this scale, which reads back as x
+      only for an even m.
+
+    Every other value is written by ``repr`` itself. The kernel does no float arithmetic, so its bytes do not
+    depend on numpy's CPU dispatch.
+    """
+    bits = block.view(np.uint64)
+    top, fraction = bits >> 52, bits & ((1 << 52) - 1)
+    q, scale, pow5 = (table[top] for table in _ryu_tables())
+    b_lo, b_hi = pow5 & _LOW32, pow5 >> 32
+    mv = (fraction | (1 << 52)) << 2
+    vr, vr_inexact = _mul_shift(mv, b_lo, b_hi, q)
+    vp, vp_inexact = _mul_shift(mv + 2, b_lo, b_hi, q)
+    vm, vm_inexact = _mul_shift(mv - 1 - (fraction != 0), b_lo, b_hi, q)
+    # above 2**52, and for the sign bit, the tables make every product exact
+    certified = (bits >= _KERNEL_LOW) & vr_inexact & vp_inexact & vm_inexact
+    last = np.zeros_like(vr)
+    while True:
+        vp10, vm10 = vp // 10, vm // 10
+        drop = vp10 > vm10
+        if not drop.any():
+            break
+        vr10 = vr // 10
+        last = np.where(drop, vr - vr10 * 10, last)
+        vr, vp, vm = np.where(drop, vr10, vr), np.where(drop, vp10, vp), np.where(drop, vm10, vm)
+        scale = scale - drop
+    # the value is d / 10**f; a row left to repr is laid out as "0.0" until it is replaced
+    d = np.where(certified, vr + ((vr == vm) | (last >= 5)), 0)
+    f = np.where(certified, scale, 1)
+    # each line right-aligned in a grid row: f digits after the point, at least one before it, then "\n"
+    length = np.maximum(np.searchsorted(_POW10, d, side="right"), f + 1) + 1
+    width = int(length.max()) + 1
+    x = d * 10 - d % _POW10[f] * 9  # d with a 0 where the point goes
+    grid = np.empty((d.size, width), dtype=np.uint8)
+    for col in range(width - 2, -1, -1):
+        x10 = x // 10
+        grid[:, col] = x - x10 * 10
+        x = x10
+    grid += ord("0")
+    grid[:, -1] = ord("\n")
+    grid[np.arange(d.size), width - 2 - f] = ord(".")
+    text = np.compress((np.arange(width) >= width - 1 - length[:, None]).ravel(), grid.ravel()).tobytes()
+    if certified.all():
+        return text
+    lines = text.split(b"\n")
+    for row in np.flatnonzero(~certified).tolist():
+        lines[row] = repr(float(block[row])).encode()
+    return b"\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -575,8 +675,7 @@ def run_simulation(job: SimulationJob, out_path: Path | None, fmt: str) -> str:
     if job.kind == "mixture":
         samples = sim.sample_mixture(job.mixture)
         if out_path is not None:
-            # blocks bound the joined text of the samples' shortest round-trip decimals
-            _write_table(out_path, "value", ("\n".join(map(repr, samples[i:i + _SAMPLE_BLOCK].tolist())) + "\n"
+            _write_table(out_path, "value", (_repr_lines(samples[i:i + _SAMPLE_BLOCK])
                                             for i in range(0, samples.size, _SAMPLE_BLOCK)))
         laws = job.experiment.laws if job.experiment is not None else ()
         rows = tuple(ReportRow("samples", law.kind, sim.screen_mixture(samples, law)) for law in laws)
@@ -588,7 +687,8 @@ def run_simulation(job: SimulationJob, out_path: Path | None, fmt: str) -> str:
         if out_path is not None:
             # the experiment's replicate 0 is this very run of the model
             units = experiment.units if experiment else sim.hmpm_unit_counts(job.voting)
-            _write_table(out_path, "unit,candidate_a,candidate_b", (f"{j},{a},{b}\n" for j, (a, b) in enumerate(units)))
+            _write_table(out_path, "unit,candidate_a,candidate_b",
+                         (f"{j},{a},{b}\n".encode() for j, (a, b) in enumerate(units)))
         rows = tuple(ReportRow("pooled", res.law, res.pooled) for res in experiment.results) if experiment else ()
     return "" if job.experiment is None else render(ReportDocument(rows=rows), fmt)
 

@@ -159,8 +159,9 @@ class DatasetColumn:
     (a key of REASONS; a simulated zero count is "zero"), each a nonnegative
     int, and keeps the nonzero ones in REASONS order; ``excluded_count`` is
     their sum, so m + excluded_count is the original row count. ``reasons``
-    gives the reason of each of the ``diagnostics`` shown. ``adopt`` takes
-    ``values`` without a copy; ingest sets it for the array it built.
+    gives the reason of each of the ``diagnostics`` shown, no more of a
+    reason than ``excluded_by_reason`` counts. ``adopt`` takes ``values``
+    without a copy; ingest sets it for the array it built.
     """
 
     name: str
@@ -183,6 +184,11 @@ class DatasetColumn:
                 raise ValueError(f"excluded_by_reason maps {REASONS} to nonnegative ints, got {reason!r}: {count!r}")
         object.__setattr__(self, "excluded_by_reason", {r: by_reason[r] for r in REASONS if by_reason.get(r)})
         object.__setattr__(self, "excluded_count", sum(self.excluded_by_reason.values()))
+        for reason in dict.fromkeys(self.reasons):
+            shown, counted = self.reasons.count(reason), self.excluded_by_reason.get(reason, 0)
+            if shown > counted:
+                raise ValueError(f"{shown} diagnostics shown for {reason!r}, "
+                                 f"which excluded_by_reason counts {counted} times")
 
     @property
     def m(self) -> int:

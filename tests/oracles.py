@@ -367,3 +367,32 @@ def former_plain_cells(block: bytes, delim: int, cols, cell_count) -> tuple[list
             except ValueError as exc:
                 reasons[j].append((row, exc.reason))
     return values, reasons
+
+
+# The former `simulate --out` mixture writer, copied from digitscreen.cli: each
+# sample's `repr`, one a line, joined a block of 2**14 samples at a time. The
+# CSV rows the CLI writes must be byte-identical to its.
+
+
+def former_sample_lines(samples) -> bytes:
+    samples = np.asarray(samples, dtype=np.float64)
+    return b"".join(("\n".join(map(repr, samples[i:i + (1 << 14)].tolist())) + "\n").encode()
+                    for i in range(0, samples.size, 1 << 14))
+
+
+def kernel_certifies(x: float) -> bool:
+    """Whether the shortest-digit kernel writes ``x`` itself, from Python ints.
+
+    That is when ``x`` lies in [1e-4, 2**52) and none of x and the ends of
+    its rounding interval, 4m * 2**(e - 2) and (4m + 2, 4m - 1 - [m is not a
+    power of two]) times 2**(e - 2) for x = m * 2**e, is a whole number of
+    units of Ryu's scale 10**-i, where i = k - q, k = 2 - e and
+    q = floor(log10(5**k)) - 1.
+    """
+    if not 1e-4 <= x < 2.0**52:
+        return False
+    fraction, exponent = math.frexp(x)
+    m, e = int(fraction * 2**53), exponent - 53
+    k = 2 - e
+    q = len(str(5**k)) - 2
+    return all(a * 5 ** (k - q) % 2**q for a in (4 * m, 4 * m + 2, 4 * m - 1 - (m != 2**52)))

@@ -1,5 +1,6 @@
 """CLI surface: ingestion, screening reports, exit codes, file outputs."""
 
+import builtins
 import csv
 import errno
 import hashlib
@@ -49,7 +50,14 @@ from golden import (
     SIMULATE_MIXTURE_EXPERIMENT,
     proportions_tree_digest,
 )
-from oracles import former_plain_cells, former_write_proportions, str_digit_tally, str_joint_tally
+from oracles import (
+    former_plain_cells,
+    former_sample_lines,
+    former_write_proportions,
+    kernel_certifies,
+    str_digit_tally,
+    str_joint_tally,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -1430,6 +1438,76 @@ def test_proportions_digests(policy, fmt, tmp_path, capsys):
     code = main(["screen", str(DATA / "golden_counts.csv"), *SCREEN_ARGS, "--policy", policy, "--format", fmt,
                  "--proportions", str(propdir)])
     assert (code, proportions_tree_digest(propdir)) == PROPORTIONS_DIGESTS[(policy, fmt)]
+
+
+def _neighbours(values, steps: int) -> np.ndarray:
+    """``values`` and their first ``steps`` float64 neighbours on each side."""
+    out, down, up = [values], values, values
+    for _ in range(steps):
+        down, up = np.nextafter(down, -np.inf), np.nextafter(up, np.inf)
+        out += [down, up]
+    return np.concatenate(out)
+
+
+_EDGE_SETS = {
+    "powers-of-two": _neighbours(np.ldexp(1.0, np.arange(-1074, 1024)), 2),
+    "powers-of-ten": _neighbours(np.array([float(f"1e{k}") for k in range(-6, 18)]), 40),
+    "integers": np.concatenate([np.arange(20_000), 2.0**52 + np.arange(-2000, 2000), 2.0**53 - np.arange(1, 2000),
+                                np.random.default_rng(1).integers(1, 2**53, 20_000)]).astype(float),
+    "domain-edges": _neighbours(np.array([1e-4, 2.0**52, 2.0**53]), 1000),
+    "log-uniform": 10.0 ** np.random.default_rng(2).uniform(-6, 18, 200_000),
+    "raw-bits": np.random.default_rng(3).integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64),
+    # exact in 17 digits, where repr breaks a tie in the 17th to even
+    "dyadic": np.random.default_rng(4).integers(1, 10**6, 50_000) / np.ldexp(1.0, np.arange(50_000) % 40 + 1),
+}
+
+# a double's bits: sign, biased exponent (subnormals and every binade, with the kernel's domain drawn as often as
+# the rest; 2047, inf and nan, is left out) and fraction (some with only their top 12 bits set, so that exact
+# products are drawn)
+_FLOAT_BITS = st.builds(lambda sign, biased, fraction: sign << 63 | biased << 52 | fraction, st.integers(0, 1),
+                        st.one_of(st.integers(0, 2046), st.integers(1009, 1075)),
+                        st.one_of(st.integers(0, 2**52 - 1), st.integers(0, 2**12 - 1).map(lambda f: f << 40)))
+
+
+_SHIPPED_MIXTURE = importlib.resources.files("digitscreen") / "configs" / "mixture_lognormal.ini"
+
+
+class TestReprLines:
+    """`simulate --out` writes each sample's repr through an integer kernel, byte for byte as the former writer."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_FLOAT_BITS, min_size=1, max_size=40))
+    def test_drawn_bit_patterns(self, patterns):
+        values = np.array(patterns, dtype=np.uint64).view(np.float64)
+        assert cli._repr_lines(values) == former_sample_lines(values)
+
+    @pytest.mark.parametrize("name", sorted(_EDGE_SETS))
+    def test_edge_values(self, name):
+        values = _EDGE_SETS[name][np.isfinite(_EDGE_SETS[name])]
+        for i in range(0, values.size, cli._SAMPLE_BLOCK):
+            block = values[i:i + cli._SAMPLE_BLOCK]
+            assert cli._repr_lines(block) == former_sample_lines(block)
+
+    def test_repr_writes_only_what_the_kernel_cannot_certify(self, monkeypatch):
+        samples = simulate.sample_mixture(load_simulation_config(_SHIPPED_MIXTURE).mixture)
+        values = np.concatenate([_EDGE_SETS["domain-edges"], _EDGE_SETS["powers-of-ten"], samples[:20_000],
+                                 _EDGE_SETS["log-uniform"][:20_000], _EDGE_SETS["integers"][-2000:]])
+        seen = []
+        monkeypatch.setattr(cli, "repr", lambda x: seen.append(x) or builtins.repr(x), raising=False)
+        assert cli._repr_lines(values) == former_sample_lines(values)
+        assert seen == [v for v in values.tolist() if not kernel_certifies(v)]
+        # the shipped mixture's samples are all written by the kernel
+        assert all(map(kernel_certifies, samples[:20_000].tolist()))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_shipped_mixture_file(self, seed, tmp_path, capsys):
+        cfg = tmp_path / "mixture.ini"
+        cfg.write_text(_SHIPPED_MIXTURE.read_text().replace("seed = 42\n", f"seed = {seed}\n"))
+        mixture = load_simulation_config(cfg).mixture
+        samples = simulate.sample_mixture(mixture)
+        assert mixture.seed == seed and samples.size == 100_000
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "data.csv")]) == 0
+        assert (tmp_path / "data.csv").read_bytes() == b"value\n" + former_sample_lines(samples)
 
 
 def _numpy_baseline():

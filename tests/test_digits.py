@@ -136,6 +136,20 @@ class TestDatasetColumn:
                             excluded_by_reason=by_reason)
         assert col.reasons == (*REASONS, "zero") and col.excluded_by_reason == by_reason and col.excluded_count == 6
 
+    @pytest.mark.parametrize("reasons, by_reason, message", [
+        (["zero"], {}, "1 diagnostics shown for 'zero', which excluded_by_reason counts 0 times"),
+        (["zero", "negative", "zero"], {"zero": 1, "negative": 1},
+         "2 diagnostics shown for 'zero', which excluded_by_reason counts 1 times"),
+        (["zero", "negative"], {"zero": 3},
+         "1 diagnostics shown for 'negative', which excluded_by_reason counts 0 times"),
+    ])
+    def test_no_reason_shows_more_diagnostics_than_it_counts(self, reasons, by_reason, message):
+        # a column must not show a diagnostic for an exclusion its record does not count
+        with pytest.raises(ValueError) as raised:
+            DatasetColumn("x", [1], diagnostics=[f"d{i}" for i in range(len(reasons))], reasons=reasons,
+                          excluded_by_reason=by_reason)
+        assert str(raised.value) == message
+
     @pytest.mark.parametrize("diagnostics, reasons", [(["a", "b"], ["zero"]), (["a"], ["zero", "zero"]),
                                                       (["a", "b"], ["zero", "nonsense"]), ([], ["zero"])])
     def test_each_diagnostic_has_one_known_reason(self, diagnostics, reasons):

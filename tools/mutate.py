@@ -1,15 +1,17 @@
 """Mutation sweep of the report gate, the screen config checks, the warning
 rule, the law sum check, the plain reader's cell classifier and row bound,
-the unchecked tally constructor, a column's checks and exclusion record, and
-the stderr diagnostic lines.
+the unchecked tally constructor, a column's checks and exclusion record, the
+stderr diagnostic lines and the mixture writer's shortest-digit kernel.
 
 Each mutant changes one spot of one target: a relational operator flipped
 (< and <=, > and >=, == and !=, each way), an int constant shifted by one
 (up and down), a float constant shifted by one decade (x10 and /10), a
-``not`` removed, or a statement replaced by ``pass``. For
-each mutant the script copies ``src/``, ``tests/`` and ``pyproject.toml``
-to a work directory, writes the mutated module there, and runs the target's
-tests with pytest. A mutant is killed when they fail (or run out of time),
+``not`` removed, or a statement replaced by ``pass``. For each mutant the
+script copies ``src/``, ``tests/``, ``perfbench/`` (which tests import) and
+``pyproject.toml`` to a work directory, writes the mutated module there, and
+runs the target's tests with pytest. A target names its tests by file or
+node id, never by a ``-k`` name filter, so every test of a named file can
+kill its mutants. A mutant is killed when they fail (or run out of time),
 and survives when they pass. The script uses the standard library only and
 is not part of the test suite.
 
@@ -42,28 +44,23 @@ class Target:
     name: str
     module: str  # path under src/digitscreen
     scopes: tuple  # dotted names of the functions, classes or module-level assignments to mutate; () is all
-    tests: tuple  # pytest arguments
+    tests: tuple  # test files or node ids
 
 
 TARGETS = (
-    Target("report", "report.py", (), ("tests/test_report.py", "tests/test_cli.py", "-k",
-                                       "report or exit or threshold or median or digest or format or json")),
-    Target("screen-config", "cli.py", ("ScreenConfig.__post_init__",), ("tests/test_cli.py", "-k",
-                                                                       "ScreenConfig or threshold or bound or "
-                                                                       "lower or restricted or policy or format")),
+    Target("report", "report.py", (), ("tests/test_report.py", "tests/test_cli.py")),
+    Target("screen-config", "cli.py", ("ScreenConfig.__post_init__",), ("tests/test_cli.py",)),
     Target("small-expected", "inference.py", ("_small_expected_cells", "SMALL_EXPECTED_COUNT"),
            ("tests/test_inference.py",)),
     Target("law-sum", "laws.py", ("DigitDistribution.__post_init__", "_SUM_TOL"), ("tests/test_laws.py",)),
-    Target("classifier", "cli.py", ("_plain_cells", "_cell_count"), ("tests/test_cli.py", "-k",
-                                                                      "Ingest or Classifier or digest")),
-    Target("row-bound", "cli.py", ("_read_plain",), ("tests/test_cli.py", "-k",
-                                                     "Ingest or Classifier or RowBound or digest")),
+    Target("classifier", "cli.py", ("_plain_cells", "_cell_count"), ("tests/test_cli.py",)),
+    Target("row-bound", "cli.py", ("_read_plain",), ("tests/test_cli.py",)),
     Target("count-vector", "digits.py", ("_count_vector",), ("tests/test_digits.py", "tests/test_inference.py")),
     Target("column-record", "digits.py", ("DatasetColumn.__post_init__", "_count_array"),
-           ("tests/test_digits.py", "tests/test_cli.py", "tests/test_simulate.py", "-k",
-            "DatasetColumn or Exclusion or Ingest or Classifier or VotingModel or Conformance or column_order")),
-    Target("diagnostic-lines", "cli.py", ("_diagnostic_lines",), ("tests/test_cli.py", "-k",
-                                                                  "diagnostic or ragged or digest")),
+           ("tests/test_digits.py", "tests/test_cli.py", "tests/test_simulate.py")),
+    Target("diagnostic-lines", "cli.py", ("_diagnostic_lines",), ("tests/test_cli.py",)),
+    Target("repr-lines", "cli.py", ("_KERNEL_LOW", "_LOW32", "_POW10", "_ryu_tables", "_mul_shift", "_repr_lines"),
+           ("tests/test_cli.py::TestReprLines", "tests/test_cli.py::test_simulate_digests_under_baseline_dispatch")),
 )
 
 _FLIPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt, ast.Eq: ast.NotEq, ast.NotEq: ast.Eq}
@@ -86,7 +83,7 @@ def _scoped_nodes(tree: ast.Module, scopes: tuple):
     for scope in scopes:
         outer, _, inner = scope.partition(".")
         for node in tree.body:
-            names = [t.id for t in getattr(node, "targets", []) if isinstance(t, ast.Name)]
+            names = [n.id for t in getattr(node, "targets", []) for n in ast.walk(t) if isinstance(n, ast.Name)]
             if getattr(node, "name", None) == outer or outer in names:
                 if not inner:
                     yield node
@@ -139,7 +136,7 @@ def mutants(target: Target) -> list[Mutant]:
 
 
 def _copy_tree(work: Path) -> None:
-    for name in ("src", "tests"):
+    for name in ("src", "tests", "perfbench"):
         shutil.copytree(ROOT / name, work / name, ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
     shutil.copy2(ROOT / "pyproject.toml", work / "pyproject.toml")
 
