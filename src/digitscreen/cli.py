@@ -16,7 +16,6 @@ import os
 import shutil
 import sys
 import tempfile
-from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cache, lru_cache, partial
@@ -131,9 +130,13 @@ def ingest(path, selectors, delimiter: str | None = None) -> list[DatasetColumn]
     a column keeps the first 10 diagnostics of each, in file order.
 
     The file is opened once; a pipe is first copied to a temporary file, so
-    that it can be rewound. A plain ASCII table is read from its bytes with
-    numpy; any other file goes through ``csv`` (see ``_read_plain``). Both
-    readers give the same columns, diagnostics and errors.
+    that it can be rewound. A plain ASCII table is read from its bytes in
+    blocks (see ``_read_plain``); any other file goes through ``csv``, which
+    joins the selected cells of each batch of rows into such a block (see
+    ``_read_csv``). Both readers sort every block's cells with one
+    classifier, ``_plain_cells`` with ``_cell_count``, and build their
+    columns with one builder, ``_columns``, so they give the same columns,
+    diagnostics and errors.
     """
     if isinstance(selectors, str) or not all(isinstance(sel, str) for sel in selectors):
         raise ValueError(f"selectors must be a list of str, each a header name or a 0-based index, got {selectors!r}")
@@ -195,11 +198,10 @@ class _Excluded(ValueError):
 def _cell_count(cell: str) -> int:
     """The count a cell holds; _Excluded says why it holds none.
 
-    A leading "-" is read only to name a negative count as such.
+    The cell rule of both readers, whose ``_plain_cells`` calls it only for the cells its array tests cannot sort
+    and for the diagnostics shown. A leading "-" is read only to name a negative count as such.
     """
     cell = cell.strip()
-    if cell.isdigit() and cell.isascii() and cell[0] != "0" and len(cell) < 19:
-        return int(cell)  # 1 .. 10^18 - 1, the common case
     negative = cell.startswith("-")
     digits = cell[1:] if negative else cell
     if not (digits.isdigit() and digits.isascii()):
@@ -215,23 +217,19 @@ def _cell_count(cell: str) -> int:
     return int(digits)
 
 
-def _ingested(name: str, values: np.ndarray, counts, diagnostics: list, reasons: list) -> DatasetColumn:
-    """The column of an int64 array that ingest built, with its exclusion count per reason code and shown diagnostics."""
-    return DatasetColumn(name, values, diagnostics=diagnostics, reasons=[REASONS[r] for r in reasons],
-                         excluded_by_reason=dict(zip(REASONS, counts)), adopt=True)
-
-
 def _read_csv(fh, path, selectors, delimiter: str | None) -> list[DatasetColumn]:
     """``ingest`` through the csv module: any UTF-8 file, quoted cells and ragged rows included.
 
-    ``fh`` is the file open for binary reading, which is read from its
-    start, and ``path`` names it in errors. The file is read one line at a
-    time and its counts are kept in int64 arrays, so no more than one row's
-    text is held at once.
+    ``fh`` is the file open for binary reading, which is read from its start, and ``path`` names it in errors. This
+    reader owns what only such a file has: csv's records, whose quoted cells may hold delimiters, quotes and line
+    breaks; the file line each row ends on, blank lines between rows skipped; the not-UTF-8 error; the delimiter
+    found again on the header's whole record; ragged rows; and csv's errors. The selected cells of each batch of
+    _BATCH_ROWS rows go to ``_columns`` as one block (see ``_csv_batch``), as a plain table's blocks do; a ragged
+    row first sends on the batch before it, so diagnostics keep file order.
     """
     import csv  # only a file that is not a plain table pays its import
 
-    fh.seek(0)
+    rows = _line_count(fh)
     # universal newlines turn \r\n and \r into \n, the only line end split on; a byte that is not UTF-8 is
     # read as a lone surrogate, so that its line can be named
     text = io.TextIOWrapper(fh, encoding="utf-8-sig", errors="surrogateescape")
@@ -257,44 +255,80 @@ def _read_csv(fh, path, selectors, delimiter: str | None) -> list[DatasetColumn]
         first = next(lines, None)
         if first is None:
             raise ValueError(f"empty input file: {path}")
-        rows = csv.reader(itertools.chain([first], lines), delimiter=delimiter or _detect_delimiter(first))
+        records = csv.reader(itertools.chain([first], lines), delimiter=delimiter or _detect_delimiter(first))
         try:
-            row = next(rows)
-            found = _detect_delimiter(rows.dialect.delimiter.join(row))  # on the header's record, all its lines
-            if delimiter is None and found != rows.dialect.delimiter:
+            row = next(records)
+            found = _detect_delimiter(records.dialect.delimiter.join(row))  # on the header's record, all its lines
+            if delimiter is None and found != records.dialect.delimiter:
                 return _read_csv(fh, path, selectors, found)
             header, indices = _select(row, selectors)
             between = True
-            values = [array("q") for _ in indices]
-            counts = [[0] * len(REASONS) for _ in indices]
-            diagnostics = [[] for _ in indices]
-            reasons = [[] for _ in indices]
             width = len(header)
-            for row in rows:
-                between = True
-                if len(row) != width:
-                    diagnostic = f"row {number}: {len(row)} cells where the header has {width}; {_RAGGED}"
-                    for col_counts, col_diagnostics, col_reasons in zip(counts, diagnostics, reasons):
-                        col_counts[_RAGGED_ROW] += 1
-                        if col_counts[_RAGGED_ROW] <= _SHOWN:
-                            col_diagnostics.append(diagnostic)
-                            col_reasons.append(_RAGGED_ROW)
-                    continue
-                for idx, col_values, col_counts, col_diagnostics, col_reasons in zip(indices, values, counts,
-                                                                                     diagnostics, reasons):
-                    try:
-                        col_values.append(_cell_count(row[idx]))
-                    except _Excluded as exc:
-                        col_counts[exc.reason] += 1
-                        if col_counts[exc.reason] <= _SHOWN:
-                            col_diagnostics.append(f"{header[idx]}: row {number}: {exc}")
-                            col_reasons.append(exc.reason)
+
+            def batches():
+                """``_columns``' batches of the rows after the header, and the diagnostic of each ragged row."""
+                nonlocal between
+                picked, numbers = [], []
+                for row in records:
+                    between = True
+                    ragged = len(row) != width
+                    if not ragged and indices:  # with no column selected, a row holds nothing to store
+                        picked.append([row[idx] for idx in indices])
+                        numbers.append(number)
+                    if picked and (ragged or len(picked) == _BATCH_ROWS):
+                        yield _csv_batch(picked, numbers)
+                        picked, numbers = [], []
+                    if ragged:
+                        yield f"row {number}: {len(row)} cells where the header has {width}; {_RAGGED}"
+                if picked:
+                    yield _csv_batch(picked, numbers)
+
+            return _columns(path, header, indices, rows, batches())
         except csv.Error as exc:  # say, a cell over csv's field size limit
             raise ValueError(f"{path}: row {number}: {exc}") from None
     finally:
         text.detach()  # the file stays open for ingest, which closes it
-    return [_ingested(header[idx], np.frombuffer(col_values, dtype=np.int64), *tally)
-            for idx, col_values, *tally in zip(indices, values, counts, diagnostics, reasons)]
+
+
+# rows per batch of the csv reader, whose cells and sorting arrays are held at once: 250 000 rows of 3 columns read
+# as fast at 1 024 to 4 096 rows, with a tracemalloc peak of 6.6, 7.3 and 8.7 MiB at 1 024, 2 048 and 4 096
+_BATCH_ROWS = 1 << 11
+# what a cell may not hold in a block of comma-joined cells, beside non-ASCII characters
+_UNPLAIN = frozenset(',"\r\n')
+
+
+def _csv_batch(picked: list[list[str]], lines: list[int]):
+    """``_columns``' batch of csv rows, each the list of its selected cells, joined with commas into one block.
+
+    A cell with a comma, quote, line break or non-ASCII character breaks the block: ``_plain_cells`` refuses it, or
+    (a line break in one column) reads more rows than the batch holds. The block is then built again with each cell
+    stripped, or "-" where that leaves nothing or such a character: that cell is not an integer, as "-" is. A
+    diagnostic reads the cell as the row holds it.
+    """
+    width, cols = len(picked[0]), np.arange(len(picked[0]))
+    cells = _plain_cells(("\n".join(map(",".join, picked)) + "\n").encode(), ord(","), width, cols)
+    if cells is None or cells[0].shape[1] != len(picked):
+        cells = _plain_cells("".join(",".join(cell if cell and cell.isascii() and _UNPLAIN.isdisjoint(cell) else "-"
+                                              for cell in map(str.strip, row)) + "\n" for row in picked).encode(),
+                             ord(","), width, cols)
+    return cells, lines, lambda j, i, start, stop: picked[i][j]
+
+
+def _line_count(fh) -> int:
+    """A binary file's line ends, each ``\\n`` and each ``\\r`` not before a ``\\n``, read from its start.
+
+    No more rows than that follow a header. The file is left at its start.
+    """
+    fh.seek(0)
+    lines, after_cr = 0, False
+    for chunk in iter(partial(fh.read, _BLOCK_BYTES), b""):
+        # numpy's count of a chunk's newlines is about five times as fast as bytes.count's; a \r\n may span two chunks
+        lines += np.count_nonzero(np.frombuffer(chunk, dtype=np.uint8) == 10) - (after_cr and chunk[0] == 10)
+        if b"\r" in chunk:
+            lines += chunk.count(b"\r") - chunk.count(b"\r\n")
+        after_cr = chunk[-1] == 13
+    fh.seek(0)
+    return int(lines)
 
 
 def _read_plain(fh, path, selectors, delimiter: str | None) -> list[DatasetColumn] | None:
@@ -305,20 +339,11 @@ def _read_plain(fh, path, selectors, delimiter: str | None) -> list[DatasetColum
     mark, holds no quote, ends every line in ``\\n`` or ``\\r\\n`` (the last
     line may lack it), has no blank or whitespace-only line, and has as many
     cells in each row as in its header; its delimiter is one ASCII character
-    other than a digit. ``_plain_cells`` reads and sorts the cells of each
-    block at once, to the values and reasons that ``_cell_count`` gives in
-    ``_read_csv``. The file's ``\\n`` bytes are counted first: no more rows
-    than that follow the header, so each column's counts go into one int64
-    array of that size, which is shrunk to its values and handed to its
-    DatasetColumn. A file that gains more rows before they are read is an
-    error. A cell's text is decoded only for a diagnostic that is shown,
-    whose message ``_cell_count`` writes. A selector that ``_select``
-    refuses raises the very ValueError that ``_read_csv`` raises.
+    other than a digit. Its blocks of whole lines go to ``_columns`` as they
+    are, as the csv reader's batches do. A selector that ``_select`` refuses
+    raises the very ValueError that ``_read_csv`` raises.
     """
-    # numpy's count of a block's newlines is about five times as fast as bytes.count's
-    rows = sum(np.count_nonzero(np.frombuffer(chunk, dtype=np.uint8) == 10)
-               for chunk in iter(partial(fh.read, _BLOCK_BYTES), b""))
-    fh.seek(0)
+    rows = _line_count(fh)
     blocks = _line_blocks(fh)
     first = next(blocks, b"").removeprefix(codecs.BOM_UTF8)
     end = first.find(b"\n")
@@ -331,40 +356,74 @@ def _read_plain(fh, path, selectors, delimiter: str | None) -> list[DatasetColum
         return None
     header, indices = _select(text.split(delim), selectors)  # no quote: csv.reader's row, and its error
     width, cols = len(header), np.array(indices, dtype=np.intp)
+
+    def batches():
+        """``_columns``' batches: each block's cells, or None once a block is not plain."""
+        row = 2  # the file line of a block's first row
+        for block in itertools.chain([first[end + 1:]], blocks):
+            if b"\r" in block:  # the copy is paid only by a block that holds a \r
+                block = block.replace(b"\r\n", b"\n")
+            cells = _plain_cells(block, ord(delim), width, cols)
+            if cells is None:
+                yield None  # on which _columns returns, and draws no more
+            yield cells, range(row, row + cells[0].shape[1]), lambda j, i, start, stop: block[start:stop].decode()
+            row += cells[0].shape[1]
+
+    return _columns(path, header, indices, rows, batches())
+
+
+def _columns(path, header: list[str], indices: list[int], rows: int, batches) -> list[DatasetColumn] | None:
+    """The columns that ``indices`` select from ``header``, built from ``batches``; None if the plain reader refuses.
+
+    ``batches`` yields, in file order, a ragged row's diagnostic, which every column counts and shows; None when the
+    plain reader finds its file is not plain; or for a batch of rows, (cells, lines, text): ``_plain_cells``' sort
+    of its selected cells, the file line of each row, and ``text(j, i, start, stop)``, the text of the cell of column
+    j in row i, at block[start:stop], which is read before the next batch is drawn. ``rows`` is the file's line
+    count, so each column's counts go into one int64 array of that size, shrunk to its values and adopted by its
+    DatasetColumn; more rows mean that the file grew while it was read, an error. Each exclusion is tallied by
+    reason in REASONS; the first _SHOWN of each (column, reason) get a diagnostic, whose message ``_cell_count``
+    writes from the cell's text, the only text read.
+    """
     stored = [np.empty(rows, dtype=np.int64) for _ in indices]
     sizes = np.zeros(len(indices), dtype=np.int64)  # the values stored so far, at the start of each array
     counts = np.zeros((len(indices), len(REASONS)), dtype=np.int64)
     diagnostics = [[] for _ in indices]
     reasons = [[] for _ in indices]
-    row = 2  # the file line of a block's first row
-    for block in itertools.chain([first[end + 1:]], blocks):
-        if b"\r" in block:  # the copy is paid only by a block that holds a \r
-            block = block.replace(b"\r\n", b"\n")
-        cells = _plain_cells(block, ord(delim), width, cols)
-        if cells is None:
+    read = 0  # the rows of the batches so far
+    for batch in batches:
+        if batch is None:
             return None
-        values, kept, (col, at, reason, start, stop) = cells
-        if row - 2 + values.shape[1] > rows:
+        if isinstance(batch, str):
+            for j in np.flatnonzero(counts[:, _RAGGED_ROW] < _SHOWN).tolist():
+                diagnostics[j].append(batch)
+                reasons[j].append(_RAGGED_ROW)
+            counts[:, _RAGGED_ROW] += 1
+            continue
+        (values, kept, (col, at, reason, start, stop)), lines, text = batch
+        read += values.shape[1]
+        if read > rows:
             raise ValueError(f"{path}: the file grew while it was read")
         ends = sizes + np.count_nonzero(kept, axis=1)
         for col_stored, col_values, col_kept, n, end in zip(stored, values, kept, sizes.tolist(), ends.tolist()):
             col_stored[n:end] = col_values[col_kept]
         sizes = ends
-        # only a (column, reason) with fewer than _SHOWN exclusions before this block has diagnostics to show
+        # only a (column, reason) with fewer than _SHOWN exclusions before this batch has diagnostics to show
         for k in np.flatnonzero(counts[col, reason] < _SHOWN).tolist():
-            j, r = int(col[k]), int(reason[k])
+            j, i, r = int(col[k]), int(at[k]), int(reason[k])
             if reasons[j].count(r) < _SHOWN:
                 try:
-                    _cell_count(block[start[k]:stop[k]].decode())
+                    _cell_count(text(j, i, start[k], stop[k]))
                 except _Excluded as exc:
-                    diagnostics[j].append(f"{header[indices[j]]}: row {row + int(at[k])}: {exc}")
+                    diagnostics[j].append(f"{header[indices[j]]}: row {lines[i]}: {exc}")
                     reasons[j].append(r)
         np.add.at(counts, (col, reason), 1)
-        row += values.shape[1]
     for col_values, size in zip(stored, sizes.tolist()):
         col_values.resize(size, refcheck=False)
-    return [_ingested(header[idx], *tally) for idx, *tally in zip(indices, stored, counts.tolist(), diagnostics,
-                                                                   reasons)]
+    return [DatasetColumn(header[idx], col_values, diagnostics=col_diagnostics,
+                          reasons=[REASONS[r] for r in col_reasons], excluded_by_reason=dict(zip(REASONS, col_counts)),
+                          adopt=True)
+            for idx, col_values, col_counts, col_diagnostics, col_reasons in zip(indices, stored, counts.tolist(),
+                                                                                 diagnostics, reasons)]
 
 
 def _line_blocks(fh):
@@ -393,7 +452,9 @@ def _plain_cells(block: bytes, delim: int, width: int, cols: np.ndarray):
     one with a byte that is neither a digit, "-" nor whitespace to
     ``str.strip``, is not an integer. Only a cell that fits none of these
     (surrounding whitespace, 19 or more digits, "--5") goes through
-    ``_cell_count``, as in ``_read_csv``.
+    ``_cell_count``. Both readers sort their cells here: the plain reader
+    its file's blocks, the csv reader each batch of rows that
+    ``_csv_batch`` joins into a block.
     """
     if b"\r" in block or b'"' in block or not block.isascii():
         return None  # a lone \r ends a line for _read_csv, and a quote or a non-ASCII byte needs it too
@@ -641,6 +702,8 @@ def _repr_lines(block: np.ndarray) -> bytes:
     grid[:, -1] = ord("\n")
     grid[np.arange(d.size), width - 2 - f] = ord(".")
     text = np.compress((np.arange(width) >= width - 1 - length[:, None]).ravel(), grid.ravel()).tobytes()
+    # the usual block has no value left to repr: returning it whole skips the split and join below, which cost
+    # 13-14 ms per 250 000 samples (on a 2-vCPU Xeon VM), about a fifth of the writer's time
     if certified.all():
         return text
     lines = text.split(b"\n")

@@ -14,8 +14,11 @@ former per-cell loop what its array classifier sorts.
 """
 
 import csv
+import io
+import itertools
 import json
 import math
+from array import array
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -23,7 +26,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 
-from digitscreen import digits
+from digitscreen import cli, digits
 
 
 def mp_gamma_q(a: float, x: float, dps: int = 40) -> float:
@@ -367,6 +370,85 @@ def former_plain_cells(block: bytes, delim: int, cols, cell_count) -> tuple[list
             except ValueError as exc:
                 reasons[j].append((row, exc.reason))
     return values, reasons
+
+
+def former_read_csv(path, selectors, delimiter=None) -> list:
+    """The csv reader's former per-cell loop: ``cli._cell_count`` on every selected cell of every row.
+
+    The file is read through ``csv.reader`` one line at a time, as
+    ``cli._read_csv`` reads it; each column's counts go into an
+    ``array("q")``, and three tallies per column keep its exclusion count per
+    reason and its first ``cli._SHOWN`` diagnostics of each reason.
+    """
+    with open(path, "rb") as fh:
+        return _former_read_csv(fh, path, selectors, delimiter)
+
+
+def _former_read_csv(fh, path, selectors, delimiter):
+    fh.seek(0)
+    text = io.TextIOWrapper(fh, encoding="utf-8-sig", errors="surrogateescape")
+    try:
+        number = 0
+        between = True
+
+        def row_lines():
+            nonlocal number, between
+            for i, line in enumerate(text, start=1):
+                if not between or line.strip():
+                    number, between = i, False
+                    if not line.isascii():
+                        try:
+                            line.encode()
+                        except UnicodeEncodeError as exc:
+                            raise ValueError(f"{path}: row {i}: byte {ord(line[exc.start]) - 0xDC00:#04x} "
+                                             "is not UTF-8") from None
+                    yield line
+
+        lines = row_lines()
+        first = next(lines, None)
+        if first is None:
+            raise ValueError(f"empty input file: {path}")
+        rows = csv.reader(itertools.chain([first], lines), delimiter=delimiter or cli._detect_delimiter(first))
+        try:
+            row = next(rows)
+            found = cli._detect_delimiter(rows.dialect.delimiter.join(row))
+            if delimiter is None and found != rows.dialect.delimiter:
+                return _former_read_csv(fh, path, selectors, found)
+            header, indices = cli._select(row, selectors)
+            between = True
+            values = [array("q") for _ in indices]
+            counts = [[0] * len(cli.REASONS) for _ in indices]
+            diagnostics = [[] for _ in indices]
+            reasons = [[] for _ in indices]
+            width = len(header)
+            for row in rows:
+                between = True
+                if len(row) != width:
+                    diagnostic = f"row {number}: {len(row)} cells where the header has {width}; {cli._RAGGED}"
+                    for col_counts, col_diagnostics, col_reasons in zip(counts, diagnostics, reasons):
+                        col_counts[cli._RAGGED_ROW] += 1
+                        if col_counts[cli._RAGGED_ROW] <= cli._SHOWN:
+                            col_diagnostics.append(diagnostic)
+                            col_reasons.append(cli._RAGGED_ROW)
+                    continue
+                for idx, col_values, col_counts, col_diagnostics, col_reasons in zip(indices, values, counts,
+                                                                                     diagnostics, reasons):
+                    try:
+                        col_values.append(cli._cell_count(row[idx]))
+                    except cli._Excluded as exc:
+                        col_counts[exc.reason] += 1
+                        if col_counts[exc.reason] <= cli._SHOWN:
+                            col_diagnostics.append(f"{header[idx]}: row {number}: {exc}")
+                            col_reasons.append(exc.reason)
+        except csv.Error as exc:
+            raise ValueError(f"{path}: row {number}: {exc}") from None
+    finally:
+        text.detach()
+    return [digits.DatasetColumn(header[idx], np.frombuffer(col_values, dtype=np.int64), diagnostics=col_diagnostics,
+                                 reasons=[cli.REASONS[r] for r in col_reasons],
+                                 excluded_by_reason=dict(zip(cli.REASONS, col_counts)))
+            for idx, col_values, col_counts, col_diagnostics, col_reasons in zip(indices, values, counts, diagnostics,
+                                                                                 reasons)]
 
 
 # The former `simulate --out` mixture writer, copied from digitscreen.cli: each

@@ -52,6 +52,7 @@ from golden import (
 )
 from oracles import (
     former_plain_cells,
+    former_read_csv,
     former_sample_lines,
     former_write_proportions,
     kernel_certifies,
@@ -134,6 +135,48 @@ def delimited_files(draw):
     if not draw(st.booleans()):
         text = text.rstrip("\r\n")  # no final line end
     data = (b"\xef\xbb\xbf" if draw(st.booleans()) else b"") + text.encode("utf-8")
+    columns = draw(st.lists(st.integers(0, width - 1), min_size=1, max_size=width, unique=True))
+    by_name = draw(st.booleans())
+    selectors = [header[c].strip() if by_name else str(c) for c in columns]
+    return data, selectors, draw(st.sampled_from([None, delim]))
+
+
+# cells that only a csv file holds: the delimiters, quotes and line breaks that a quoted cell keeps, non-ASCII
+# whitespace around digits, non-ASCII digits and text, and a byte that is not UTF-8 (written from its surrogate)
+CSV_CELLS = st.one_of(
+    PLAIN_CELLS,
+    st.sampled_from(["1,2", "3;4", "5\t6", '"', '7"', '""', "8\n9", "1\r\n2", "3\r4", "\n", "12\r\n", "\r13", " \n ",
+                     "\u00a012", "34\u2003", "\u3000 56\u00a0", "\u00a0", "\u0661\u0662", "\uff11", "caf\u00e9",
+                     "-\u00a07", "\u00a0-0", "\udcff"]),
+)
+
+
+@st.composite
+def quoted_files(draw):
+    """(file bytes, selectors, delimiter override) of a table whose first header cell is quoted, so csv reads it."""
+    delim = draw(st.sampled_from([",", ";", "\t"]))
+    width = draw(st.sampled_from([1, 1, 2, 3, 4]))
+    ragged, blanks, odd = (draw(st.integers(0, 3)) == 0 for _ in range(3))
+    ends = draw(st.sampled_from([("\n",), ("\r\n",), ("\r",), ("\n", "\r\n", "\r")]))
+    names = st.sampled_from(["a", "b", " c ", "votes", "d e", "f;g", "h,i"])
+    header = draw(st.lists(names, min_size=width, max_size=width, unique=True))
+
+    def field(cell, quoted):
+        if quoted or any(c in cell for c in (delim, '"', "\r", "\n")):
+            return '"' + cell.replace('"', '""') + '"'
+        return cell
+
+    lines = [delim.join(field(name, i == 0 or draw(st.booleans())) for i, name in enumerate(header))]
+    for _ in range(draw(st.integers(0, 12))):
+        size = width + (draw(st.sampled_from([0, 0, 0, -1, 1])) if ragged else 0)
+        cells = draw(st.lists(CSV_CELLS if odd else PLAIN_CELLS, min_size=size, max_size=size))
+        lines.append(delim.join(field(cell, draw(st.integers(0, 3)) == 0) for cell in cells))
+        if blanks and draw(st.integers(0, 3)) == 0:
+            lines.append(draw(BLANK_LINES))
+    text = "".join(line + draw(st.sampled_from(ends)) for line in lines)
+    if not draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no final line end
+    data = (b"\xef\xbb\xbf" if draw(st.booleans()) else b"") + text.encode("utf-8", "surrogateescape")
     columns = draw(st.lists(st.integers(0, width - 1), min_size=1, max_size=width, unique=True))
     by_name = draw(st.booleans())
     selectors = [header[c].strip() if by_name else str(c) for c in columns]
@@ -307,8 +350,13 @@ class TestIngest:
         # the delimiter is counted on the header's whole record, and a header cell's line break is written \n
         ('"x|y";b;c|1;2;3|', "b", [("b", [2], 0, (), (), {})]),
         ('"x|y";b;c|1;2;3|', "z", "ValueError: column 'z' not found; available headers: x\\ny, b, c"),
+        # in a one-column file, a quoted line break joined into a plain block would read as two rows
+        ('"a"|5|"1|2"|3|| \u00a04\u00a0|', "a", [("a", [3, 4, 5], 1, ("a: row 4: not an integer: '1\\n2'",),
+                                                   ("not-an-integer",), {"not-an-integer": 1})]),
+        ('"a"|"1|2"|', "a", [("a", [], 1, ("a: row 3: not an integer: '1\\n2'",), ("not-an-integer",),
+                               {"not-an-integer": 1})]),
     ], ids=["before-header", "after-header", "between-rows", "at-end", "inside-quoted-cell", "header-delimiter",
-            "header-not-found"])
+            "header-not-found", "one-column-line-break", "one-row-line-break"])
     def test_csv_reader_blank_lines_and_header_record(self, tmp_path, end, text, selector, expected):
         path = tmp_path / "d.csv"
         path.write_bytes(text.replace("|", end).encode())
@@ -462,6 +510,57 @@ class TestIngest:
         path.write_bytes(b"a,b\n1,2\r\n\n3,4\xe9\n")
         with pytest.raises(ValueError, match=r"t\.csv: row 4: byte 0xe9 is not UTF-8$"):
             ingest(path, ["a"])
+
+    @settings(max_examples=300, deadline=None)
+    @given(quoted_files(), st.sampled_from([1, 3, cli._BATCH_ROWS]))
+    def test_csv_reader_matches_its_former_cell_loop(self, file, batch_rows):
+        # the csv reader's batches, joined into blocks for _plain_cells, against _cell_count on every cell
+        data, selectors, delimiter = file
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_BATCH_ROWS", batch_rows):
+            path = Path(tmp) / "t.csv"
+            path.write_bytes(data)
+            assert read_with(ingest, path, selectors, delimiter) == read_with(former_read_csv, path, selectors,
+                                                                                delimiter)
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_csv_reader_reads_clean_cells_in_bulk(self, tmp_path, end):
+        path = tmp_path / "t.csv"
+        path.write_bytes(f'"a",b{end}12,"{10**17}"{end}"987654321012345678",3{end}'.encode())
+        with mock.patch.object(cli, "_cell_count", side_effect=AssertionError("a clean cell left the bulk path")):
+            a, b = opened(cli._read_csv)(path, ["a", "b"], None)
+        assert a.values.tolist() == [12, 987654321012345678] and b.values.tolist() == [3, 10**17]
+
+    @pytest.mark.parametrize("text", ['"a",b\n12,3\n', 'a,b\n12,"3"\n'], ids=["quoted-header", "quoted-cell"])
+    def test_a_file_that_grows_after_its_line_count_is_an_error(self, tmp_path, capsys, monkeypatch, text):
+        # each reader counts the file's lines, then two rows are appended before it reads them, as in
+        # TestRowBound's test of the plain reader
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        line_count = cli._line_count
+
+        def count_then_grow(fh):
+            lines = line_count(fh)
+            with open(path, "a") as out:
+                out.write("45,6\n78,9\n")
+            return lines
+
+        monkeypatch.setattr(cli, "_line_count", count_then_grow)
+        assert main(["screen", str(path), "--columns", "a"]) == 1
+        assert capsys.readouterr() == ("", f"error: {path}: the file grew while it was read\n")
+
+    @pytest.mark.parametrize("block_bytes", [1, 2, 3, cli._BLOCK_BYTES])
+    @pytest.mark.parametrize("text", ['"a",b\r\n12,3\r45,6\n7,8', '"a",b\r\r\n1,2\n\r\n\r3,4\r',
+                                      '"a",b\n"1\r\n2",3\r\n', '"a",b\r\n\r\n', '\ufeff"a",b\r1,2\r3,4\r',
+                                      '\n"a",b\r\n1,2'])
+    def test_csv_reader_sizes_each_column_from_the_line_ends(self, tmp_path, text, block_bytes):
+        # each \n, and each \r not followed by \n, ends a line, wherever the file's chunks are cut
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode())
+        with mock.patch.object(np, "empty", wraps=np.empty) as empty, mock.patch.object(cli, "_BLOCK_BYTES",
+                                                                                         block_bytes):
+            columns = opened(cli._read_csv)(path, ["a", "b"], None)
+        assert [call.args[0] for call in empty.call_args_list] == [len(re.findall("\r\n|\r|\n", text))] * 2
+        assert read_with(lambda: columns) == read_with(former_read_csv, path, ["a", "b"], None)
 
 
 # every exclusion reason, and each array test's edges: padding, leading zeros, 18/19/20 digits, signs, bytes that

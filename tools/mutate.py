@@ -1,6 +1,7 @@
 """Mutation sweep of the report gate, the screen config checks, the warning
-rule, the law sum check, the plain reader's cell classifier and row bound,
-the unchecked tally constructor, a column's checks and exclusion record, the
+rule, the law sum check, the readers' cell classifier (with the csv reader's
+batch re-join) and row bound (with the column builder and both readers), the
+unchecked tally constructor, a column's checks and exclusion record, the
 stderr diagnostic lines and the mixture writer's shortest-digit kernel.
 
 Each mutant changes one spot of one target: a relational operator flipped
@@ -11,9 +12,11 @@ script copies ``src/``, ``tests/``, ``perfbench/`` (which tests import) and
 ``pyproject.toml`` to a work directory, writes the mutated module there, and
 runs the target's tests with pytest. A target names its tests by file or
 node id, never by a ``-k`` name filter, so every test of a named file can
-kill its mutants. A mutant is killed when they fail (or run out of time),
-and survives when they pass. The script uses the standard library only and
-is not part of the test suite.
+kill its mutants. A mutant is killed when they fail, and survives when
+they pass. The target's unmutated tests are timed first: a mutant whose
+tests take more than five times as long, plus 30 s, is stopped (a mutated
+loop may never end) and counts as killed. The script uses the standard
+library only and is not part of the test suite.
 
     python3 tools/mutate.py                  # every target; survivors are listed at the end
     python3 tools/mutate.py --target report  # one target
@@ -53,8 +56,8 @@ TARGETS = (
     Target("small-expected", "inference.py", ("_small_expected_cells", "SMALL_EXPECTED_COUNT"),
            ("tests/test_inference.py",)),
     Target("law-sum", "laws.py", ("DigitDistribution.__post_init__", "_SUM_TOL"), ("tests/test_laws.py",)),
-    Target("classifier", "cli.py", ("_plain_cells", "_cell_count"), ("tests/test_cli.py",)),
-    Target("row-bound", "cli.py", ("_read_plain",), ("tests/test_cli.py",)),
+    Target("classifier", "cli.py", ("_plain_cells", "_cell_count", "_csv_batch", "_UNPLAIN"), ("tests/test_cli.py",)),
+    Target("row-bound", "cli.py", ("_read_plain", "_read_csv", "_columns", "_line_count"), ("tests/test_cli.py",)),
     Target("count-vector", "digits.py", ("_count_vector",), ("tests/test_digits.py", "tests/test_inference.py")),
     Target("column-record", "digits.py", ("DatasetColumn.__post_init__", "_count_array"),
            ("tests/test_digits.py", "tests/test_cli.py", "tests/test_simulate.py")),
@@ -141,14 +144,15 @@ def _copy_tree(work: Path) -> None:
     shutil.copy2(ROOT / "pyproject.toml", work / "pyproject.toml")
 
 
-def _run_tests(work: Path, target: Target, timeout: float) -> bool:
-    """Whether the target's tests pass in the work copy."""
+def _run_tests(work: Path, target: Target, timeout: float | None) -> str:
+    """How the target's tests end in the work copy: "passed", "failed" or "timed out"."""
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *target.tests]
     try:
-        return subprocess.run(cmd, cwd=work, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-                              timeout=timeout).returncode == 0
+        code = subprocess.run(cmd, cwd=work, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                              timeout=timeout).returncode
     except subprocess.TimeoutExpired:
-        return False
+        return "timed out"
+    return "passed" if code == 0 else "failed"
 
 
 def main(argv=None) -> int:
@@ -156,7 +160,6 @@ def main(argv=None) -> int:
     parser.add_argument("--target", action="append", choices=[t.name for t in TARGETS])
     parser.add_argument("--list", action="store_true", help="list the mutants without running them")
     parser.add_argument("--at", action="append", help="only the mutants at this line:column (repeatable)")
-    parser.add_argument("--timeout", type=float, default=600.0, help="seconds per test run (a timeout kills)")
     parser.add_argument("--workdir", default=None, help="where the copy is made (default: a temporary directory)")
     args = parser.parse_args(argv)
     targets = [t for t in TARGETS if not args.target or t.name in args.target]
@@ -172,19 +175,24 @@ def main(argv=None) -> int:
         for target in targets:
             module = work / "src" / "digitscreen" / target.module
             original = module.read_text(encoding="utf-8")
-            if not _run_tests(work, target, args.timeout):
+            start = time.perf_counter()
+            if _run_tests(work, target, None) != "passed":
                 print(f"{target.name}: the unmutated tests fail; skipped", flush=True)
                 continue
+            unmutated = time.perf_counter() - start
+            limit = 5 * unmutated + 30
+            print(f"{target.name}: unmutated tests {unmutated:.1f} s; each mutant's limit {limit:.0f} s", flush=True)
             found = [m for m in mutants(target) if not args.at or f"{m.line}:{m.col}" in args.at]
             killed = 0
             for m in found:
                 start = time.perf_counter()
                 module.write_text(m.source, encoding="utf-8")
                 try:
-                    passed = _run_tests(work, target, args.timeout)
+                    outcome = _run_tests(work, target, limit)
                 finally:
                     module.write_text(original, encoding="utf-8")
-                verdict = "SURVIVED" if passed else "killed"
+                passed = outcome == "passed"
+                verdict = "SURVIVED" if passed else "killed" if outcome == "failed" else "killed (timed out)"
                 killed += not passed
                 if passed:
                     survivors.append(m)
