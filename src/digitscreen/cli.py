@@ -130,13 +130,13 @@ def ingest(path, selectors, delimiter: str | None = None) -> list[DatasetColumn]
     a column keeps the first 10 diagnostics of each, in file order.
 
     The file is opened once; a pipe is first copied to a temporary file, so
-    that it can be rewound. A plain ASCII table is read from its bytes in
-    blocks (see ``_read_plain``); any other file goes through ``csv``, which
-    joins the selected cells of each batch of rows into such a block (see
-    ``_read_csv``). Both readers sort every block's cells with one
-    classifier, ``_plain_cells`` with ``_cell_count``, and build their
-    columns with one builder, ``_columns``, so they give the same columns,
-    diagnostics and errors.
+    that it can be rewound. One scan of its bytes decides whether it is a
+    plain ASCII table, read in blocks (see ``_read_plain``); any other file
+    goes through ``csv``, which joins the selected cells of each batch of
+    rows into such a block (see ``_read_csv``). Both readers sort every
+    block's cells with one classifier, ``_plain_cells`` with
+    ``_cell_count``, and build their columns with one builder,
+    ``_columns``, so they give the same columns, diagnostics and errors.
     """
     if isinstance(selectors, str) or not all(isinstance(sel, str) for sel in selectors):
         raise ValueError(f"selectors must be a list of str, each a header name or a 0-based index, got {selectors!r}")
@@ -229,7 +229,7 @@ def _read_csv(fh, path, selectors, delimiter: str | None) -> list[DatasetColumn]
     """
     import csv  # only a file that is not a plain table pays its import
 
-    rows = _line_count(fh)
+    rows, _ = _line_count(fh)
     # universal newlines turn \r\n and \r into \n, the only line end split on; a byte that is not UTF-8 is
     # read as a lone surrogate, so that its line can be named
     text = io.TextIOWrapper(fh, encoding="utf-8-sig", errors="surrogateescape")
@@ -293,42 +293,49 @@ def _read_csv(fh, path, selectors, delimiter: str | None) -> list[DatasetColumn]
 # rows per batch of the csv reader, whose cells and sorting arrays are held at once: 250 000 rows of 3 columns read
 # as fast at 1 024 to 4 096 rows, with a tracemalloc peak of 6.6, 7.3 and 8.7 MiB at 1 024, 2 048 and 4 096
 _BATCH_ROWS = 1 << 11
-# what a cell may not hold in a block of comma-joined cells, beside non-ASCII characters
-_UNPLAIN = frozenset(',"\r\n')
+# what a cell may not hold in a block of comma-joined cells: either changes the block's rows or their width
+_UNPLAIN = frozenset(",\n")
 
 
 def _csv_batch(picked: list[list[str]], lines: list[int]):
     """``_columns``' batch of csv rows, each the list of its selected cells, joined with commas into one block.
 
-    A cell with a comma, quote, line break or non-ASCII character breaks the block: ``_plain_cells`` refuses it, or
-    (a line break in one column) reads more rows than the batch holds. The block is then built again with each cell
-    stripped, or "-" where that leaves nothing or such a character: that cell is not an integer, as "-" is. A
-    diagnostic reads the cell as the row holds it.
+    An ASCII block goes to ``_plain_cells`` as it is: a quote there is a byte that makes its cell not an integer, a
+    ``\\r`` whitespace that ``_cell_count`` strips. A non-ASCII character may be whitespace that only ``str.strip``
+    knows, and a comma or a line break in a cell breaks the block (``_plain_cells`` refuses it, or reads more rows
+    than the batch holds): such a batch is joined again with each cell stripped, or "-" where that leaves nothing, a
+    comma or a line break, which is not an integer, as that cell is. A diagnostic reads the cell as the row holds it.
     """
     width, cols = len(picked[0]), np.arange(len(picked[0]))
-    cells = _plain_cells(("\n".join(map(",".join, picked)) + "\n").encode(), ord(","), width, cols)
+    block = "\n".join(map(",".join, picked)) + "\n"
+    cells = _plain_cells(block.encode(), ord(","), width, cols) if block.isascii() else None
     if cells is None or cells[0].shape[1] != len(picked):
-        cells = _plain_cells("".join(",".join(cell if cell and cell.isascii() and _UNPLAIN.isdisjoint(cell) else "-"
+        cells = _plain_cells("".join(",".join(cell if cell and _UNPLAIN.isdisjoint(cell) else "-"
                                               for cell in map(str.strip, row)) + "\n" for row in picked).encode(),
                              ord(","), width, cols)
     return cells, lines, lambda j, i, start, stop: picked[i][j]
 
 
-def _line_count(fh) -> int:
-    """A binary file's line ends, each ``\\n`` and each ``\\r`` not before a ``\\n``, read from its start.
+def _line_count(fh) -> tuple[int, bool]:
+    """A binary file's line ends, each ``\\n`` and each ``\\r`` not before a ``\\n``, read from its start, and whether
+    it is plain: ASCII after an optional byte-order mark, with no quote and no such ``\\r``.
 
-    No more rows than that follow a header. The file is left at its start.
+    No more rows than that follow a header, and this one scan decides which reader runs. The file is left at its start.
     """
     fh.seek(0)
-    lines, after_cr = 0, False
+    if fh.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
+        fh.seek(0)
+    lines, lone, after_cr, plain = 0, 0, False, True
     for chunk in iter(partial(fh.read, _BLOCK_BYTES), b""):
         # numpy's count of a chunk's newlines is about five times as fast as bytes.count's; a \r\n may span two chunks
-        lines += np.count_nonzero(np.frombuffer(chunk, dtype=np.uint8) == 10) - (after_cr and chunk[0] == 10)
+        lines += np.count_nonzero(np.frombuffer(chunk, dtype=np.uint8) == 10)
         if b"\r" in chunk:
-            lines += chunk.count(b"\r") - chunk.count(b"\r\n")
+            lone += chunk.count(b"\r") - chunk.count(b"\r\n")
+        lone -= after_cr and chunk[0] == 10
+        plain = plain and chunk.isascii() and b'"' not in chunk
         after_cr = chunk[-1] == 13
     fh.seek(0)
-    return int(lines)
+    return int(lines + lone), plain and not lone
 
 
 def _read_plain(fh, path, selectors, delimiter: str | None) -> list[DatasetColumn] | None:
@@ -336,21 +343,23 @@ def _read_plain(fh, path, selectors, delimiter: str | None) -> list[DatasetColum
 
     ``fh`` is the file open for binary reading at its start, and ``path``
     names it in errors. A plain table is ASCII after an optional byte-order
-    mark, holds no quote, ends every line in ``\\n`` or ``\\r\\n`` (the last
-    line may lack it), has no blank or whitespace-only line, and has as many
+    mark, holds no quote, and ends every line in ``\\n`` or ``\\r\\n`` (the
+    last line may lack it), as the file scan (``_line_count``) finds before
+    a block is read; it has no blank or whitespace-only line, and as many
     cells in each row as in its header; its delimiter is one ASCII character
     other than a digit. Its blocks of whole lines go to ``_columns`` as they
     are, as the csv reader's batches do. A selector that ``_select`` refuses
     raises the very ValueError that ``_read_csv`` raises.
     """
-    rows = _line_count(fh)
+    rows, plain = _line_count(fh)
+    if not plain:
+        return None
     blocks = _line_blocks(fh)
     first = next(blocks, b"").removeprefix(codecs.BOM_UTF8)
     end = first.find(b"\n")
-    line = first[:end].removesuffix(b"\r")
-    if not line.isascii() or b'"' in line or b"\r" in line or not line.decode().strip():
+    text = first[:end].removesuffix(b"\r").decode()
+    if not text.strip():
         return None
-    text = line.decode()
     delim = delimiter or _detect_delimiter(text)
     if not delim.isascii() or delim.isdigit():
         return None
@@ -440,7 +449,7 @@ def _line_blocks(fh):
 
 
 def _plain_cells(block: bytes, delim: int, width: int, cols: np.ndarray):
-    """The selected cells of a block of whole rows ending in ``\\n``, sorted by array tests; None unless it is plain.
+    """The selected cells of a block of whole ``\\n``-ended rows, sorted by array tests; None for a ragged or blank row.
 
     Returns (values, kept, excluded). ``values`` and ``kept`` are (selected
     columns x rows) arrays: the count of every cell that holds one, and where
@@ -454,10 +463,9 @@ def _plain_cells(block: bytes, delim: int, width: int, cols: np.ndarray):
     (surrounding whitespace, 19 or more digits, "--5") goes through
     ``_cell_count``. Both readers sort their cells here: the plain reader
     its file's blocks, the csv reader each batch of rows that
-    ``_csv_batch`` joins into a block.
+    ``_csv_batch`` joins into a block, where a quote, ``\\r`` or non-ASCII
+    byte is a cell's: the file scan keeps them out of the plain reader's.
     """
-    if b"\r" in block or b'"' in block or not block.isascii():
-        return None  # a lone \r ends a line for _read_csv, and a quote or a non-ASCII byte needs it too
     a = np.frombuffer(block, dtype=np.uint8)
     # digit values after 18 zero bytes, so the 18 bytes before any cell's end can be read
     digits = np.zeros(18 + a.size, dtype=np.uint8)

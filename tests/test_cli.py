@@ -505,6 +505,35 @@ class TestIngest:
         assert a.values.tolist() == sorted([5] + [i % 9973 + 1 for i in range(1, 250_000)])
         assert b.m == c.m == 250_000
 
+    def test_fast_reader_refuses_a_lone_cr_table_before_reading_it(self, tmp_path):
+        # every line ends in \r, so no block of the plain reader would end before the file does: the file scan
+        # refuses the table, and ingest's peak is the csv reader's own (its frames aside)
+        path = tmp_path / "t.csv"
+        rows = "".join(f"u{i},{i % 9973 + 1},{i % 7919 + 10},{i % 4999 + 100}\r" for i in range(1, 250_000))
+        path.write_text("unit,a,b,c\r" + rows, newline="")
+        peaks = []
+        for reader in (opened(cli._read_plain), opened(cli._read_csv), ingest):
+            tracemalloc.start()
+            try:
+                columns = reader(path, ["a"], None)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        plain, csv_alone, ingested = peaks
+        assert plain < 1 << 20
+        assert ingested <= csv_alone + (64 << 10)
+        assert columns[0].values.tolist() == sorted(i % 9973 + 1 for i in range(1, 250_000))
+
+    @pytest.mark.parametrize("byte", ['"', "\u00e9", "\r"], ids=["quote", "non-ascii", "lone-cr"])
+    def test_fast_reader_refuses_a_late_unplain_byte_unread(self, tmp_path, byte):
+        # one byte in the last of 250 000 rows makes the table unplain: the file scan finds it, so no block is sorted
+        path = tmp_path / "t.csv"
+        rows = "".join(f"u{i},{i % 9973 + 1},{i % 7919 + 10}\n" for i in range(1, 250_000))
+        path.write_text(f"unit,a,b\n{rows}u{byte},1,2\n", encoding="utf-8", newline="")
+        with mock.patch.object(cli, "_plain_cells", wraps=cli._plain_cells) as plain_cells:
+            assert opened(cli._read_plain)(path, ["a", "b"], None) is None
+        assert plain_cells.call_count == 0
+
     def test_csv_fallback_names_the_line_of_a_byte_that_is_not_utf8(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_bytes(b"a,b\n1,2\r\n\n3,4\xe9\n")
@@ -725,6 +754,15 @@ class TestRowBound:
         assert [call.args[0] for call in empty.call_args_list] == [text.count("\n")] * 2
         assert [col.values.tolist() for col in fast] == [a, b]
         assert read_with(lambda: fast) == read_with(opened(cli._read_csv), path, ["a", "b"], None)
+
+    def test_the_line_count_reads_from_the_files_start(self, tmp_path):
+        # wherever the file stands: here before a cell's U+FEFF, whose bytes are those of a byte-order mark
+        path = tmp_path / "t.csv"
+        path.write_bytes('"a",b\n\ufeff1,2\n3,4\n'.encode())
+        with open(path, "rb") as fh:
+            fh.seek(6)
+            assert cli._line_count(fh) == (3, False)
+            assert fh.tell() == 0
 
     def test_each_file_is_opened_once(self, tmp_path, monkeypatch):
         # a quoted header sends the file to the csv reader, and a delimiter found on the header's record makes it

@@ -62,6 +62,19 @@ class TestMixture:
         assert samples.shape == (20_000,)
         assert np.all(samples > 0)
 
+    @pytest.mark.parametrize("at", [0, 1, 2], ids=["first", "middle", "last"])
+    def test_a_zero_weight_component_draws_nothing(self, at):
+        # no membership uniform falls in a zero-weight component's empty interval, so it takes no draw from the
+        # stream; the weights are dyadic, so the other components' cumulative sum reaches 1.0 exactly
+        comps = [MixtureComponent("lognormal", {"mu": 2.0, "sigma": 1.5}, 0.25),
+                 MixtureComponent("scaled-exponential", {"scale": 30.0}, 0.75)]
+        zero = MixtureComponent("uniform-range", {"low": 1.0, "high": 9.0}, 0.0)
+        with_zero = MixtureConfig(components=(*comps[:at], zero, *comps[at:]), n_samples=20_000, seed=4)
+        with mock.patch.object(simulate, "_draw_family", wraps=simulate._draw_family) as draw:
+            samples = sample_mixture(with_zero)
+        assert [call.args[1] for call in draw.call_args_list] == comps
+        assert np.array_equal(samples, sample_mixture(replace(with_zero, components=tuple(comps))))
+
     def test_unsatisfiable_component_errors(self):
         cfg = MixtureConfig(
             components=(MixtureComponent("uniform-range", {"low": -9.0, "high": -1.0}, 1.0),),
