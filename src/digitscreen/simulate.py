@@ -10,11 +10,16 @@ dispatch targets, and the shipped lognormal mixture writes different values
 under AVX512 than under SSE4.2. Unit j of a voting run uses the stream
 PCG64(SeedSequence(seed, spawn_key=(j,))), which makes per-unit generation
 order-independent and safe to parallelize. Units are generated in blocks,
-but each unit reads its own stream in the order of a unit generated alone:
-its Beta draws read a head of _HEAD uniforms, and its Bernoulli counts read
-on from there, through one buffer of 3 * max_voters reused by every unit. A
-block's generators are seeded in one numpy pass that repeats numpy's
-SeedSequence hash, so j is one uint32 word and n_units is at most 2^32.
+but each unit reads its own stream in the order of a unit generated alone.
+Its Beta draws read a head of _HEAD uniforms: the block's Marsaglia-Tsang
+tries run in lockstep numpy passes, each unit at its own cursor, with libm
+(Python's math) for the powers and logs, which numpy's SIMD loops may round
+otherwise. A unit whose draws would read past its head doubles the head with
+its stream's next uniforms and runs the same passes again. Its Bernoulli
+counts read on from there, through one buffer of 3 * max_voters reused by
+every unit. A block's generators are seeded in one numpy pass that repeats
+numpy's SeedSequence hash, so j is one uint32 word and n_units is at most
+2^32.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import configparser
 import math
 from dataclasses import dataclass, field, replace
 from importlib import resources
+from itertools import repeat
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -42,11 +48,12 @@ _MAX_REDRAW_ROUNDS = 100
 # temporaries small beside the one byte per sample that membership takes
 _MEMBERSHIP_BLOCK = 1 << 16
 
-# The voting model builds its units' generators a block at a time; a small
-# block keeps peak memory flat. Each unit draws its first _HEAD uniforms up
-# front, which its three Beta draws nearly always fit in (the shipped model's
-# six gamma variates end at uniform 23 in the median, past 32 in 1 unit of 25 000).
-_BLOCK = 32
+# The voting model builds its units' generators a block at a time: 256 of them
+# hold about 0.2 MB, which keeps peak memory flat, and each numpy call of the
+# block's Beta passes serves that many units. Each unit draws its first _HEAD
+# uniforms up front, which its three Beta draws nearly always fit in (the shipped
+# model's six gamma variates end at uniform 23 in the median, past 32 in 1 unit of 25 000).
+_BLOCK = 256
 _HEAD = 32
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx). The pool of SeedSequence(seed) is each unit's pool
@@ -199,50 +206,70 @@ def _box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     return np.multiply(z, u2, out=z)
 
 
-def _head_normals(head: np.ndarray) -> np.ndarray:
-    """The Box-Muller normal at each offset of the head's last axis, as a unit
-    generated alone would draw it there: offset i reads uniforms i and i + 1."""
-    return _box_muller(head[..., :-1].copy(), head[..., 1:].copy())
+def _libm(f, a: np.ndarray, *args: float) -> np.ndarray:
+    """f of Python's math, applied to each element of the array a (and the further arguments): numpy's SIMD power
+    and log can differ from libm in the last bit, and a unit must draw as it did when generated alone."""
+    return np.fromiter(map(f, a.tolist(), *map(repeat, args)), float, a.size)
 
 
-def _gamma_variate(h: list, z: list, cur: int, shape: float) -> tuple[float, int]:
-    """Marsaglia-Tsang squeeze over a unit's head: its uniforms h, the normals z
-    at each offset, and the cursor of the first unused uniform. Returns the
-    variate and the cursor after it; IndexError when the head runs out.
+def _gammas(heads: np.ndarray, cur: np.ndarray, ok: np.ndarray, shape: float) -> np.ndarray:
+    """Marsaglia-Tsang gamma variates of one shape, one for each row of heads with ok set, drawn in lockstep.
+
+    Each unit reads its own head from its cursor in cur, which ends past its draw, in the order and with the float
+    operations of a unit drawn alone; each pass tries again for the units that rejected. A unit whose draw would
+    read past its head clears its ok and keeps a variate of 1.
     """
-    # the shape < 1 case boosts through shape + 1, with its uniform read after that draw's
+    size = heads.shape[1]
     if shape < 1.0:
-        g, cur = _gamma_variate(h, z, cur, shape + 1.0)
-        return g * (1.0 - h[cur]) ** (1.0 / shape), cur + 1
+        # the shape < 1 case boosts through shape + 1, with its uniform read after that draw's
+        g = _gammas(heads, cur, ok, shape + 1.0)
+        ok &= cur < size
+        rows = np.flatnonzero(ok)
+        g[rows] *= _libm(math.pow, 1.0 - heads[rows, cur[rows]], 1.0 / shape)
+        cur[rows] += 1
+        return g
     d = shape - 1.0 / 3.0
     c = 1.0 / math.sqrt(9.0 * d)
-    while True:
-        x = z[cur]
-        cur += 2
-        v = (1.0 + c * x) ** 3
-        if v <= 0.0:
-            continue
-        u = h[cur]
-        cur += 1
-        if u < 1.0 - 0.0331 * x**4:
-            return d * v, cur
-        if u > 0.0 and math.log(u) < 0.5 * x * x + d - d * v + d * math.log(v):
-            return d * v, cur
+    g = np.ones(len(cur))
+    rows = np.flatnonzero(ok)
+    while rows.size:
+        # a try reads the normal at uniforms at and at + 1, then u at at + 2 or, when v <= 0, the next try's normal
+        at = cur[rows]
+        fits = at < size - 2
+        ok[rows[~fits]] = False
+        rows, at = rows[fits], at[fits]
+        x = _box_muller(heads[rows, at], heads[rows, at + 1])
+        v = _libm(math.pow, 1.0 + c * x, 3.0)
+        u = heads[rows, at + 2]
+        positive = v > 0.0
+        cur[rows] = at + 2 + positive
+        accept = positive & (u < 1.0 - 0.0331 * _libm(math.pow, x, 4.0))
+        logs = positive & ~accept & (u > 0.0)
+        if logs.any():
+            x, w = x[logs], v[logs]
+            accept[logs] = _libm(math.log, u[logs]) < 0.5 * x * x + d - d * w + d * _libm(math.log, w)
+        g[rows[accept]] = d * v[accept]
+        rows = rows[~accept]
+    return g
 
 
-def _unit_betas(h: list, z: list, betas) -> tuple[list, int]:
-    """A unit's Beta draws, in order, from its head; and the cursor after them."""
-    draws, cur = [], 0
-    for a, b in betas:
+@np.errstate(invalid="raise")  # 0 / 0, when both gamma variates underflow, raises as Python's float division does
+def _block_betas(heads: np.ndarray, betas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each unit's Beta draws from its head, one row of heads: the draws (one row per Beta pair), each unit's cursor
+    after them, and whether they fit in its head (the draws and cursor of a unit that does not are meaningless)."""
+    cur = np.zeros(len(heads), np.intp)
+    ok = np.ones(len(heads), bool)
+    draws = np.empty((len(betas), len(heads)))
+    for row, (a, b) in zip(draws, betas):
         if b == 0.0:
-            draws.append(1.0)
+            row[:] = 1.0
         elif a == 0.0:
-            draws.append(0.0)
+            row[:] = 0.0
         else:
-            x, cur = _gamma_variate(h, z, cur, a)
-            y, cur = _gamma_variate(h, z, cur, b)
-            draws.append(x / (x + y))
-    return draws, cur
+            x = _gammas(heads, cur, ok, a)
+            y = _gammas(heads, cur, ok, b)
+            np.divide(x, x + y, out=row)
+    return draws, cur, ok
 
 
 @np.errstate(over="ignore")  # an overflow draws inf, which sample_mixture redraws
@@ -303,52 +330,67 @@ def hmpm_unit_counts(config: VotingModelConfig) -> list[tuple[int, int]]:
     never exceed max_voters.
 
     Units are generated _BLOCK at a time: each draws its first _HEAD uniforms
-    into one array, whose Box-Muller normals at every offset come from one
-    numpy pass. The Marsaglia-Tsang rejection loop then reads each unit's
-    head in Python, in the order and with the float operations of a unit
-    generated alone; a unit whose Beta draws outrun its head doubles it with
-    the next uniforms of its stream and reads it again. The Bernoulli counts
-    read the unit's next uniforms from one buffer of 3 * max_voters,
-    allocated once per call: the head's rest, then one draw for the rest of
-    the turnout's max_voters uniforms, then one for the 2 * turnout after
-    them, over which the partisans, the loyal partisans and the swing voters
-    for A are counts over three slices. Blocks and the buffer change neither
-    a unit's stream nor the order it is read in. A block's generators are
-    seeded together, by _unit_rngs.
+    into one array, from which _block_betas draws the whole block's Beta
+    variates in lockstep. Each pass makes one Marsaglia-Tsang try for every
+    unit that still needs a variate, at the unit's own cursor, with numpy
+    gathers, Box-Muller normals only at the offsets read, and libm for pow and
+    log, so that each unit gets the draws and cursor of a unit generated
+    alone. The units whose Beta draws would read past their heads double them
+    with the next uniforms of their streams and run the same lockstep again.
+    The Bernoulli counts read the unit's next uniforms from one buffer of
+    3 * max_voters, allocated once per call: the head's rest, then one draw
+    for the rest of the turnout's max_voters uniforms, then one for the
+    2 * turnout after them, over which the partisans, the loyal partisans and
+    the swing voters for A are counts over three slices, compared into one
+    reused boolean mask. Blocks and the buffer change neither a unit's stream
+    nor the order it is read in. A block's generators are seeded together, by
+    _unit_rngs.
     """
-    betas = (config.turnout_dist, config.partisan_fraction_dist, config.swing_prob_dist)
-    n, loyalty = config.max_voters, config.partisan_loyalty
-    buf = np.empty(3 * n)
+    n = config.max_voters
+    # the counts' buffer and mask, and the block's heads, serve every block
+    shared = np.empty(3 * n), np.empty(3 * n, bool), np.empty((min(_BLOCK, config.n_units), _HEAD))
     units = []
     for start in range(0, config.n_units, _BLOCK):
-        rngs = _unit_rngs(config.seed, start, min(start + _BLOCK, config.n_units))
-        heads = np.empty((len(rngs), _HEAD))
-        for rng, head in zip(rngs, heads):
-            rng.random(out=head)
-        normals = _head_normals(heads).tolist()
-        for rng, head, h, z in zip(rngs, heads, heads.tolist(), normals):
-            while True:
-                try:
-                    (t, phi, w), cur = _unit_betas(h, z, betas)
-                    break
-                except IndexError:
-                    # the generator has drawn exactly the head, so its next uniforms double it in place
-                    head = np.concatenate((head, rng.random(head.size)))
-                    h, z = head.tolist(), _head_normals(head).tolist()
-            # the turnout's n uniforms start at the first one the Beta draws left unused, and the 2 * turnout after
-            # them are the partisans among the turnout, then the loyal partisans and the swing voters for A. The
-            # buffer holds the head's rest, and each draw fills what the rest does not (a zero-size draw draws nothing)
-            rest = head[cur:cur + 3 * n]
-            k = rest.size
-            buf[:k] = rest
-            rng.random(out=buf[k:n])
-            turnout = int(np.count_nonzero(buf[:n] < t))
-            votes = buf[n:n + 2 * turnout]
-            rng.random(out=buf[max(k, n):n + 2 * turnout])
-            partisans = int(np.count_nonzero(votes[:turnout] < phi))
-            a = (int(np.count_nonzero(votes[turnout:turnout + partisans] < loyalty))
-                 + int(np.count_nonzero(votes[turnout + partisans:] < w)))
-            units.append((a, turnout - a))
+        units += _block_units(config, start, *shared)
+    return units
+
+
+def _block_units(config: VotingModelConfig, start: int, buf: np.ndarray, below: np.ndarray,
+                 heads: np.ndarray) -> list[tuple[int, int]]:
+    """The counts of units start <= j < start + _BLOCK. Their generators go when it returns, before the next
+    block's are made."""
+    betas = (config.turnout_dist, config.partisan_fraction_dist, config.swing_prob_dist)
+    n, loyalty = config.max_voters, config.partisan_loyalty
+    rngs = _unit_rngs(config.seed, start, min(start + _BLOCK, config.n_units))
+    heads = heads[:len(rngs)]
+    for rng, head in zip(rngs, heads):
+        rng.random(out=head)
+    draws, cur, ok = _block_betas(heads, betas)
+    heads = list(heads)
+    redo = np.flatnonzero(~ok)
+    while redo.size:
+        # these generators have drawn exactly their heads, so their next uniforms double them
+        for j in redo:
+            heads[j] = np.concatenate((heads[j], rngs[j].random(heads[j].size)))
+        draws[:, redo], cur[redo], ok = _block_betas(np.array([heads[j] for j in redo]), betas)
+        redo = redo[~ok]
+    units = []
+    for rng, head, t, phi, w, k in zip(rngs, heads, *draws.tolist(), cur.tolist()):
+        # the turnout's n uniforms start at the first one the Beta draws left unused, and the 2 * turnout after
+        # them are the partisans among the turnout, then the loyal partisans and the swing voters for A. The
+        # buffer holds the head's rest, and each draw fills what the rest does not (a zero-size draw draws nothing)
+        rest = head[k:k + 3 * n]
+        buf[:rest.size] = rest
+        rng.random(out=buf[rest.size:n])
+        turnout = int(np.count_nonzero(np.less(buf[:n], t, out=below[:n])))
+        lo, hi = n + turnout, n + 2 * turnout
+        rng.random(out=buf[max(rest.size, n):hi])
+        mid = lo + int(np.count_nonzero(np.less(buf[n:lo], phi, out=below[n:lo])))
+        # the votes for A, loyal partisans and swing voters alike, are one count
+        np.less(buf[lo:mid], loyalty, out=below[lo:mid])
+        np.less(buf[mid:hi], w, out=below[mid:hi])
+        a = int(np.count_nonzero(below[lo:hi]))
+        units.append((a, turnout - a))
     return units
 
 

@@ -7,10 +7,10 @@ each value's decimal string instead of dividing by powers of ten. The
 digit-keyed chi-squared and ln B01 oracles pin the float operations of the
 reports instead: they must agree with the library bit for bit, as must the
 former per-cell chi-squared, ln B01 and proportions fill, the voting model's
-former scalar generator and the former `--proportions` writer; the former
-decade walk must count exactly what its closed form counts, the former
-per-slice digit kernel what the prefix table counts, and the plain reader's
-former per-cell loop what its array classifier sorts.
+former scalar generator and head readers, and the former `--proportions`
+writer; the former decade walk must count exactly what its closed form
+counts, the former per-slice digit kernel what the prefix table counts, and
+the plain reader's former per-cell loop what its array classifier sorts.
 """
 
 import csv
@@ -26,7 +26,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 
-from digitscreen import cli, digits
+from digitscreen import cli, digits, simulate
 
 
 def mp_gamma_q(a: float, x: float, dps: int = 40) -> float:
@@ -329,6 +329,58 @@ def scalar_hmpm_unit_counts(config) -> list[tuple[int, int]]:
         a = _bernoulli_count(rng, partisans, config.partisan_loyalty) + _bernoulli_count(rng, swing, w)
         units.append((a, turnout - a))
     return units
+
+
+# The voting model's former head readers, copied from digitscreen.simulate: the Marsaglia-Tsang loop run in Python
+# over one unit's head, its uniforms h and the Box-Muller normal z at each offset, with Python's float operations.
+# simulate._block_betas must give each unit the same Beta draws and cursor, bit for bit, and must find a unit's head
+# too short exactly where these raise IndexError.
+
+
+def head_normals(head: np.ndarray) -> list:
+    """The Box-Muller normal at each offset of a unit's head, as a unit generated alone would draw it there: offset
+    i reads uniforms i and i + 1."""
+    return simulate._box_muller(head[:-1].copy(), head[1:].copy()).tolist()
+
+
+def head_gamma_variate(h: list, z: list, cur: int, shape: float) -> tuple[float, int]:
+    """Marsaglia-Tsang squeeze over a unit's head: its uniforms h, the normals z
+    at each offset, and the cursor of the first unused uniform. Returns the
+    variate and the cursor after it; IndexError when the head runs out.
+    """
+    # the shape < 1 case boosts through shape + 1, with its uniform read after that draw's
+    if shape < 1.0:
+        g, cur = head_gamma_variate(h, z, cur, shape + 1.0)
+        return g * (1.0 - h[cur]) ** (1.0 / shape), cur + 1
+    d = shape - 1.0 / 3.0
+    c = 1.0 / math.sqrt(9.0 * d)
+    while True:
+        x = z[cur]
+        cur += 2
+        v = (1.0 + c * x) ** 3
+        if v <= 0.0:
+            continue
+        u = h[cur]
+        cur += 1
+        if u < 1.0 - 0.0331 * x**4:
+            return d * v, cur
+        if u > 0.0 and math.log(u) < 0.5 * x * x + d - d * v + d * math.log(v):
+            return d * v, cur
+
+
+def head_unit_betas(h: list, z: list, betas) -> tuple[list, int]:
+    """A unit's Beta draws, in order, from its head; and the cursor after them."""
+    draws, cur = [], 0
+    for a, b in betas:
+        if b == 0.0:
+            draws.append(1.0)
+        elif a == 0.0:
+            draws.append(0.0)
+        else:
+            x, cur = head_gamma_variate(h, z, cur, a)
+            y, cur = head_gamma_variate(h, z, cur, b)
+            draws.append(x / (x + y))
+    return draws, cur
 
 
 # The former `screen --proportions` writer, copied from digitscreen.cli: one

@@ -28,7 +28,7 @@ from digitscreen.simulate import (
     sample_mixture,
     screen_mixture,
 )
-from oracles import scalar_hmpm_unit_counts
+from oracles import head_normals, head_unit_betas, scalar_hmpm_unit_counts
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -300,13 +300,24 @@ class TestVotingModelOracle:
 
     def test_units_that_outrun_the_head_match_scalar_oracle(self, monkeypatch):
         # a 4-uniform head holds no Beta draw, so every unit with one doubles its head, once to 8 uniforms
-        sizes = []
-        head_normals = simulate._head_normals
+        widths = []
+        block_betas = simulate._block_betas
+
+        def recording(heads, betas):
+            widths.extend([heads.shape[1]] * len(heads))
+            return block_betas(heads, betas)
+
         monkeypatch.setattr(simulate, "_HEAD", 4)
-        monkeypatch.setattr(simulate, "_head_normals", lambda head: sizes.append(head.shape) or head_normals(head))
+        monkeypatch.setattr(simulate, "_block_betas", recording)
         cfg = replace(default_voting_config(9), n_units=70, swing_prob_dist=(30.0, 2.5))
         assert hmpm_unit_counts(cfg) == scalar_hmpm_unit_counts(cfg)
-        assert sizes.count((8,)) == cfg.n_units
+        assert widths.count(8) == cfg.n_units
+
+    def test_a_short_last_block_reads_only_its_own_heads(self, monkeypatch):
+        # the last block holds 3 units; the rows of the first block's 4-uniform heads, which all ran out, are not its
+        monkeypatch.setattr(simulate, "_HEAD", 4)
+        cfg = replace(default_voting_config(9), n_units=simulate._BLOCK + 3, max_voters=40)
+        assert hmpm_unit_counts(cfg) == scalar_hmpm_unit_counts(cfg)
 
     def test_bernoulli_counts_in_chunks_match_scalar_oracle(self, monkeypatch):
         # past its head, a unit draws the rest of the turnout's uniforms and then the 2 * turnout after them: at
@@ -349,10 +360,176 @@ class TestVotingModelOracle:
 
     def test_oracle_sees_a_dropped_head_remainder(self, monkeypatch):
         # counting turnout from fresh uniforms, past the head's unused ones, changes the units
-        unit_betas = simulate._unit_betas
-        monkeypatch.setattr(simulate, "_unit_betas", lambda h, z, betas: (unit_betas(h, z, betas)[0], len(h)))
+        block_betas = simulate._block_betas
+
+        def past_the_head(heads, betas):
+            draws, cur, ok = block_betas(heads, betas)
+            return draws, np.full_like(cur, heads.shape[1]), ok
+
+        monkeypatch.setattr(simulate, "_block_betas", past_the_head)
         cfg = replace(default_voting_config(9), n_units=40)
         assert hmpm_unit_counts(cfg) != scalar_hmpm_unit_counts(cfg)
+
+
+def doubles_near(value: float, steps: int) -> list:
+    """value and the doubles up to steps ulps below and above it."""
+    below, above = [value], [value]
+    for _ in range(steps):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[::-1] + above[1:]
+
+
+def head_reader_betas(heads: np.ndarray, betas) -> list:
+    """Each head's Beta draws and cursor from the former head readers, or None where they run out of head."""
+    out = []
+    for head in heads:
+        try:
+            out.append(head_unit_betas(head.tolist(), head_normals(head), betas))
+        except IndexError:
+            out.append(None)
+    return out
+
+
+class TestBlockBetas:
+    """The block Beta stage against the former per-unit head readers, bit for bit."""
+
+    def assert_matches_head_readers(self, heads: np.ndarray, betas) -> tuple:
+        """Each unit's draws and cursor equal the head readers', and its head fits them exactly where theirs does;
+        returns the block stage's draws, cursors and fits."""
+        draws, cur, ok = simulate._block_betas(heads, betas)
+        for j, expected in enumerate(head_reader_betas(heads, betas)):
+            assert bool(ok[j]) == (expected is not None), j
+            if expected is not None:
+                got = [x.hex() for x in draws[:, j].tolist()], int(cur[j])
+                assert got == ([x.hex() for x in expected[0]], expected[1]), j
+        return draws, cur, ok
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(BETA_PAIRS, BETA_PAIRS, BETA_PAIRS), st.sampled_from([4, 8, 32]), st.integers(1, 40),
+           st.integers(0, 2**32 - 1))
+    def test_matches_head_readers(self, betas, head, units, seed):
+        self.assert_matches_head_readers(np.random.default_rng(seed).random((units, head)), betas)
+
+    def test_a_try_with_v_at_most_zero_reads_the_next_normal(self):
+        # offset 0's normal is -3.72, so shape 1's 1 + c x = 1 - 3.72 / sqrt(6) is below 0: the try reads no u, and
+        # the next one starts at uniform 2
+        head = np.array([0.999, 0.5, 0.3, 0.7, 0.2, 0.6, 0.4, 0.1, 0.8, 0.35, 0.65, 0.45])
+        assert 1.0 + head_normals(head)[0] / math.sqrt(6.0) < 0.0
+        _, _, ok = self.assert_matches_head_readers(np.vstack([head, head[::-1]]), ((1.0, 2.5), (0.0, 1.0), (1.0, 0.0)))
+        assert ok.all()
+
+    @pytest.mark.parametrize("u,accepted", [(0.9, True), (0.99, False)])
+    def test_a_try_that_fails_the_squeeze_takes_the_log_test(self, u, accepted):
+        # offset 0's normal is 1.8, where the squeeze accepts only u < 1 - 0.0331 * 1.8^4 = 0.65; for shape 2.5 the
+        # log test then accepts u = 0.9 and rejects u = 0.99
+        head = np.array([1.0 - math.exp(-1.62), 0.0, u, 0.3, 0.2, 0.1, 0.6, 0.4, 0.5, 0.7, 0.2, 0.3])
+        x = head_normals(head)[0]
+        d = 2.5 - 1.0 / 3.0
+        v = (1.0 + 1.0 / math.sqrt(9.0 * d) * x) ** 3
+        assert u >= 1.0 - 0.0331 * x**4
+        assert (math.log(u) < 0.5 * x * x + d - d * v + d * math.log(v)) == accepted
+        _, _, ok = self.assert_matches_head_readers(head[None], ((2.5, 30.0), (1.0, 0.0), (1.0, 0.0)))
+        assert ok.all()
+
+    # A uniform of exactly 0, and the float ties below, come from a generator about once in 2^53 tries; each
+    # decides a try, so heads that reach them are built here. A tie that depends on numpy's Box-Muller normal is
+    # searched for on the CPU the test runs on.
+
+    def test_a_try_with_v_exactly_zero_reads_the_next_normal(self):
+        # offset 0's normal is about -3, and a shape whose 1 + c x is exactly 0 there makes v = 0, which takes the
+        # v <= 0 branch: the try reads no u (the log test would take log 0)
+        for u1 in np.linspace(0.9885, 0.9892, 50).tolist():
+            head = np.array([u1, 0.5, 0.3, 0.3, 0.2, 0.1, 0.6, 0.4, 0.5, 0.7, 0.2, 0.3])
+            x = head_normals(head)[0]
+            shapes = [s for s in doubles_near(x * x / 9.0 + 1.0 / 3.0, 30)
+                      if 1.0 + 1.0 / math.sqrt(9.0 * (s - 1.0 / 3.0)) * x == 0.0]
+            if shapes:
+                break
+        assert shapes
+        _, _, ok = self.assert_matches_head_readers(head[None], ((shapes[0], 2.5), (1.0, 0.0), (1.0, 0.0)))
+        assert ok.all()
+
+    @pytest.mark.parametrize("u1,accepted", [(0.7, True), (0.99, False)])
+    def test_a_zero_u_passes_only_the_squeeze(self, u1, accepted):
+        # offset 0's normal is 1.55 (u1 = 0.7) or 3.03 (u1 = 0.99): u = 0 is below the squeeze 1 - 0.0331 x^4 at the
+        # first, and at the second the log test, which takes only u > 0, rejects it
+        head = np.array([u1, 0.0, 0.0, 0.3, 0.2, 0.1, 0.6, 0.4, 0.5, 0.7, 0.2, 0.3])
+        assert (0.0 < 1.0 - 0.0331 * head_normals(head)[0] ** 4) == accepted
+        _, cur, ok = self.assert_matches_head_readers(head[None], ((2.5, 1.0), (1.0, 0.0), (1.0, 0.0)))
+        assert ok.all() and cur.tolist() == [6 if accepted else 9]
+
+    def test_a_u_on_the_squeeze_bound_takes_the_log_test(self):
+        # the squeeze accepts u < 1 - 0.0331 x^4 only; for a normal near 0 the bound is just below 1, where the log
+        # test's right-hand side is all rounding, and it can reject a u on the bound
+        d = 2.5 - 1.0 / 3.0
+        c = 1.0 / math.sqrt(9.0 * d)
+        for u2 in np.linspace(0.2499, 0.24998, 2000).tolist():
+            x = head_normals(np.array([0.5, u2]))[0]
+            u = 1.0 - 0.0331 * x**4
+            v = (1.0 + c * x) ** 3
+            rejected = 0.0 < u < 1.0 and not math.log(u) < 0.5 * x * x + d - d * v + d * math.log(v)
+            if rejected:
+                break
+        assert rejected
+        head = np.array([0.5, u2, u, 0.3, 0.2, 0.1, 0.6, 0.4, 0.5, 0.7, 0.2, 0.3])
+        _, cur, ok = self.assert_matches_head_readers(head[None], ((2.5, 1.0), (1.0, 0.0), (1.0, 0.0)))
+        assert ok.all() and cur.tolist() == [9]
+
+    def test_a_u_whose_log_ties_the_log_test_is_rejected(self):
+        # the log test accepts log u < 0.5 x^2 + d - d v + d log v only, so a u above the squeeze whose log equals the
+        # right-hand side exactly is rejected
+        d = 2.5 - 1.0 / 3.0
+        c = 1.0 / math.sqrt(9.0 * d)
+        for u2 in np.linspace(0.0, 0.05, 400).tolist():
+            x = head_normals(np.array([0.7, u2]))[0]
+            v = (1.0 + c * x) ** 3
+            bound = 0.5 * x * x + d - d * v + d * math.log(v)
+            ties = [u for u in doubles_near(math.exp(bound), 4)
+                    if math.log(u) == bound and 1.0 - 0.0331 * x**4 <= u < 1.0]
+            if ties:
+                break
+        assert ties
+        head = np.array([0.7, u2, ties[0], 0.3, 0.2, 0.1, 0.6, 0.4, 0.5, 0.7, 0.2, 0.3])
+        _, _, ok = self.assert_matches_head_readers(head[None], ((2.5, 1.0), (1.0, 0.0), (1.0, 0.0)))
+        assert ok.all()
+
+    def test_degenerate_pairs_read_no_uniform(self):
+        heads = np.random.default_rng(5).random((6, 4))
+        draws, cur, ok = self.assert_matches_head_readers(heads, ((1.0, 0.0), (0.0, 2.5), (0.0, 0.19)))
+        assert draws.tolist() == [[1.0] * 6, [0.0] * 6, [0.0] * 6] and cur.tolist() == [0] * 6 and ok.all()
+        self.assert_matches_head_readers(heads, ((0.58, 0.0), (0.85, 2.5), (0.0, 30.0)))
+
+    @pytest.mark.parametrize("head,shape,fits", [
+        ([0.3, 0.2, 0.1], 0.5, False),  # the try fits, and the boost's uniform is the one past the head
+        ([0.3, 0.2, 0.1, 0.5, 0.3, 0.2, 0.1], 0.5, True),
+        ([0.999, 0.5, 0.3], 1.0, False),  # a try with v <= 0 fits, and the next one's normal does not
+        ([0.999, 0.5, 0.3, 0.7], 1.0, False),  # the next try's normal fits, and its u does not
+        ([0.999, 0.5, 0.3, 0.7, 0.2, 0.3, 0.2, 0.1], 1.0, True),
+    ])
+    def test_a_head_that_runs_out_is_reported(self, head, shape, fits):
+        # where the head fits, the pair's second variate accepts its first try, on the head's last three uniforms
+        _, _, ok = self.assert_matches_head_readers(np.array([head]), ((shape, 1.0), (1.0, 0.0), (1.0, 0.0)))
+        assert ok.tolist() == [fits]
+
+    def test_power_and_log_are_libm(self):
+        # numpy's SIMD power can round the last bit differently from libm's pow (on AVX-512, np.power(w, 3.0)
+        # differs on about 5 % of values); the block stage must give libm's bits
+        heads = np.random.default_rng(11).random((2048, 32))
+        self.assert_matches_head_readers(heads, ((2.5, 30.0), (1.05, 0.19), (0.58, 0.85)))
+        w = 1.0 + np.array([head_normals(head)[0] for head in heads]) / math.sqrt(9.0 * (2.5 - 1.0 / 3.0))
+        sample = np.random.default_rng(0).random(250_000) + 0.5
+        if (np.power(sample, 3.0) != [x**3 for x in sample.tolist()]).any():
+            # so some unit's first try here reads a v that numpy's power would give differently
+            assert (np.power(w, 3.0) != [x**3 for x in w.tolist()]).any()
+
+    def test_beta_of_two_underflowing_gammas_is_an_error(self):
+        # with shapes this small both gamma variates of a pair can underflow to 0, and 0 / 0 is no Beta draw
+        cfg = replace(default_voting_config(1), n_units=2000, max_voters=10, turnout_dist=(0.001, 0.001))
+        with pytest.raises(ZeroDivisionError):
+            scalar_hmpm_unit_counts(cfg)
+        with pytest.raises(FloatingPointError, match="invalid value encountered in divide"):
+            hmpm_unit_counts(cfg)
 
 
 class TestConformanceExperiment:

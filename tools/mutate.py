@@ -2,7 +2,8 @@
 rule, the law sum check, the readers' cell classifier (with the csv reader's
 batch re-join) and row bound (with the column builder and both readers), the
 unchecked tally constructor, a column's checks and exclusion record, the
-stderr diagnostic lines and the mixture writer's shortest-digit kernel.
+stderr diagnostic lines, the mixture writer's shortest-digit kernel and the
+voting model's block Beta stage and count loop.
 
 Each mutant changes one spot of one target: a relational operator flipped
 (< and <=, > and >=, == and !=, each way), an int constant shifted by one
@@ -64,6 +65,8 @@ TARGETS = (
     Target("diagnostic-lines", "cli.py", ("_diagnostic_lines",), ("tests/test_cli.py",)),
     Target("repr-lines", "cli.py", ("_KERNEL_LOW", "_LOW32", "_POW10", "_ryu_tables", "_mul_shift", "_repr_lines"),
            ("tests/test_cli.py::TestReprLines", "tests/test_cli.py::test_simulate_digests_under_baseline_dispatch")),
+    Target("voting-model", "simulate.py", ("_libm", "_gammas", "_block_betas", "hmpm_unit_counts", "_block_units"),
+           ("tests/test_simulate.py", "tests/test_cli.py::test_simulate_digests_under_baseline_dispatch")),
 )
 
 _FLIPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt, ast.Eq: ast.NotEq, ast.NotEq: ast.Eq}
