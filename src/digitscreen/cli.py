@@ -748,6 +748,7 @@ def run_simulation(job: SimulationJob, out_path: Path | None, fmt: str) -> str:
         if out_path is not None:
             _write_table(out_path, "value", (_repr_lines(samples[i:i + _SAMPLE_BLOCK])
                                             for i in range(0, samples.size, _SAMPLE_BLOCK)))
+        samples.sort()  # in place, once the CSV holds them in draw order: each law screens them without a copy
         laws = job.experiment.laws if job.experiment is not None else ()
         rows = tuple(ReportRow("samples", law.kind, sim.screen_mixture(samples, law)) for law in laws)
     else:

@@ -7,7 +7,14 @@ Box-Muller, Marsaglia-Tsang, Bernoulli counting), so identical configs give
 bit-identical output on the same numpy build and CPU dispatch. Nothing more
 is promised: numpy's SIMD log, exp and tan can differ in the last bit between
 dispatch targets, and the shipped lognormal mixture writes different values
-under AVX512 than under SSE4.2. Unit j of a voting run uses the stream
+under AVX512 than under SSE4.2. A mixture draws membership first, one uniform
+per sample; then each component writes its samples straight into the output a
+block of _MEMBERSHIP_BLOCK samples at a time, reading its own positions in the
+stream as one whole-array draw would. Lognormal's Box-Muller reads its second
+array through a copy of the generator advanced past the first. So a mixture
+takes about 9 bytes per sample beside one block: 8 for the output and 1 for
+membership (`simulate` sorts the samples in place once its CSV is written, so
+screening adds no copy). Unit j of a voting run uses the stream
 PCG64(SeedSequence(seed, spawn_key=(j,))), which makes per-unit generation
 order-independent and safe to parallelize. Units are generated in blocks,
 but each unit reads its own stream in the order of a unit generated alone.
@@ -25,6 +32,7 @@ numpy's SeedSequence hash, so j is one uint32 word and n_units is at most
 from __future__ import annotations
 
 import configparser
+import copy
 import math
 from dataclasses import dataclass, field, replace
 from importlib import resources
@@ -44,8 +52,8 @@ MIXTURE_FAMILIES = tuple(_FAMILY_PARAMS)
 
 _MAX_REDRAW_ROUNDS = 100
 
-# samples per block of mixture membership uniforms, which keeps that draw's
-# temporaries small beside the one byte per sample that membership takes
+# samples per block of the mixture's membership uniforms and of each component's draws, which keeps their
+# temporaries small beside the 9 bytes per sample that the samples and membership take
 _MEMBERSHIP_BLOCK = 1 << 16
 
 # The voting model builds its units' generators a block at a time: 256 of them
@@ -253,7 +261,6 @@ def _gammas(heads: np.ndarray, cur: np.ndarray, ok: np.ndarray, shape: float) ->
     return g
 
 
-@np.errstate(invalid="raise")  # 0 / 0, when both gamma variates underflow, raises as Python's float division does
 def _block_betas(heads: np.ndarray, betas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each unit's Beta draws from its head, one row of heads: the draws (one row per Beta pair), each unit's cursor
     after them, and whether they fit in its head (the draws and cursor of a unit that does not are meaningless)."""
@@ -268,23 +275,64 @@ def _block_betas(heads: np.ndarray, betas) -> tuple[np.ndarray, np.ndarray, np.n
         else:
             x = _gammas(heads, cur, ok, a)
             y = _gammas(heads, cur, ok, b)
-            np.divide(x, x + y, out=row)
+            total = x + y
+            if not total.all():
+                raise ValueError(f"cannot draw Beta({a}, {b}): both of its gamma variates underflowed to 0, so the "
+                                 "draw is 0 / 0; its shapes are too small")
+            np.divide(x, total, out=row)
     return draws, cur, ok
 
 
-@np.errstate(over="ignore")  # an overflow draws inf, which sample_mixture redraws
-def _draw_family(rng: np.random.Generator, comp: MixtureComponent, size: int) -> np.ndarray:
+@np.errstate(over="ignore")  # an overflow draws inf, which _draw_family redraws
+def _family_values(rng: np.random.Generator, comp: MixtureComponent, size: int,
+                   second: np.random.Generator | None = None) -> np.ndarray:
+    """size draws of the component's family, one uniform each from rng; lognormal's Box-Muller reads a second
+    uniform each, from ``second`` when given and otherwise from rng after the first size."""
     p = comp.params
+    u = rng.random(size)
     if comp.family == "lognormal":
-        z = _box_muller(rng.random(size), rng.random(size))
+        z = _box_muller(u, (rng if second is None else second).random(size))
         np.multiply(z, p["sigma"], out=z)
         np.add(z, p["mu"], out=z)
         return np.exp(z, out=z)
     if comp.family == "half-cauchy":
-        return p["scale"] * np.tan(0.5 * np.pi * rng.random(size))
+        return p["scale"] * np.tan(0.5 * np.pi * u)
     if comp.family == "scaled-exponential":
-        return -p["scale"] * np.log(1.0 - rng.random(size))
-    return p["low"] + rng.random(size) * (p["high"] - p["low"])
+        return -p["scale"] * np.log(1.0 - u)
+    return p["low"] + u * (p["high"] - p["low"])
+
+
+def _draw_family(rng: np.random.Generator, comp: MixtureComponent, size: int, membership: np.ndarray, j: int,
+                 out: np.ndarray) -> None:
+    """Draw component j's size samples into out, at the positions where membership is j, a block at a time.
+
+    The draws read the stream as one whole-array draw of size values would, then redraw the values that are not
+    finite positive reals in rounds, in sample order. Lognormal's second uniforms start size uniforms on, so they
+    come from a copy of the generator advanced that far (each double is one 64-bit step), whose state rng then takes.
+    """
+    second = None
+    if comp.family == "lognormal":
+        second = np.random.Generator(copy.deepcopy(rng.bit_generator).advance(size))
+    bad = []
+    for start in range(0, membership.size, _MEMBERSHIP_BLOCK):
+        slots = membership[start:start + _MEMBERSHIP_BLOCK] == j
+        draws = _family_values(rng, comp, int(np.count_nonzero(slots)), second)
+        out[start:start + slots.size][slots] = draws
+        ok = (draws > 0.0) & (draws < math.inf)
+        if not ok.all():
+            bad.append(np.flatnonzero(slots)[~ok] + start)
+    if second is not None:
+        rng.bit_generator.state = second.bit_generator.state
+    bad = np.concatenate(bad) if bad else np.empty(0, np.intp)
+    for _ in range(_MAX_REDRAW_ROUNDS):
+        if not bad.size:
+            break
+        draws = _family_values(rng, comp, bad.size)
+        ok = (draws > 0.0) & (draws < math.inf)
+        out[bad[ok]] = draws[ok]
+        bad = bad[~ok]
+    else:
+        raise RuntimeError(f"component {j} ({comp.family}) kept producing non-positive or non-finite draws")
 
 
 def sample_mixture(config: MixtureConfig) -> np.ndarray:
@@ -297,26 +345,16 @@ def sample_mixture(config: MixtureConfig) -> np.ndarray:
     rng = np.random.default_rng(config.seed)
     cum = np.cumsum([c.weight for c in config.components])
     cum[-1] = 1.0
-    # drawn in blocks, the membership uniforms are the same stream as in one draw
     membership = np.empty(config.n_samples, dtype=np.min_scalar_type(len(cum)))
+    sizes = np.zeros(len(cum), np.int64)
     for start in range(0, config.n_samples, _MEMBERSHIP_BLOCK):
         block = membership[start:start + _MEMBERSHIP_BLOCK]
         block[:] = np.searchsorted(cum, rng.random(block.size), side="right")
+        sizes += np.bincount(block, minlength=len(cum))
     out = np.empty(config.n_samples, dtype=float)
-    for j, comp in enumerate(config.components):
-        slots = membership == j
-        size = int(np.count_nonzero(slots))
-        if size == 0:
-            continue
-        draws = _draw_family(rng, comp, size)
-        for _ in range(_MAX_REDRAW_ROUNDS):
-            bad = ~((draws > 0.0) & (draws < math.inf))
-            if not bad.any():
-                break
-            draws[bad] = _draw_family(rng, comp, int(bad.sum()))
-        else:
-            raise RuntimeError(f"component {j} ({comp.family}) kept producing non-positive or non-finite draws")
-        out[slots] = draws
+    for j, (comp, size) in enumerate(zip(config.components, sizes.tolist())):
+        if size:
+            _draw_family(rng, comp, size, membership, j, out)
     return out
 
 
@@ -469,10 +507,17 @@ def conformance_experiment(
 
 
 def screen_mixture(samples, law: DigitDistribution) -> TestReport:
-    """Screen the significant digits of real-valued samples against a marginal law, at equal prior odds."""
+    """Screen the significant digits of real-valued samples against a marginal law, at equal prior odds.
+
+    The report's median reads the samples in increasing order: samples already in that order are read as they are,
+    and others through a sorted copy, so the caller's array is never changed.
+    """
     _check_mixture_law(law)
     cv = real_digit_frequencies(samples, law.digit_index)
-    return report_from_counts(cv, np.sort(samples), law)
+    values = np.asarray(samples)
+    if not (values[1:] >= values[:-1]).all():
+        values = np.sort(values)
+    return report_from_counts(cv, values, law)
 
 
 def _check_mixture_law(law: DigitDistribution) -> None:

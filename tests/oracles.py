@@ -7,9 +7,10 @@ each value's decimal string instead of dividing by powers of ten. The
 digit-keyed chi-squared and ln B01 oracles pin the float operations of the
 reports instead: they must agree with the library bit for bit, as must the
 former per-cell chi-squared, ln B01 and proportions fill, the voting model's
-former scalar generator and head readers, and the former `--proportions`
-writer; the former decade walk must count exactly what its closed form
-counts, the former per-slice digit kernel what the prefix table counts, and
+former scalar generator and head readers, the mixture's former whole-array
+sampler, and the former `--proportions` writer; the former decade walk must
+count exactly what its closed form counts, the former per-slice digit kernel
+what the prefix table counts, and
 the plain reader's former per-cell loop what its array classifier sorts.
 """
 
@@ -501,6 +502,53 @@ def _former_read_csv(fh, path, selectors, delimiter):
                                  excluded_by_reason=dict(zip(cli.REASONS, col_counts)))
             for idx, col_values, col_counts, col_diagnostics, col_reasons in zip(indices, values, counts, diagnostics,
                                                                                  reasons)]
+
+
+# The mixture's former whole-array sampler, copied from digitscreen.simulate: membership first, then each component
+# draws all its values in one array (lognormal's two uniform arrays one after the other) and redraws its bad ones
+# in rounds. simulate.sample_mixture, which draws each component into its output a block at a time, must give the
+# same samples, bit for bit, and fail where it fails.
+
+
+@np.errstate(over="ignore")
+def _former_draw_family(rng: np.random.Generator, comp, size: int) -> np.ndarray:
+    p = comp.params
+    if comp.family == "lognormal":
+        z = simulate._box_muller(rng.random(size), rng.random(size))
+        np.multiply(z, p["sigma"], out=z)
+        np.add(z, p["mu"], out=z)
+        return np.exp(z, out=z)
+    if comp.family == "half-cauchy":
+        return p["scale"] * np.tan(0.5 * np.pi * rng.random(size))
+    if comp.family == "scaled-exponential":
+        return -p["scale"] * np.log(1.0 - rng.random(size))
+    return p["low"] + rng.random(size) * (p["high"] - p["low"])
+
+
+def former_sample_mixture(config) -> np.ndarray:
+    rng = np.random.default_rng(config.seed)
+    cum = np.cumsum([c.weight for c in config.components])
+    cum[-1] = 1.0
+    membership = np.empty(config.n_samples, dtype=np.min_scalar_type(len(cum)))
+    for start in range(0, config.n_samples, 1 << 16):
+        block = membership[start:start + (1 << 16)]
+        block[:] = np.searchsorted(cum, rng.random(block.size), side="right")
+    out = np.empty(config.n_samples, dtype=float)
+    for j, comp in enumerate(config.components):
+        slots = membership == j
+        size = int(np.count_nonzero(slots))
+        if size == 0:
+            continue
+        draws = _former_draw_family(rng, comp, size)
+        for _ in range(100):
+            bad = ~((draws > 0.0) & (draws < math.inf))
+            if not bad.any():
+                break
+            draws[bad] = _former_draw_family(rng, comp, int(bad.sum()))
+        else:
+            raise RuntimeError(f"component {j} ({comp.family}) kept producing non-positive or non-finite draws")
+        out[slots] = draws
+    return out
 
 
 # The former `simulate --out` mixture writer, copied from digitscreen.cli: each

@@ -1240,6 +1240,18 @@ class TestMainEntry:
         assert (captured.out, captured.err) == ("", f"error: test {named} a second time\n")
         assert not (tmp_path / "data.csv").exists()
 
+    def test_beta_draw_whose_gamma_variates_underflow_is_an_error(self, tmp_path, capsys):
+        # with shapes this small both gamma variates of a turnout draw underflow to 0 in some unit, so it is 0 / 0
+        cfg = tmp_path / "sim.ini"
+        cfg.write_text("[voting_model]\nn_units = 2000\nmax_voters = 100\nturnout = 0.001 0.001\n"
+                       "partisan_fraction = 0.46 0.19\npartisan_loyalty = 0.99\nswing_prob = 1.05 0.40\nseed = 1\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "data.csv")]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: cannot draw Beta(0.001, 0.001): both of its gamma "
+                                                    "variates underflowed to 0, so the draw is 0 / 0; its shapes "
+                                                    "are too small\n")
+        assert not (tmp_path / "data.csv").exists()
+
     def test_duplicate_columns_are_an_error(self, small_csv, capsys):
         assert main(["screen", str(small_csv), "--columns", "north,north,1", "--tests", "nb1"]) == 1
         captured = capsys.readouterr()

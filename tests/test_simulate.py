@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from digitscreen import digits, simulate
 from digitscreen.digits import DatasetColumn, _digit_string as digit_string
@@ -28,7 +28,7 @@ from digitscreen.simulate import (
     sample_mixture,
     screen_mixture,
 )
-from oracles import head_normals, head_unit_betas, scalar_hmpm_unit_counts
+from oracles import former_sample_mixture, head_normals, head_unit_betas, scalar_hmpm_unit_counts
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -137,11 +137,13 @@ class TestMixture:
 
 
     def test_transient_memory_is_bounded(self):
-        # the shipped two-lognormal mixture at the benchmark's size; the result itself is 2 MB
+        # the shipped two-lognormal mixture: 8 bytes a sample for the result and 1 for membership, beside one block
+        # of each component's draws
+        n = 400_000
         cfg = MixtureConfig(
             components=(MixtureComponent("lognormal", {"mu": 0.0, "sigma": 2.0}, 0.5),
                         MixtureComponent("lognormal", {"mu": 4.0, "sigma": 2.5}, 0.5)),
-            n_samples=250_000,
+            n_samples=n,
             seed=11,
         )
         tracemalloc.start()
@@ -150,8 +152,25 @@ class TestMixture:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert samples.nbytes == 2_000_000
-        assert peak <= 7_000_000
+        assert samples.nbytes == 8 * n
+        assert peak <= 11 * n + (2 << 20)
+
+    def test_screen_reads_sorted_samples_in_place_and_copies_others(self):
+        # some samples twice, so that the sorted ones hold ties
+        samples = sample_mixture(lognormal_mixture(n_samples=3000, seed=2))
+        samples = np.concatenate((samples, samples[:100]))
+        kept = samples.copy()
+        ordered = np.sort(samples)
+        for law in (nbl_first(), nbl_second()):
+            reports = [screen_mixture(values, law) for values in (samples.tolist(), samples)]
+            with mock.patch("numpy.sort", side_effect=AssertionError("sorted samples were copied")):
+                reports.append(screen_mixture(ordered, law))
+            assert reports[0] == reports[1] == reports[2]
+        assert np.array_equal(samples, kept)
+        assert np.array_equal(ordered, np.sort(kept))
+        for name in ("rnb2:1000", "joint2"):
+            with pytest.raises(ValueError, match="unbounded reals"):
+                screen_mixture(ordered, law_from_name(name))
 
     def test_float_digits_rarely_fall_back_to_repr(self, monkeypatch):
         # the vector candidate reads almost every sample; repr is for values near a digit boundary
@@ -168,6 +187,49 @@ class TestMixture:
         for law in (nbl_first(), nbl_second()):
             screen_mixture(samples, law)
         assert samples.size == 100_000 and len(calls) < 0.001 * samples.size
+
+
+# each family with its parameters, with lognormals that overflow to inf in about 2 % of their draws and underflow
+# to 0 in about 15 %, and a uniform range that is half negative, so that all three are redrawn in rounds
+_COMPONENTS = st.sampled_from([
+    ("lognormal", {"mu": 0.0, "sigma": 2.0}), ("lognormal", {"mu": 4.0, "sigma": 2.5}),
+    ("lognormal", {"mu": 700.0, "sigma": 5.0}), ("lognormal", {"mu": -740.0, "sigma": 5.0}),
+    ("half-cauchy", {"scale": 1.0}), ("scaled-exponential", {"scale": 3.0}),
+    ("uniform-range", {"low": 1.0, "high": 9.0}), ("uniform-range", {"low": -5.0, "high": 5.0}),
+])
+_BLOCK = 1 << 16
+
+
+@st.composite
+def _mixtures(draw):
+    """Mixtures of 1 to 4 components whose weights are k / total: total is a power of two in dyadic ones, and some
+    k are 0. The sizes sit on either side of the sampler's block boundaries."""
+    families = draw(st.lists(_COMPONENTS, min_size=1, max_size=4))
+    ks = draw(st.lists(st.integers(0, 4), min_size=len(families), max_size=len(families)).filter(any))
+    if draw(st.booleans()):
+        ks[-1] += (1 << (sum(ks) - 1).bit_length()) - sum(ks)
+    comps = tuple(MixtureComponent(family, params, k / sum(ks)) for (family, params), k in zip(families, ks))
+    n = draw(st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7]))
+    return MixtureConfig(components=comps, n_samples=n, seed=draw(st.integers(0, 2**32)))
+
+
+def _drawn(sampler, cfg):
+    try:
+        return sampler(cfg).tobytes()
+    except RuntimeError as exc:
+        return str(exc)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_mixtures())
+@example(MixtureConfig(components=(MixtureComponent("uniform-range", {"low": -5.0, "high": 5.0}, 0.25),
+                                   MixtureComponent("lognormal", {"mu": 700.0, "sigma": 5.0}, 0.125),
+                                   MixtureComponent("lognormal", {"mu": -740.0, "sigma": 5.0}, 0.125),
+                                   MixtureComponent("scaled-exponential", {"scale": 3.0}, 0.25),
+                                   MixtureComponent("half-cauchy", {"scale": 1.0}, 0.25)),
+                       n_samples=3 * _BLOCK + 7, seed=8))
+def test_block_sampler_matches_the_whole_array_sampler(cfg):
+    assert _drawn(sample_mixture, cfg) == _drawn(former_sample_mixture, cfg)
 
 
 class TestVotingModel:
@@ -528,7 +590,7 @@ class TestBlockBetas:
         cfg = replace(default_voting_config(1), n_units=2000, max_voters=10, turnout_dist=(0.001, 0.001))
         with pytest.raises(ZeroDivisionError):
             scalar_hmpm_unit_counts(cfg)
-        with pytest.raises(FloatingPointError, match="invalid value encountered in divide"):
+        with pytest.raises(ValueError, match=r"Beta\(0\.001, 0\.001\): both of its gamma variates underflowed to 0"):
             hmpm_unit_counts(cfg)
 
 
