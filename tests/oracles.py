@@ -562,19 +562,36 @@ def former_sample_lines(samples) -> bytes:
                     for i in range(0, samples.size, 1 << 14))
 
 
+def _kernel_products(x: float) -> tuple[int, tuple[int, int, int]]:
+    """Ryu's shift q and the products (4m, 4m + 2, 4m - 1 - [m is not a
+    power of two]) * 5**i for x = m * 2**e, where i = k - q, k = 2 - e and
+    q = floor(log10(5**k)) - 1; x, vp and vm are these over 2**q."""
+    fraction, exponent = math.frexp(x)
+    m, e = int(fraction * 2**53), exponent - 53
+    k = 2 - e
+    q = len(str(5**k)) - 2
+    return q, tuple(a * 5 ** (k - q) for a in (4 * m, 4 * m + 2, 4 * m - 1 - (m != 2**52)))
+
+
 def kernel_certifies(x: float) -> bool:
     """Whether the shortest-digit kernel writes ``x`` itself, from Python ints.
 
     That is when ``x`` lies in [1e-4, 2**52) and none of x and the ends of
     its rounding interval, 4m * 2**(e - 2) and (4m + 2, 4m - 1 - [m is not a
     power of two]) times 2**(e - 2) for x = m * 2**e, is a whole number of
-    units of Ryu's scale 10**-i, where i = k - q, k = 2 - e and
-    q = floor(log10(5**k)) - 1.
+    units of Ryu's scale 10**-i (``_kernel_products``).
     """
     if not 1e-4 <= x < 2.0**52:
         return False
-    fraction, exponent = math.frexp(x)
-    m, e = int(fraction * 2**53), exponent - 53
-    k = 2 - e
-    q = len(str(5**k)) - 2
-    return all(a * 5 ** (k - q) % 2**q for a in (4 * m, 4 * m + 2, 4 * m - 1 - (m != 2**52)))
+    q, products = _kernel_products(x)
+    return all(p % 2**q for p in products)
+
+
+def kernel_drops(x: float) -> int:
+    """How many digits the kernel drops from a value it certifies: while
+    vp // 10 > vm // 10, both lose their last digit."""
+    q, (_, vp, vm) = _kernel_products(x)
+    vp, vm, drops = vp >> q, vm >> q, 0
+    while vp // 10 > vm // 10:
+        vp, vm, drops = vp // 10, vm // 10, drops + 1
+    return drops

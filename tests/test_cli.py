@@ -56,6 +56,7 @@ from oracles import (
     former_sample_lines,
     former_write_proportions,
     kernel_certifies,
+    kernel_drops,
     str_digit_tally,
     str_joint_tally,
 )
@@ -1636,6 +1637,19 @@ class TestReprLines:
         for i in range(0, values.size, cli._SAMPLE_BLOCK):
             block = values[i:i + cli._SAMPLE_BLOCK]
             assert cli._repr_lines(block) == former_sample_lines(block)
+
+    def test_deep_drops_and_widest_lines(self):
+        # the short decimals d * 10**e drop up to 18 digits while the 1-drop samples of their block stop after one;
+        # samples in [1e-4, 1e-3) with 17 significant digits write the widest lines, 22 characters and the "\n"
+        short = np.array([float(f"{d}e{e}") for d in range(1, 10) for e in range(-4, 16)])
+        rng = np.random.default_rng(5)
+        drawn = 10.0 ** rng.uniform(-4, 15, 2000)
+        one_drop = [v for v in drawn.tolist() if kernel_certifies(v) and kernel_drops(v) == 1]
+        widest = [v for v in rng.uniform(1e-4, 1e-3, 2000).tolist() if len(repr(v)) == 22]
+        assert max(kernel_drops(v) for v in short.tolist() if kernel_certifies(v)) == 18
+        assert len(one_drop) > 100 and len(widest) > 100 and all(map(kernel_certifies, widest))
+        values = rng.permutation(np.concatenate([short, one_drop, widest]))
+        assert cli._repr_lines(values) == former_sample_lines(values)
 
     def test_repr_writes_only_what_the_kernel_cannot_certify(self, monkeypatch):
         samples = simulate.sample_mixture(load_simulation_config(_SHIPPED_MIXTURE).mixture)

@@ -64,7 +64,7 @@ TARGETS = (
     Target("column-record", "digits.py", ("DatasetColumn.__post_init__", "_count_array"),
            ("tests/test_digits.py", "tests/test_cli.py", "tests/test_simulate.py")),
     Target("diagnostic-lines", "cli.py", ("_diagnostic_lines",), ("tests/test_cli.py",)),
-    Target("repr-lines", "cli.py", ("_KERNEL_LOW", "_LOW32", "_POW10", "_ryu_tables", "_mul_shift", "_repr_lines"),
+    Target("repr-lines", "cli.py", ("_KERNEL_LOW", "_LOW32", "_POW10", "_SLOT", "_ryu_tables", "_repr_lines"),
            ("tests/test_cli.py::TestReprLines", "tests/test_cli.py::test_simulate_digests_under_baseline_dispatch")),
     Target("voting-model", "simulate.py", ("_libm", "_gammas", "_block_betas", "hmpm_unit_counts", "_block_units"),
            ("tests/test_simulate.py", "tests/test_cli.py::test_simulate_digests_under_baseline_dispatch")),
