@@ -131,12 +131,13 @@ def ingest(path, selectors, delimiter: str | None = None) -> list[DatasetColumn]
 
     The file is opened once; a pipe is first copied to a temporary file, so
     that it can be rewound. One scan of its bytes decides whether it is a
-    plain ASCII table, read in blocks (see ``_read_plain``); any other file
-    goes through ``csv``, which joins the selected cells of each batch of
-    rows into such a block (see ``_read_csv``). Both readers sort every
-    block's cells with one classifier, ``_plain_cells`` with
-    ``_cell_count``, and build their columns with one builder,
-    ``_columns``, so they give the same columns, diagnostics and errors.
+    plain table, UTF-8 with no quote and no lone ``\\r``, read in blocks
+    (see ``_read_plain``); any other file goes through ``csv``, which joins
+    the selected cells of each batch of rows into such a block (see
+    ``_read_csv``). Both readers sort every block's cells with one
+    classifier, ``_plain_cells`` with ``_cell_count``, and build their
+    columns with one builder, ``_columns``, so they give the same columns,
+    diagnostics and errors.
     """
     if isinstance(selectors, str) or not all(isinstance(sel, str) for sel in selectors):
         raise ValueError(f"selectors must be a list of str, each a header name or a 0-based index, got {selectors!r}")
@@ -300,15 +301,15 @@ _UNPLAIN = frozenset(",\n")
 def _csv_batch(picked: list[list[str]], lines: list[int]):
     """``_columns``' batch of csv rows, each the list of its selected cells, joined with commas into one block.
 
-    An ASCII block goes to ``_plain_cells`` as it is: a quote there is a byte that makes its cell not an integer, a
-    ``\\r`` whitespace that ``_cell_count`` strips. A non-ASCII character may be whitespace that only ``str.strip``
-    knows, and a comma or a line break in a cell breaks the block (``_plain_cells`` refuses it, or reads more rows
-    than the batch holds): such a batch is joined again with each cell stripped, or "-" where that leaves nothing, a
-    comma or a line break, which is not an integer, as that cell is. A diagnostic reads the cell as the row holds it.
+    The block goes to ``_plain_cells`` as it is: a quote there is a byte that makes its cell not an integer, a
+    ``\\r`` whitespace that ``_cell_count`` strips. A comma or a line break in a cell, or a row that reads as blank,
+    breaks the block (``_plain_cells`` refuses it, or reads more rows than the batch holds): such a batch is joined
+    again with each cell stripped, or "-" where that leaves nothing, a comma or a line break, which is not an
+    integer, as that cell is. A diagnostic reads the cell as the row holds it.
     """
     width, cols = len(picked[0]), np.arange(len(picked[0]))
     block = "\n".join(map(",".join, picked)) + "\n"
-    cells = _plain_cells(block.encode(), ord(","), width, cols) if block.isascii() else None
+    cells = _plain_cells(block.encode(), ord(","), width, cols)
     if cells is None or cells[0].shape[1] != len(picked):
         cells = _plain_cells("".join(",".join(cell if cell and _UNPLAIN.isdisjoint(cell) else "-"
                                               for cell in map(str.strip, row)) + "\n" for row in picked).encode(),
@@ -318,31 +319,36 @@ def _csv_batch(picked: list[list[str]], lines: list[int]):
 
 def _line_count(fh) -> tuple[int, bool]:
     """A binary file's line ends, each ``\\n`` and each ``\\r`` not before a ``\\n``, read from its start, and whether
-    it is plain: ASCII after an optional byte-order mark, with no quote and no such ``\\r``.
+    it is plain: UTF-8 after an optional byte-order mark, with no quote and no such ``\\r``.
 
     No more rows than that follow a header, and this one scan decides which reader runs. The file is left at its start.
     """
     fh.seek(0)
     if fh.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
         fh.seek(0)
-    lines, lone, after_cr, plain = 0, 0, False, True
+    lines, lone, after_cr, plain, utf8 = 0, 0, False, True, codecs.getincrementaldecoder("utf-8")()
     for chunk in iter(partial(fh.read, _BLOCK_BYTES), b""):
         # numpy's count of a chunk's newlines is about five times as fast as bytes.count's; a \r\n may span two chunks
         lines += np.count_nonzero(np.frombuffer(chunk, dtype=np.uint8) == 10)
         if b"\r" in chunk:
             lone += chunk.count(b"\r") - chunk.count(b"\r\n")
         lone -= after_cr and chunk[0] == 10
-        plain = plain and chunk.isascii() and b'"' not in chunk
+        try:  # a character may span chunks: an ASCII chunk skips the decoder only when it holds no part of one
+            if plain and (not chunk.isascii() or utf8.getstate()[0]):
+                utf8.decode(chunk)
+        except UnicodeDecodeError:
+            plain = False
+        plain = plain and b'"' not in chunk
         after_cr = chunk[-1] == 13
     fh.seek(0)
-    return int(lines + lone), plain and not lone
+    return int(lines + lone), plain and not lone and not utf8.getstate()[0]
 
 
 def _read_plain(fh, path, selectors, delimiter: str | None) -> list[DatasetColumn] | None:
-    """``ingest`` of a plain ASCII table, read in blocks with numpy; None for any other file.
+    """``ingest`` of a plain table, read in blocks with numpy; None for any other file.
 
     ``fh`` is the file open for binary reading at its start, and ``path``
-    names it in errors. A plain table is ASCII after an optional byte-order
+    names it in errors. A plain table is UTF-8 after an optional byte-order
     mark, holds no quote, and ends every line in ``\\n`` or ``\\r\\n`` (the
     last line may lack it), as the file scan (``_line_count``) finds before
     a block is read; it has no blank or whitespace-only line, and as many
@@ -458,13 +464,14 @@ def _plain_cells(block: bytes, delim: int, width: int, cols: np.ndarray):
     then row order. An all-digit cell of 1 to 18 bytes is read by Horner's
     rule, leading zeros included, and is kept unless it is 0; "-" before 1 to
     18 digits is negative, or zero when every digit is 0. An empty cell, or
-    one with a byte that is neither a digit, "-" nor whitespace to
+    one with an ASCII byte that is neither a digit, "-" nor whitespace to
     ``str.strip``, is not an integer. Only a cell that fits none of these
-    (surrounding whitespace, 19 or more digits, "--5") goes through
-    ``_cell_count``. Both readers sort their cells here: the plain reader
-    its file's blocks, the csv reader each batch of rows that
-    ``_csv_batch`` joins into a block, where a quote, ``\\r`` or non-ASCII
-    byte is a cell's: the file scan keeps them out of the plain reader's.
+    (surrounding whitespace, 19 or more digits, "--5", a non-ASCII
+    character such as U+00A0, none of whose UTF-8 bytes is a delimiter or a
+    newline) goes through ``_cell_count``. Both readers sort their cells
+    here: the plain reader its file's blocks, the csv reader each batch of
+    rows that ``_csv_batch`` joins into a block, where a quote or ``\\r`` is
+    a cell's: the file scan keeps them out of the plain reader's.
     """
     a = np.frombuffer(block, dtype=np.uint8)
     # digit values after 18 zero bytes, so the 18 bytes before any cell's end can be read
@@ -515,12 +522,12 @@ def _plain_cells(block: bytes, delim: int, width: int, cols: np.ndarray):
     reason = np.where(plain, np.where((nondigits == 2) & (value > 0), _NEGATIVE, _ZERO), _NOT_INTEGER)
     open_ = np.flatnonzero(~plain & (length > 0))
     if open_.size:
-        # a byte that neither a count, a sign nor str.strip can hold makes the cell not an integer: the open
-        # cells' bytes are gathered, one run per cell, and such bytes counted
+        # an ASCII byte that neither a count, a sign nor str.strip can hold makes the cell not an integer: the
+        # open cells' bytes are gathered, one run per cell, and such bytes counted
         size = length[open_]
         ends = np.cumsum(size)
         b = a[np.repeat(start[open_] - ends + size, size) + np.arange(ends[-1])]
-        held = (b - ord("0") <= 9) | ((b >= 9) & (b <= 13)) | ((b >= 28) & (b <= 32)) | (b == ord("-"))
+        held = (b - ord("0") <= 9) | ((b >= 9) & (b <= 13)) | ((b >= 28) & (b <= 32)) | (b == ord("-")) | (b >= 128)
         strange = np.concatenate(([0], np.cumsum(~held)))
         for k in open_[strange[ends] == strange[ends - size]].tolist():
             try:
@@ -664,15 +671,17 @@ def _repr_lines(block: np.ndarray) -> bytes:
     and the ends of the interval that reads back as x, scaled by 10**i. All three come from one 128-bit product
     4m * 5**i, summed from 32-bit halves in uint64, plus 2 * 5**i or minus 5**i or 2 * 5**i with carry or borrow.
     A row drops k digits, the number of j with vp // 10**j > vm // 10**j; the last one kept is raised by one when
-    the first dropped is 5 or more, or when it equals the lower end. That is repr's shortest decimal closest to x
-    wherever the kernel certifies it:
+    the first dropped is 5 or more. That is repr's shortest decimal closest to x wherever the kernel certifies it:
 
     - x lies in [1e-4, 2**52). repr writes smaller values and those from 1e16 in exponent notation, and every
       double from 2**52 on is an integer, written with ".0"; negative values, zeros, subnormals, infinities and nan
       are outside too.
-    - vr, vp and vm are all inexact. An exact vr may leave a dropped tail of exactly 5 or 0 after it, which repr
-      breaks to even; an exact vp or vm is an end that is itself a decimal at this scale, which reads back as x
-      only for an even m.
+    - vr is inexact. An exact vr may leave a dropped tail of exactly 5 or 0 after it, which repr breaks to even.
+
+    Ryu's tests of vp and vm for exactness change no certified row: an inexact vr needs q >= 3, and 4m + 2 and
+    4m - 2 hold one factor of 2 and 4m - 1 none. Nor does its raise of a last digit kept that equals vm // 10**k:
+    with a first dropped digit below 5, that needs vp - vr >= vr - vm + 2, where both round 2 * 5**i / 2**q unless m
+    is a power of two, and the tests check the domain's 65 powers of two.
 
     Each line is laid out right-aligned in a ``_SLOT``-byte row: the digits, with a 0 inserted where the point
     goes and one after them where the "\n" goes, are cut into 4-digit groups, each looked up as 4 ASCII bytes. One
@@ -707,8 +716,8 @@ def _repr_lines(block: np.ndarray) -> bytes:
     left, mask = 64 - q, (1 << q) - 1
     vr, vp, vm = ((h << left) | (l >> q) for h, l in ((hi, lo), (hi_p, lo_p), (hi_m, lo_m)))
     # above 2**52, and for the sign bit, the tables make every product exact
-    certified = (bits >= _KERNEL_LOW) & ((lo & mask) != 0) & ((lo_p & mask) != 0) & ((lo_m & mask) != 0)
-    k, low = np.zeros(bits.size, dtype=np.intp), vm.copy()
+    certified = (bits >= _KERNEL_LOW) & ((lo & mask) != 0)
+    k, low = np.zeros(bits.size, dtype=np.intp), vm
     while True:
         vp //= 10
         low //= 10
@@ -716,11 +725,10 @@ def _repr_lines(block: np.ndarray) -> bytes:
         if not np.count_nonzero(drop):
             break
         k += drop
-    # vr // 10**k, raised by one when the first dropped digit is 5 or more or when it equals vm // 10**k; every row
-    # of the domain drops a digit (its interval spans 30 units or more), and a row left to repr may read 10**19
-    # at index -1
+    # vr // 10**k, raised by one when the first dropped digit is 5 or more; every row of the domain drops a digit
+    # (its interval spans 30 units or more), and a row left to repr may read 10**19 at index -1
     t = vr // _POW10.take(k - 1)
-    d = np.maximum((t + 5) // 10, vm // _POW10.take(k) + 1)
+    d = (t + 5) // 10
     # the value is d / 10**f; a row left to repr is laid out from d = 0 and f = 1 until it is replaced
     d = np.where(certified, d, 0)
     f = np.where(certified, scale - k, 1)

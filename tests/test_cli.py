@@ -99,7 +99,9 @@ def uniform_csv(tmp_path):
 
 # Cells on both sides of every rule of the fast reader: the 18-digit window
 # (18, 19 and 20 digits, and 2^63 - 1 and its neighbours), leading zeros,
-# zeros and signs, padding and form feeds, NA, empty and NUL cells.
+# zeros and signs, padding and form feeds, NA, empty and NUL cells, and
+# non-ASCII ones: text, counts padded with whitespace that only str.strip
+# knows, digits of other scripts, and U+0085 and U+2028, which end no line.
 PLAIN_CELLS = st.one_of(
     st.integers(1, 10**4).map(str),
     st.integers(10**17, 10**18 - 1).map(str),
@@ -109,9 +111,12 @@ PLAIN_CELLS = st.one_of(
     st.integers(0, 10**19).map(lambda v: f"0{v}"),
     st.sampled_from(["", "0", "000", "-0", "-007", "-12", "+5", " 42", "42 ", " 7\t", "\x0c5", "3\x0c4", "\x0b6",
                      "NA", "1_000", "2.5", "x", "a\x00b"]),
+    st.sampled_from(["caf\u00e9", "M\u00e9rida", "\u00a012", "34\u3000", "\u3000 56\u00a0", "\u00a0", "-\u00a07",
+                     "\u0661\u0662", "\uff11", "1\x852", "4\u20285"]),
 )
-# cells that keep a file off the fast reader
-ODD_CELLS = st.sampled_from(['"12"', '"1,2"', '"3', "caf\u00e9", "\u0661\u0662", "\uff11", "1\r2", "4\u20285"])
+# cells that keep a file off the fast reader: quotes, a lone \r, and bytes that are not UTF-8 (written from their
+# surrogates), among them a lead byte and its continuation byte with a digit between them
+ODD_CELLS = st.sampled_from(['"12"', '"1,2"', '"3', "1\r2", "\udce9", "\udcc31\udca9"])
 BLANK_LINES = st.sampled_from(["", " ", "\t", "\x0c", " \x1c "])
 
 
@@ -135,15 +140,15 @@ def delimited_files(draw):
     text = "".join(line + draw(st.sampled_from(ends)) for line in lines)
     if not draw(st.booleans()):
         text = text.rstrip("\r\n")  # no final line end
-    data = (b"\xef\xbb\xbf" if draw(st.booleans()) else b"") + text.encode("utf-8")
+    data = (b"\xef\xbb\xbf" if draw(st.booleans()) else b"") + text.encode("utf-8", "surrogateescape")
     columns = draw(st.lists(st.integers(0, width - 1), min_size=1, max_size=width, unique=True))
     by_name = draw(st.booleans())
     selectors = [header[c].strip() if by_name else str(c) for c in columns]
     return data, selectors, draw(st.sampled_from([None, delim]))
 
 
-# cells that only a csv file holds: the delimiters, quotes and line breaks that a quoted cell keeps, non-ASCII
-# whitespace around digits, non-ASCII digits and text, and a byte that is not UTF-8 (written from its surrogate)
+# cells that only a csv file holds, the delimiters, quotes and line breaks that a quoted cell keeps and a byte that
+# is not UTF-8 (written from its surrogate), with more non-ASCII cells than PLAIN_CELLS holds
 CSV_CELLS = st.one_of(
     PLAIN_CELLS,
     st.sampled_from(["1,2", "3;4", "5\t6", '"', '7"', '""', "8\n9", "1\r\n2", "3\r4", "\n", "12\r\n", "\r13", " \n ",
@@ -185,9 +190,13 @@ def quoted_files(draw):
 
 
 def is_plain(data: bytes, delimiter) -> bool:
-    """Whether a file is ASCII, quote-free, has \\n or \\r\\n line ends, no blank line and no ragged row."""
+    """Whether a file is UTF-8, quote-free, has \\n or \\r\\n line ends, no blank line and no ragged row."""
     data = data.removeprefix(b"\xef\xbb\xbf")
-    if not data.isascii() or b'"' in data or b"\r" in data.replace(b"\r\n", b""):
+    try:
+        data.decode()
+    except UnicodeDecodeError:
+        return False
+    if b'"' in data or b"\r" in data.replace(b"\r\n", b""):
         return False
     lines = [line.removesuffix(b"\r").decode() for line in data.removesuffix(b"\n").split(b"\n")]
     if any(not line.strip() for line in lines):
@@ -459,7 +468,7 @@ class TestIngest:
                     pytest.fail("the fast reader refused a plain table")
 
     @pytest.mark.parametrize("text", ["a,b\n12,3\n", "a,b\r\n12,3\r\n", "\ufeffa;b\n12;3", "a\tb\n 12\t3 \n",
-                                      "a\n12\n"])
+                                      "a\n12\n", "a,b\n12,\u00e9\n"])
     def test_fast_reader_accepts_plain_tables(self, tmp_path, text):
         path = tmp_path / "t.csv"
         path.write_text(text, encoding="utf-8", newline="")
@@ -476,10 +485,10 @@ class TestIngest:
         assert a.values.tolist() == [12, 987654321012345678] and b.values.tolist() == [3, 10**17]
 
     @pytest.mark.parametrize("text", ["a,b\n\n12,3\n", "a,b\n \x0c\n12,3\n", "a,b\n12,3\r4,5\n", 'a,b\n"12",3\n',
-                                      "a,b\n12,3,4\n", "a,b\n12,\u00e9\n", "\n\na,b\n12,3\n"])
+                                      "a,b\n12,3,4\n", "a,b\n12,\udce9\n", "\n\na,b\n12,3\n"])
     def test_fast_reader_refuses_other_files(self, tmp_path, text):
         path = tmp_path / "t.csv"
-        path.write_text(text, encoding="utf-8", newline="")
+        path.write_text(text, encoding="utf-8", errors="surrogateescape", newline="")
         assert opened(cli._read_plain)(path, ["a"], None) is None
         assert read_with(ingest, path, ["a"], None) == read_with(opened(cli._read_csv), path, ["a"], None)
 
@@ -525,21 +534,27 @@ class TestIngest:
         assert ingested <= csv_alone + (64 << 10)
         assert columns[0].values.tolist() == sorted(i % 9973 + 1 for i in range(1, 250_000))
 
-    @pytest.mark.parametrize("byte", ['"', "\u00e9", "\r"], ids=["quote", "non-ascii", "lone-cr"])
+    @pytest.mark.parametrize("byte", ['"', "\udce9", "\r"], ids=["quote", "non-ascii", "lone-cr"])
     def test_fast_reader_refuses_a_late_unplain_byte_unread(self, tmp_path, byte):
         # one byte in the last of 250 000 rows makes the table unplain: the file scan finds it, so no block is sorted
         path = tmp_path / "t.csv"
         rows = "".join(f"u{i},{i % 9973 + 1},{i % 7919 + 10}\n" for i in range(1, 250_000))
-        path.write_text(f"unit,a,b\n{rows}u{byte},1,2\n", encoding="utf-8", newline="")
+        path.write_text(f"unit,a,b\n{rows}u{byte},1,2\n", encoding="utf-8", errors="surrogateescape", newline="")
         with mock.patch.object(cli, "_plain_cells", wraps=cli._plain_cells) as plain_cells:
             assert opened(cli._read_plain)(path, ["a", "b"], None) is None
         assert plain_cells.call_count == 0
 
     def test_csv_fallback_names_the_line_of_a_byte_that_is_not_utf8(self, tmp_path):
         path = tmp_path / "t.csv"
-        path.write_bytes(b"a,b\n1,2\r\n\n3,4\xe9\n")
-        with pytest.raises(ValueError, match=r"t\.csv: row 4: byte 0xe9 is not UTF-8$"):
-            ingest(path, ["a"])
+        # in 4-byte chunks, the second file's second chunk ends in a lead byte, its third is ASCII and its fourth
+        # begins with a continuation byte; the third file ends in a lead byte
+        for data, block_bytes, error in [(b"a,b\n1,2\r\n\n3,4\xe9\n", cli._BLOCK_BYTES, "row 4: byte 0xe9"),
+                                         (b"a,b\n1,2\xc3\n3,4\xa9\n", 4, "row 2: byte 0xc3"),
+                                         (b"a,b\n1,2\xc3", cli._BLOCK_BYTES, "row 2: byte 0xc3")]:
+            path.write_bytes(data)
+            with mock.patch.object(cli, "_BLOCK_BYTES", block_bytes):
+                with pytest.raises(ValueError, match=rf"t\.csv: {error} is not UTF-8$"):
+                    ingest(path, ["a"])
 
     @settings(max_examples=300, deadline=None)
     @given(quoted_files(), st.sampled_from([1, 3, cli._BATCH_ROWS]))

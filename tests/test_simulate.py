@@ -75,6 +75,32 @@ class TestMixture:
         assert [call.args[1] for call in draw.call_args_list] == comps
         assert np.array_equal(samples, sample_mixture(replace(with_zero, components=tuple(comps))))
 
+    def test_a_uniform_above_the_weights_sum_picks_the_last_component(self):
+        # weights that sum to 1 - 5e-10, within the config's tolerance, and a first membership uniform above that
+        comps = (MixtureComponent("uniform-range", {"low": 1.0, "high": 2.0}, 0.5),
+                 MixtureComponent("uniform-range", {"low": 3.0, "high": 4.0}, 0.5 - 5e-10))
+        cfg = MixtureConfig(components=comps, n_samples=1000, seed=6)
+        default_rng = np.random.default_rng
+
+        class FirstUniformNearOne:
+            def __init__(self, seed):
+                self.rng, self.first = default_rng(seed), True
+
+            def random(self, size):
+                u = self.rng.random(size)
+                if self.first:
+                    u[0], self.first = np.nextafter(1.0, 0.0), False
+                return u
+
+        with (mock.patch.object(np.random, "default_rng", FirstUniformNearOne),
+              mock.patch.object(simulate, "_draw_family", wraps=simulate._draw_family) as draw):
+            samples = sample_mixture(cfg)
+        low, high = [call.args[2] for call in draw.call_args_list]
+        assert low + high == cfg.n_samples
+        assert 3.0 <= samples[0] < 4.0
+        assert np.count_nonzero((samples >= 1.0) & (samples < 2.0)) == low
+        assert np.count_nonzero((samples >= 3.0) & (samples < 4.0)) == high
+
     def test_unsatisfiable_component_errors(self):
         cfg = MixtureConfig(
             components=(MixtureComponent("uniform-range", {"low": -9.0, "high": -1.0}, 1.0),),

@@ -1,13 +1,21 @@
-"""Checks on the package's source text."""
+"""Checks on the package's source text, and that the mutation sweep's targets name it."""
 
 import ast
+import runpy
 from pathlib import Path
 
 import pytest
 
 import digitscreen
 
-MODULES = sorted(Path(digitscreen.__file__).parent.glob("*.py"))
+PACKAGE = Path(digitscreen.__file__).parent
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+@pytest.fixture(scope="module")
+def mutate():
+    """The globals of ``tools/mutate.py``, the mutation sweep, which is not a package module."""
+    return runpy.run_path(str(Path(__file__).resolve().parent.parent / "tools" / "mutate.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -53,3 +61,22 @@ def test_no_unused_import(module):
 ])
 def test_unused_imports_finds_what_no_code_names(source, unused):
     assert unused_imports(source) == unused
+
+
+def test_every_mutation_target_scope_names_code(mutate):
+    # a renamed function would otherwise leave its target's sweep without the spots it was meant to mutate
+    trees = {}
+    for target in mutate["TARGETS"]:
+        if target.module not in trees:
+            trees[target.module] = ast.parse((PACKAGE / target.module).read_text(encoding="utf-8"))
+        for scope in target.scopes:
+            assert list(mutate["_scoped_nodes"](trees[target.module], (scope,))), f"{target.name}: {scope}"
+
+
+@pytest.mark.parametrize("scope", ["_no_such_function", "ScreenConfig._no_such_method", "_NO_SUCH_CONSTANT"])
+def test_a_mutation_scope_that_names_nothing_is_an_error(mutate, scope):
+    scoped_nodes = mutate["_scoped_nodes"]
+    tree = ast.parse("class ScreenConfig:\n    def __post_init__(self): pass\n_DELIMITERS = (',',)\n")
+    assert len(list(scoped_nodes(tree, ("ScreenConfig.__post_init__", "_DELIMITERS")))) == 2
+    with pytest.raises(ValueError, match=f"scope '{scope}' names nothing in the module"):
+        list(scoped_nodes(tree, (scope,)))

@@ -12,13 +12,16 @@ Each mutant changes one spot of one target: a relational operator flipped
 ``not`` removed, or a statement replaced by ``pass``. For each mutant the
 script copies ``src/``, ``tests/``, ``perfbench/`` (which tests import) and
 ``pyproject.toml`` to a work directory, writes the mutated module there, and
-runs the target's tests with pytest. A target names its tests by file or
-node id, never by a ``-k`` name filter, so every test of a named file can
-kill its mutants. A mutant is killed when they fail, and survives when
-they pass. The target's unmutated tests are timed first: a mutant whose
-tests take more than five times as long, plus 30 s, is stopped (a mutated
-loop may never end) and counts as killed. The script uses the standard
-library only and is not part of the test suite.
+runs the target's tests with pytest. The copy's ``tests/conftest.py`` loads
+a Hypothesis profile without the shrink phase: a verdict needs only whether
+the tests fail, and shrinking a failing example can take longer than the
+time limit below. A target names its tests by file or node id, never by a
+``-k`` name filter, so every test of a named file can kill its mutants. A
+mutant is killed when they fail, and survives when they pass. The target's
+unmutated tests are timed first: a mutant whose tests take more than five
+times as long, plus 30 s, is stopped (a mutated loop may never end) and
+counts as killed. The script uses the standard library only and is not part
+of the test suite.
 
     python3 tools/mutate.py                  # every target; survivors are listed at the end
     python3 tools/mutate.py --target report  # one target
@@ -85,19 +88,23 @@ class Mutant:
 
 
 def _scoped_nodes(tree: ast.Module, scopes: tuple):
-    """The top-level nodes (or class members) the scopes name, or the whole module."""
+    """The top-level nodes (or class members) the scopes name, or the whole module.
+
+    A scope that names nothing raises ValueError: after a rename it would quietly drop its spots from the sweep.
+    """
     if not scopes:
         yield tree
         return
     for scope in scopes:
         outer, _, inner = scope.partition(".")
+        found = []
         for node in tree.body:
             names = [n.id for t in getattr(node, "targets", []) for n in ast.walk(t) if isinstance(n, ast.Name)]
             if getattr(node, "name", None) == outer or outer in names:
-                if not inner:
-                    yield node
-                else:
-                    yield from (n for n in node.body if getattr(n, "name", None) == inner)
+                found += [node] if not inner else [n for n in node.body if getattr(n, "name", None) == inner]
+        if not found:
+            raise ValueError(f"scope {scope!r} names nothing in the module")
+        yield from found
 
 
 def _spots(tree: ast.Module, scopes: tuple):
@@ -144,10 +151,21 @@ def mutants(target: Target) -> list[Mutant]:
     return found
 
 
+# appended to the copy's tests/conftest.py, which pytest imports before the test modules whose settings it sets
+_NO_SHRINK = """
+from hypothesis import Phase, settings
+
+settings.register_profile("mutate", phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target))
+settings.load_profile("mutate")
+"""
+
+
 def _copy_tree(work: Path) -> None:
     for name in ("src", "tests", "perfbench"):
         shutil.copytree(ROOT / name, work / name, ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
     shutil.copy2(ROOT / "pyproject.toml", work / "pyproject.toml")
+    with open(work / "tests" / "conftest.py", "a", encoding="utf-8") as conftest:
+        conftest.write(_NO_SHRINK)
 
 
 def _run_tests(work: Path, target: Target, timeout: float | None) -> str:
