@@ -7,44 +7,19 @@ bounds and Bayes-factor posteriors, `simulate` generates conforming and
 non-conforming synthetic data, and `cli` ties everything to the command line.
 """
 
-from .digits import (
-    EXCLUDE_SHORT,
-    TRAILING_ZERO,
-    CountVector,
-    DatasetColumn,
-    digit_frequencies,
-    joint_frequencies,
-    real_digit_frequencies,
-    significant_digit,
-)
-from .inference import (
-    HypothesisPrior,
-    TestReport,
-    chi_squared_pvalue,
-    chi_squared_stat,
-    log_bayes_factor_uniform,
-    posterior_h0,
-    screen,
-    universal_lower_bound,
-)
-from .laws import (
-    DigitDistribution,
-    RestrictionSpec,
-    count_with_digit,
-    law_from_name,
-    nbl_first,
-    nbl_joint,
-    nbl_second,
-    restricted_law,
-    uniform_law,
-)
-# `simulate` (and configparser with it) loads on first use of one of its names, so `screen` never pays its import;
-# Python calls this only for a name the module does not hold, so only the simulate names of `__all__` reach it
-def __getattr__(name: str):
-    if name in __all__:
-        from . import simulate
+import importlib
 
-        return getattr(simulate, name)
+# the modules that define the names of `__all__`, searched in this order; `special` is public as a module only
+_MODULES = ("digits", "inference", "laws", "simulate")
+
+
+# a bare `import digitscreen` loads no module: each loads on first use of one of its names, so `screen` never pays
+# for `simulate` (or configparser); Python calls this only for a name the package does not hold
+def __getattr__(name: str):
+    if name in (*_MODULES, "special"):
+        return importlib.import_module(f".{name}", __name__)
+    if name in __all__:
+        return next(getattr(module, name) for module in map(__getattr__, _MODULES) if hasattr(module, name))
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

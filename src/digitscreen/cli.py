@@ -333,8 +333,8 @@ def _line_count(fh) -> tuple[int, bool]:
         if b"\r" in chunk:
             lone += chunk.count(b"\r") - chunk.count(b"\r\n")
         lone -= after_cr and chunk[0] == 10
-        try:  # a character may span chunks: an ASCII chunk skips the decoder only when it holds no part of one
-            if plain and (not chunk.isascii() or utf8.getstate()[0]):
+        try:  # one decoder reads every chunk, since a character may span chunks
+            if plain:
                 utf8.decode(chunk)
         except UnicodeDecodeError:
             plain = False

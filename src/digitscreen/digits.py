@@ -95,8 +95,7 @@ def _digit_string(x) -> str:
             raise ValueError(f"x must be finite, got {x}")
         if x <= 0.0:
             raise ValueError(f"x must be positive, got {x}")
-        s = repr(float(x))  # float() strips subclasses (e.g. numpy scalars)
-        mantissa = s.split("e")[0].split("E")[0]
+        mantissa = repr(float(x)).partition("e")[0]  # float() strips subclasses (e.g. numpy scalars)
         return mantissa.replace(".", "").lstrip("0")
     raise ValueError(f"x must be a positive int or float, got {type(x).__name__}")
 

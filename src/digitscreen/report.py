@@ -16,7 +16,6 @@ from .inference import TestReport
 SCHEMA_VERSION = 1
 
 COLUMNS = ("m", "Median", "P(H0|data)", "p-value", "P_lb(H0|data)")
-FORMATS = ("text", "csv", "json")
 
 
 @dataclass(frozen=True, slots=True)
@@ -141,11 +140,11 @@ def render_json(doc: ReportDocument) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+_RENDERERS = {"text": render_text, "csv": render_csv, "json": render_json}
+FORMATS = tuple(_RENDERERS)
+
+
 def render(doc: ReportDocument, fmt: str) -> str:
-    if fmt == "text":
-        return render_text(doc)
-    if fmt == "csv":
-        return render_csv(doc)
-    if fmt == "json":
-        return render_json(doc)
-    raise ValueError(f"unknown report format {fmt!r}; expected one of {FORMATS}")
+    if fmt not in _RENDERERS:
+        raise ValueError(f"unknown report format {fmt!r}; expected one of {FORMATS}")
+    return _RENDERERS[fmt](doc)

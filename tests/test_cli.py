@@ -22,7 +22,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from digitscreen import cli
 from digitscreen.cli import (
@@ -450,6 +450,10 @@ class TestIngest:
 
     @settings(max_examples=300, deadline=None)
     @given(delimited_files(), st.sampled_from([1, 2, 7, 64, cli._BLOCK_BYTES]))
+    # the file scan reads every chunk through one UTF-8 decoder: a plain table whose two-byte character spans two
+    # chunks, and a lead byte, an ASCII chunk, then a continuation byte, which is not UTF-8
+    @example(("a,b\nM\u00e9rida,12\n".encode(), ["b"], None), 1)
+    @example((b"a,b\n1,2\xc3\n3,4\xa9\n", ["a"], None), 4)
     def test_fast_reader_matches_csv_reader(self, file, block_bytes):
         data, selectors, delimiter = file
         with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_BLOCK_BYTES", block_bytes):
@@ -1722,18 +1726,32 @@ def test_cli_import_leaves_numpy_random_unloaded():
 
 
 def test_public_names_resolve_and_simulate_loads_on_first_use():
-    # `__all__` is the one list of public names: each resolves, and `simulate` loads only for a name of it that the
-    # package does not already hold
+    # `__all__` is the one list of public names: each resolves, and `simulate` loads only for a name of it that no
+    # module the CLI loaded already defines
     probe = ("import sys, digitscreen.cli\n"
              "import digitscreen as ds\n"
-             "held = [getattr(ds, name) for name in ds.__all__ if name in vars(ds)]\n"
+             "loaded = [vars(m) for n, m in list(sys.modules.items()) if n.startswith('digitscreen.')]\n"
+             "held = [name for name in ds.__all__ if any(name in names for names in loaded)]\n"
+             "[getattr(ds, name) for name in held]\n"
              "print('digitscreen.simulate' in sys.modules)\n"
-             "print(sorted({getattr(ds, name).__module__ for name in ds.__all__ if name not in vars(ds)}))\n"
+             "print(sorted({getattr(ds, name).__module__ for name in ds.__all__ if name not in held}))\n"
              "try:\n    ds.no_such_name\nexcept AttributeError as exc:\n    print(exc)\n")
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
     assert (run.returncode, run.stderr) == (0, "")
     assert run.stdout == "False\n['digitscreen.simulate']\nmodule 'digitscreen' has no attribute 'no_such_name'\n"
+
+
+def test_package_import_loads_no_module_and_resolves_each_on_first_use():
+    # a bare `import digitscreen` pays for none of its modules, and still hands each out by attribute
+    probe = ("import sys, digitscreen\n"
+             "print(sorted(m for m in sys.modules if m.startswith('digitscreen.')))\n"
+             "print(digitscreen.laws.nbl_first.__module__, digitscreen.digits.REASONS[0])\n"
+             "print(digitscreen.special.__name__, digitscreen.inference.screen is digitscreen.screen)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout == "[]\ndigitscreen.laws not-an-integer\ndigitscreen.special True\n"
 
 
 def test_cli_import_leaves_simulate_json_and_configparser_unloaded():
